@@ -1,9 +1,11 @@
 """Shared experiment infrastructure: caching, TLB factories, normalisation.
 
-Workload construction and phase-1 TLB simulation dominate experiment run
-time, and several figures need the same artefacts; this module memoises
-both behind small keyed caches so ``runner.run_all`` pays for each
-(workload, TLB configuration) pair once.  A persistent on-disk layer
+Workload construction and phase-1 TLB simulation are costly, and several
+figures need the same artefacts.  In a cold Figure 11 sweep, phase 1
+and the page-table builds are each over a third of the run time.  This
+module memoises workloads and miss streams behind small keyed caches so
+``runner.run_all`` pays for each (workload, TLB configuration) pair
+once.  A persistent on-disk layer
 (:mod:`repro.cache.stream_cache`, enabled via
 :func:`configure_stream_cache`) extends that across processes and runs:
 parallel workers share artefacts, and repeat invocations skip phase 1

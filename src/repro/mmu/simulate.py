@@ -9,14 +9,16 @@ the experiments run in two phases:
 
 1. :func:`collect_misses` — run the trace through a TLB once, filling
    entries from the :class:`~repro.os.translation_map.TranslationMap`
-   oracle, recording every miss.
+   oracle, recording every miss.  For the paper's LRU TLBs this is an
+   array pass over LRU stack distances (:mod:`repro.mmu.lru_filter`);
+   :func:`collect_misses_scalar`, one reference at a time, is its oracle
+   and serves every other TLB.
 2. :func:`replay_misses` — walk each page table organisation once per
    recorded miss, accumulating its cache-line costs.
 
-Phase 1 (the expensive part) is paid once per TLB configuration; phase 2
-is cheap and repeated per page table.  The integrated
-:class:`~repro.mmu.mmu.MMU` produces identical numbers and is used to
-cross-validate this fast path in the test suite.
+Phase 1 is paid once per TLB configuration and phase 2 once per page
+table.  The integrated :class:`~repro.mmu.mmu.MMU` produces identical
+numbers and is used to cross-validate this fast path in the test suite.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ import numpy as np
 
 from repro.errors import PageFaultError
 from repro.mmu.fill import block_entry, build_entry
+from repro.mmu.lru_filter import FilterRefused, filter_misses
 from repro.mmu.subblock_tlb import CompleteSubblockTLB
 from repro.mmu.tlb import BaseTLB
+from repro.obs.metrics import get_registry
 from repro.os.translation_map import TranslationMap
 from repro.pagetables.pte import PTEKind
 from repro.workloads.trace import Trace
@@ -71,13 +75,47 @@ def collect_misses(
 
     References to unmapped pages raise: traces are generated from mapped
     pages, so a fault here means the trace and map disagree.
+
+    When the TLB is a pure LRU over fill tags (an empty fully-
+    associative, superpage, partial-subblock or prefetching complete-
+    subblock TLB, under the conditions of
+    :func:`~repro.mmu.lru_filter.filter_misses`), the stream is computed
+    in array passes.  Every other input runs :func:`collect_misses_scalar`
+    and is counted in the ``phase1.fallback`` metric by TLB and reason.
+    Both paths give the same stream, TLB statistics and final TLB
+    contents.
+    """
+    try:
+        vpns, by_kind = filter_misses(trace, tlb, tmap, prefetch_subblocks)
+    except FilterRefused as refused:
+        get_registry().inc(
+            "phase1.fallback", tlb=tlb.name, reason=refused.reason
+        )
+        return collect_misses_scalar(trace, tlb, tmap, prefetch_subblocks)
+    return _miss_stream(
+        trace, tlb, vpns, np.ones(len(vpns), dtype=bool), by_kind
+    )
+
+
+def collect_misses_scalar(
+    trace: Trace,
+    tlb: BaseTLB,
+    tmap: TranslationMap,
+    prefetch_subblocks: bool = True,
+) -> MissStream:
+    """Phase 1 one reference at a time: the oracle for every fast path.
+
+    Services misses as :class:`~repro.mmu.mmu.MMU` does.  A complete-
+    subblock TLB whose tag is resident takes a subblock miss and merges
+    the page into the entry; otherwise the miss fills a new entry, a
+    prefetched block (§4.4) when ``prefetch_subblocks`` is set.
     """
     from repro.mmu.asid import ASIDTaggedTLB
 
     vpns_out: List[int] = []
     block_out: List[bool] = []
     by_kind: Counter = Counter()
-    complete = isinstance(tlb, CompleteSubblockTLB) and prefetch_subblocks
+    complete = isinstance(tlb, CompleteSubblockTLB)
     asid_tagged = isinstance(tlb, ASIDTaggedTLB)
     layout = tmap.layout
 
@@ -97,29 +135,41 @@ def collect_misses(
                 raise PageFaultError(vpn, f"trace references unmapped VPN {vpn:#x}")
             vpns_out.append(vpn)
             by_kind[pte.kind] += 1
-            if complete:
-                resident = tlb.current_entry(vpn)
-                if resident is None:
-                    block_out.append(True)
-                    vpbn = layout.vpbn(vpn)
-                    tlb.fill(
-                        block_entry(
-                            tlb, layout.vpn_of_block(vpbn),
-                            tmap.block_mappings(vpbn),
-                        )
+            ppn = pte.ppn_for(vpn)
+            if complete and tlb.current_entry(vpn) is not None:
+                block_out.append(False)
+                tlb.merge_fill(vpn, ppn, pte.attrs)
+                continue
+            block_out.append(True)
+            if complete and prefetch_subblocks:
+                vpbn = layout.vpbn(vpn)
+                tlb.fill(
+                    block_entry(
+                        tlb, layout.vpn_of_block(vpbn),
+                        tmap.block_mappings(vpbn),
                     )
-                else:
-                    block_out.append(False)
-                    tlb.merge_fill(vpn, pte.ppn_for(vpn), pte.attrs)
+                )
             else:
-                block_out.append(True)
-                tlb.fill(build_entry(tlb, pte, vpn, pte.ppn_for(vpn)))
+                tlb.fill(build_entry(tlb, pte, vpn, ppn))
 
+    return _miss_stream(
+        trace, tlb, np.asarray(vpns_out, dtype=np.int64),
+        np.asarray(block_out, dtype=bool), by_kind,
+    )
+
+
+def _miss_stream(
+    trace: Trace,
+    tlb: BaseTLB,
+    vpns: np.ndarray,
+    block_miss: np.ndarray,
+    by_kind: Counter,
+) -> MissStream:
     return MissStream(
         trace_name=trace.name,
         tlb_description=tlb.describe(),
-        vpns=np.asarray(vpns_out, dtype=np.int64),
-        block_miss=np.asarray(block_out, dtype=bool),
+        vpns=vpns,
+        block_miss=block_miss,
         accesses=tlb.stats.accesses,
         misses=tlb.stats.misses,
         tlb_block_misses=tlb.stats.block_misses,

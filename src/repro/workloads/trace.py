@@ -140,12 +140,14 @@ class Trace:
         )
 
     def head(self, n: int) -> "Trace":
-        """A prefix of the trace (switch points clipped accordingly)."""
+        """A prefix of the trace (switch points and owners clipped)."""
+        switch_points = [p for p in self.switch_points if p < n]
         return Trace(
             self.vpns[:n],
             name=f"{self.name}[:{n}]",
-            switch_points=[p for p in self.switch_points if p < n],
+            switch_points=switch_points,
             subblock_factor=self.subblock_factor,
+            segment_owners=self.segment_owners[: len(switch_points) + 1],
         )
 
     @staticmethod

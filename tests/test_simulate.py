@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.addr.layout import AddressLayout
+from repro.addr.space import AddressSpace
 from repro.analysis.metrics import make_table
 from repro.core.clustered import ClusteredPageTable
 from repro.errors import PageFaultError
@@ -120,6 +121,54 @@ def test_two_phase_complete_subblock_equivalence(workload, tmap):
     mmu.run_trace(workload.trace)
     assert mmu.stats.tlb_misses == stream.misses
     assert mmu.stats.cache_lines == replay.cache_lines
+
+
+def _no_prefetch_runs(trace, tmap, layout):
+    """The same trace through the MMU and the two-phase path, without
+    complete-subblock prefetch; returns (mmu, tlb, stream, replay)."""
+    slow = ClusteredPageTable(layout)
+    tmap.populate(slow, base_pages_only=True)
+    mmu = MMU(
+        CompleteSubblockTLB(64, subblock_factor=16), slow,
+        prefetch_subblocks=False,
+    )
+    mmu.run_trace(trace)
+
+    tlb = CompleteSubblockTLB(64, subblock_factor=16)
+    stream = collect_misses(trace, tlb, tmap, prefetch_subblocks=False)
+    fast = ClusteredPageTable(layout)
+    tmap.populate(fast, base_pages_only=True)
+    return mmu, tlb, stream, replay_misses(stream, fast)
+
+
+def test_two_phase_complete_subblock_without_prefetch_merges(layout):
+    """A subblock miss merges into the resident entry, as the MMU does."""
+    space = AddressSpace(layout)
+    for vpn in (0x100, 0x101, 0x102):
+        space.map(vpn, 0x800 + vpn)
+    tmap = TranslationMap.from_space(space)
+    trace = Trace([0x100, 0x101, 0x100, 0x102, 0x101, 0x100])
+    mmu, tlb, stream, replay = _no_prefetch_runs(trace, tmap, layout)
+    assert mmu.stats.tlb_misses == stream.misses == 3
+    assert stream.tlb_subblock_misses == mmu.tlb.stats.subblock_misses == 2
+    assert stream.vpns.tolist() == [0x100, 0x101, 0x102]
+    assert stream.block_miss.tolist() == [True, False, False]
+    assert tlb.stats == mmu.tlb.stats
+    assert tlb.entries() == mmu.tlb.entries()
+    assert replay.cache_lines == mmu.stats.cache_lines
+
+
+def test_two_phase_complete_subblock_without_prefetch_equivalence(
+    workload, tmap
+):
+    mmu, tlb, stream, replay = _no_prefetch_runs(
+        workload.trace, tmap, workload.layout
+    )
+    assert mmu.stats.tlb_misses == stream.misses
+    assert stream.misses_by_kind == mmu.stats.misses_by_kind
+    assert tlb.stats == mmu.tlb.stats
+    assert tlb.entries() == mmu.tlb.entries()
+    assert replay.cache_lines == mmu.stats.cache_lines
 
 
 def test_context_switches_flush(workload, tmap):

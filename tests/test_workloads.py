@@ -191,6 +191,12 @@ class TestTraceContainer:
         trace = Trace(list(range(10)), switch_points=[3, 8])
         head = trace.head(5)
         assert len(head) == 5 and head.switch_points == (3,)
+        owned = Trace(
+            list(range(10)), switch_points=[3, 6], segment_owners=[0, 1, 0]
+        )
+        assert owned.head(8).segment_owners == (0, 1, 0)
+        assert owned.head(5).segment_owners == (0, 1)
+        assert owned.head(3).segment_owners == (0,)
 
     def test_interleave_round_robin(self):
         a = Trace([1] * 4, name="a")
