@@ -10,7 +10,7 @@ the benchmark doubles as a coarse differential test: a speedup bought by
 diverging from the oracle fails here, not in CI artifact diffs.
 
 The CI ``batch`` lane uploads the JSON and feeds it to
-``bench_gate.py --speedup``, which fails the lane when the aggregate
+``bench_gate.py --family batch=``, which fails the lane when the aggregate
 speedup (total scalar time over total batch time) drops below the floor
 (default 10x).  The aggregate is gated rather than the per-config
 minimum because the batch engine's fixed cost — compiling the table

@@ -35,9 +35,9 @@ schema downstream tooling can rely on, and a missing or malformed one
 fails the lane just like a cycles/miss regression.
 
 It further gates the batch replay engine (``BENCH_batch.json``, via
-``--speedup`` or ``--family batch=...``): the aggregate speedup over the
-Figure 11 configurations — total scalar replay time over total batch
-replay time — must stay at or above ``--speedup-floor`` (default 10x).
+``--family batch=...``): the aggregate speedup over the Figure 11
+configurations — total scalar replay time over total batch replay time
+— must stay at or above ``--speedup-floor`` (default 10x).
 The aggregate is gated rather than the per-config minimum because the
 batch engine's fixed kernel-compilation cost dominates tiny miss
 streams; any config where batch is *slower* than scalar is still
@@ -47,13 +47,13 @@ Usage::
 
     python benchmarks/bench_gate.py --fresh BENCH_numa.json \
         [--baseline benchmarks/baselines/BENCH_numa.json] [--threshold 0.10] \
-        [--report-sidecar run-dir/report.json] \
-        [--speedup BENCH_batch.json] [--speedup-floor 10.0]
+        [--report-sidecar run-dir/report.json]
 
     python benchmarks/bench_gate.py \
         --family numa=BENCH_numa.json --family batch=BENCH_batch.json \
         --ledger ledger.jsonl --record [--band-k 4.0] [--band-window 20] \
-        [--min-history 3] [--baseline-dir benchmarks/baselines]
+        [--min-history 3] [--baseline-dir benchmarks/baselines] \
+        [--speedup-floor 10.0]
 """
 
 from __future__ import annotations
@@ -457,15 +457,10 @@ def main(argv=None) -> int:
         "missing or malformed fails the gate",
     )
     parser.add_argument(
-        "--speedup", metavar="FILE", default=None,
-        help="batch-engine benchmark (BENCH_batch.json) whose aggregate "
-        "speedup must meet --speedup-floor",
-    )
-    parser.add_argument(
         "--speedup-floor", type=float, default=DEFAULT_SPEEDUP_FLOOR,
         metavar="X",
-        help="minimum aggregate batch-over-scalar speedup "
-        f"(default {DEFAULT_SPEEDUP_FLOOR})",
+        help="minimum aggregate batch-over-scalar speedup of a "
+        f"--family batch= document (default {DEFAULT_SPEEDUP_FLOOR})",
     )
     parser.add_argument(
         "--family", metavar="FAMILY=FILE", action="append", default=[],
@@ -501,21 +496,15 @@ def main(argv=None) -> int:
         f"(default {_BASELINE_DIR})",
     )
     args = parser.parse_args(argv)
-    if (
-        args.fresh is None and args.report_sidecar is None
-        and args.speedup is None and not args.family
-    ):
+    if args.fresh is None and args.report_sidecar is None and not args.family:
         parser.error(
-            "nothing to gate: pass --fresh, --family, --report-sidecar, "
-            "and/or --speedup"
+            "nothing to gate: pass --fresh, --family, and/or --report-sidecar"
         )
     if args.record and args.ledger is None:
         parser.error("--record needs --ledger")
     status = 0
     if args.report_sidecar is not None:
         status = _gate_sidecar(args.report_sidecar)
-    if args.speedup is not None:
-        status = max(status, _gate_speedup(args.speedup, args.speedup_floor))
 
     obs = _obs_ledger() if (args.family or args.ledger) else None
     ledger = (

@@ -285,7 +285,7 @@ def _trajectory_keys(root: Path) -> List[Tuple[str, str, str]]:
 def _render_speedup_dips(doc: Dict[str, object]) -> List[str]:
     """Markdown lines for a speedup bench doc's per-config dips.
 
-    ``benchmarks/bench_gate.py --speedup`` gates only the *aggregate*
+    ``benchmarks/bench_gate.py --family batch=`` gates only the *aggregate*
     batch-over-scalar speedup, so an individual configuration running
     slower than scalar (speedup < 1x) passes the lane silently.  Any
     bench doc shaped like ``BENCH_batch.json`` (an ``aggregate_speedup``

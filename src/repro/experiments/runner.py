@@ -12,15 +12,19 @@ two-stage dependency graph:
    once their stream artefacts exist, each worker reading phase-1 results
    from the shared cache instead of re-simulating.
 
-Results are merged deterministically in paper order, so ``--jobs 8``
-produces byte-identical output to the serial run.  With a warm cache a
-repeat invocation performs *zero* phase-1 simulations — run time is
-bounded by the cheap phase-2 replay cost.
+One scheduler runs both stages at every ``--jobs`` setting.  ``--jobs N``
+submits the tasks to a pool of N worker processes; ``--jobs 1`` submits
+them to an in-process executor that runs each task as it is submitted,
+so retries, failure records, journaling and progress take the same path
+either way.  Results are merged deterministically in paper order, so
+``--jobs 8`` produces byte-identical output to ``--jobs 1``.  With a warm
+cache a repeat invocation performs *zero* phase-1 simulations — run time
+is bounded by the cheap phase-2 replay cost.
 
 Execution is **resilient** (:mod:`repro.resilience`): transient task
 failures (worker crashes, hung workers, cache I/O errors) are retried
 with jittered exponential backoff under ``--max-retries``; ``--task-
-timeout`` bounds each task's wall clock (worker pools are recycled
+timeout`` bounds each pool task's wall clock (worker pools are recycled
 around hung tasks); ``--keep-going`` completes the DAG around
 permanently failed tasks and emits an explicit failure manifest instead
 of all-or-nothing; ``--run-dir`` journals every completed experiment to
@@ -45,8 +49,8 @@ import time
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
-    FIRST_EXCEPTION,
     BrokenExecutor,
+    Executor,
     Future,
     ProcessPoolExecutor,
     wait,
@@ -65,7 +69,6 @@ from repro.obs import trace as _trace
 from repro.obs.metrics import get_registry, reset_registry
 from repro.obs.profile import WalkProfile
 from repro.obs.spans import SpanRecord, record_span
-from repro.obs.timer import PhaseTimer
 from repro.obs.watch import DEFAULT_HEARTBEAT_INTERVAL, ProgressTracker
 from repro.resilience.faults import (
     FaultPlan,
@@ -79,7 +82,6 @@ from repro.resilience.retry import (
     RetryPolicy,
     TaskTimeoutError,
     backoff_delay,
-    call_with_retry,
     classify_error,
     task_rng,
 )
@@ -221,8 +223,13 @@ def stream_prewarm_plan(
 
 
 # ---------------------------------------------------------------------------
-# Worker entry points (module-level: picklable by the process pool)
+# Task entry point (module-level: picklable by the process pool)
 # ---------------------------------------------------------------------------
+#: Set by :func:`_worker_init` in pool workers: their tasks capture and
+#: ship telemetry.  Tasks run in the runner's own process (``--jobs 1``)
+#: feed the run's registry, tracer and walk profile directly.
+_IN_WORKER = False
+
 #: Set by :func:`_worker_init` when the parent run is profiled: worker
 #: tasks then install a per-task walk tracer feeding the registry
 #: histograms and a :class:`~repro.obs.profile.WalkProfile`.
@@ -247,7 +254,8 @@ def _worker_init(
     in every worker.  A fault plan, when active in the parent, is
     re-installed so injected crashes and hangs land inside real workers.
     """
-    global _WORKER_PROFILED
+    global _IN_WORKER, _WORKER_PROFILED
+    _IN_WORKER = True
     _WORKER_PROFILED = bool(profiled)
     common.clear_caches()
     common.configure_stream_cache(cache_dir)
@@ -286,15 +294,22 @@ class TaskTelemetry:
 
 
 @contextmanager
-def _worker_task_scope(label: str, stage: str):
-    """Telemetry scope around one worker task.
+def _task_scope(label: str, stage: str):
+    """Telemetry scope around one task; yields its :class:`TaskTelemetry`.
 
-    Resets the process registry (making the task's registry state an
-    exact delta), records the task's span tree under ``task:<label>``,
-    and — when the run is profiled — installs a walk tracer attached to
-    the registry and a fresh walk profile, so per-walk histograms and
-    the profile accumulate from the same ``record`` calls as the trace.
+    In the runner's own process it only opens the ``task:<label>`` span
+    and yields ``None``: the run's registry, tracer and walk profile see
+    the task's work directly.  In a pool worker it resets the process
+    registry (making the task's registry state an exact delta), records
+    the task's span tree under ``task:<label>``, and — when the run is
+    profiled — installs a walk tracer attached to the registry and a
+    fresh walk profile, so per-walk histograms and the profile
+    accumulate from the same ``record`` calls as the trace.
     """
+    if not _IN_WORKER:
+        with record_span(f"task:{label}", category=stage):
+            yield None
+        return
     registry = reset_registry()
     recorder = _spans.install_recorder(_spans.SpanRecorder())
     tracer = None
@@ -324,73 +339,64 @@ def _prewarm_label(task: StreamTask) -> str:
     return "/".join(str(part) for part in task)
 
 
-def _prewarm_worker(
-    task: StreamTask, trace_length: int, attempt: int = 1
-) -> Tuple[StreamTask, float, CacheStats, TaskTelemetry]:
-    """Stage-1 task: materialise one miss stream into the shared cache."""
-    label = _prewarm_label(task)
-    with _worker_task_scope(label, "prewarm") as telemetry:
-        fault_point("runner.prewarm", key=label, attempt=attempt)
-        common.clear_stream_memo()
-        before = common.stream_cache_stats()
-        started = time.perf_counter()
-        name, tlb_kind, entries = task
-        workload = common.get_workload(name, trace_length)
-        common.get_miss_stream(workload, tlb_kind, entries)
-        elapsed = time.perf_counter() - started
-        delta = common.stream_cache_stats().delta(before)
-    return task, elapsed, delta, telemetry
-
-
-def _experiment_worker(
-    key: str,
+def _run_task(
+    stage: str,
+    key: object,
+    label: str,
     trace_length: int,
     workloads: Optional[Tuple[str, ...]],
     attempt: int = 1,
-) -> Tuple[str, ExperimentResult, float, CacheStats, TaskTelemetry]:
-    """Stage-2 task: produce one experiment's result table.
+) -> Tuple[
+    Optional[ExperimentResult], float, CacheStats, Optional[TaskTelemetry]
+]:
+    """One task of either stage, in a pool worker or in the runner.
 
-    The stream memo is dropped first so this task's cache delta depends
-    only on (key, disk state) — not on which other tasks this worker
-    happened to run — keeping the accounting identical to the serial
-    path's.
+    A ``prewarm`` task materialises one miss stream (``key`` is a
+    :data:`StreamTask`) into the shared cache; an ``experiment`` task
+    produces one experiment's result table.  With a stream cache the
+    stream memo is dropped first, so the task's cache delta depends
+    only on (key, disk state) — not on which tasks ran before it in the
+    same process — keeping the accounting identical across ``--jobs``.
+    Without one the delta is zero anyway, and ``--jobs 1`` experiments
+    keep sharing in-process streams.
     """
-    with _worker_task_scope(key, "experiment") as telemetry:
-        fault_point("runner.experiment", key=key, attempt=attempt)
-        common.clear_stream_memo()
+    with _task_scope(label, stage) as telemetry:
+        fault_point(f"runner.{stage}", key=label, attempt=attempt)
+        if common.stream_cache() is not None:
+            common.clear_stream_memo()
         before = common.stream_cache_stats()
         started = time.perf_counter()
-        result = _producers(trace_length, workloads)[key]()
+        result = None
+        if stage == "prewarm":
+            name, tlb_kind, entries = key
+            workload = common.get_workload(name, trace_length)
+            common.get_miss_stream(workload, tlb_kind, entries)
+        else:
+            result = _producers(trace_length, workloads)[key]()
         elapsed = time.perf_counter() - started
         delta = common.stream_cache_stats().delta(before)
-    return key, result, elapsed, delta, telemetry
+    return result, elapsed, delta, telemetry
 
 
-def _await_or_cancel(pool: ProcessPoolExecutor, futures: Sequence[Future]):
-    """Results of every future, in submission order — failing fast.
+class _InlineExecutor(Executor):
+    """The ``--jobs 1`` executor: runs each task in the runner's process.
 
-    ``wait(..., FIRST_EXCEPTION)`` alone leaves the remaining tasks
-    running and surfaces the error only when a later ``.result()`` call
-    happens to reach the failed future (possibly minutes into the
-    merge).  Here, the first failure cancels every pending task and
-    re-raises immediately; already-running tasks are abandoned to finish
-    in the background (a process pool cannot interrupt them mid-task).
-
-    This is the zero-resilience semantics the scheduler below reproduces
-    when ``max_retries=0`` with no timeout and no ``keep_going``; it is
-    kept as the reference implementation the fail-fast regression tests
-    pin down.
+    ``submit`` runs the task at once and returns a finished future that
+    holds its result or its exception, so the scheduler handles it like
+    a pool task.  ``KeyboardInterrupt`` is not stored: it propagates out
+    of ``submit``, and the run drains as it does for a pool.  A process
+    pool of one worker would not do: the run's tracer (``--trace-out``)
+    and in-process probes would miss the walks, and without a cache the
+    streams could not cross processes.
     """
-    done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-    for future in futures:
-        if future in done and not future.cancelled():
-            error = future.exception()
-            if error is not None:
-                for other in pending:
-                    other.cancel()
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise error
-    return [future.result() for future in futures]
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +527,7 @@ class RunMetrics:
     prewarm_seconds: float = 0.0
     #: Wall time of each runner phase (phase-1 prewarm, phase-2
     #: experiments), also observed into the metrics registry's
-    #: ``runner.phase_seconds`` histogram by :class:`PhaseTimer`.
+    #: ``runner.phase_seconds`` histogram.
     prewarm_wall_seconds: float = 0.0
     experiments_wall_seconds: float = 0.0
     timings: List[ExperimentTiming] = field(default_factory=list)
@@ -681,9 +687,10 @@ def run_all(
     """Regenerate every table and figure; returns results keyed by id.
 
     ``jobs > 1`` fans the work out over a process pool; results are
-    identical to the serial path (experiments are deterministic, and the
-    merge is always in paper order).  ``cache_dir`` enables the
-    persistent miss-stream cache for this run; pass a ``metrics`` object
+    identical to ``jobs=1``, which runs the same scheduler in this
+    process (experiments are deterministic, and the merge is always in
+    paper order).  ``cache_dir`` enables the persistent miss-stream
+    cache for this run; pass a ``metrics`` object
     to receive timing and cache instrumentation, and a ``resilience``
     config for retries, timeouts, checkpoint/resume, and keep-going
     degradation (the default is the historical fail-fast behaviour).
@@ -710,6 +717,7 @@ def run_all(
     metrics.profiled = bool(profile)
     workloads = tuple(workloads) if workloads else None
     previous_engine = common.active_engine()
+    previous_cache = common.stream_cache()
     metrics.engine = common.configure_engine(engine)
 
     recorder: Optional[_spans.SpanRecorder] = None
@@ -744,6 +752,7 @@ def run_all(
     started = time.perf_counter()
 
     try:
+        common.configure_stream_cache(cache_dir)
         journal: Optional[RunJournal] = None
         resumed: Dict[str, ExperimentResult] = {}
         if cfg.run_dir:
@@ -783,18 +792,10 @@ def run_all(
         )
         try:
             with fault_scope:
-                if not pending:
-                    fresh: Dict[str, ExperimentResult] = {}
-                elif metrics.jobs == 1:
-                    fresh = _run_serial(
-                        pending, trace_length, cache_dir, workloads, metrics,
-                        cfg, journal, tracker,
-                    )
-                else:
-                    fresh = _run_parallel(
-                        pending, trace_length, cache_dir, workloads, metrics,
-                        cfg, journal, tracker,
-                    )
+                fresh = _run_stages(
+                    pending, trace_length, cache_dir, workloads, metrics,
+                    cfg, journal, tracker,
+                ) if pending else {}
         except RunInterrupted:
             if tracker is not None:
                 tracker.finish(interrupted=True)
@@ -808,9 +809,11 @@ def run_all(
             for key in keys
             if key in resumed or key in fresh
         }
-        metrics.wall_seconds = time.perf_counter() - started
+        # The tracker's final fsync'd write is part of the run, so it
+        # happens before wall_seconds is read.
         if tracker is not None:
             tracker.finish()
+        metrics.wall_seconds = time.perf_counter() - started
     finally:
         # The run span closes *after* wall_seconds is measured, so the
         # root span always covers the full measured wall time.
@@ -821,144 +824,15 @@ def run_all(
                 _spans.uninstall_recorder(recorder)
         if tracer is not None and owns_tracer:
             _trace.uninstall_tracer(tracer)
+        common.set_stream_cache(previous_cache)
         common.configure_engine(previous_engine)
     if cfg.run_dir:
         _write_run_artifacts(cfg.run_dir, metrics)
     return results
 
 
-def _run_serial(
-    keys: Sequence[str],
-    trace_length: int,
-    cache_dir: Optional[str],
-    workloads: Optional[Tuple[str, ...]],
-    metrics: RunMetrics,
-    cfg: ResilienceConfig,
-    journal: Optional[RunJournal],
-    tracker: Optional[ProgressTracker] = None,
-) -> Dict[str, ExperimentResult]:
-    """The one-process path, structured exactly like the parallel one.
-
-    With a cache configured it runs the same two stages — prewarm the
-    stream frontier, then the experiments with a cleared stream memo per
-    experiment — and accounts per-task cache deltas the same way, so
-    :meth:`RunMetrics.cache_summary` is identical to a ``--jobs N`` run
-    over the same cache state.  Retries, keep-going, and journaling
-    apply exactly as in the parallel path; ``task_timeout`` does not (a
-    task cannot be preempted in its own process).
-    """
-    previous = common.stream_cache()
-    cache = common.configure_stream_cache(cache_dir)
-    registry = get_registry()
-
-    def on_retry(label):
-        def callback(attempt, exc, delay):
-            metrics.task_retries += 1
-            registry.inc("runner.task_retries", experiment=str(label))
-        return callback
-
-    try:
-        producers = _producers(trace_length, workloads)
-        results: Dict[str, ExperimentResult] = {}
-        if cache is not None:
-            with PhaseTimer("prewarm") as prewarm_timer:
-                prewarm_plan = stream_prewarm_plan(keys, workloads)
-                if tracker is not None:
-                    tracker.begin_phase("prewarm", len(prewarm_plan))
-                for task in prewarm_plan:
-                    label = _prewarm_label(task)
-
-                    def run_prewarm(attempt, task=task, label=label):
-                        fault_point(
-                            "runner.prewarm", key=label, attempt=attempt
-                        )
-                        common.clear_stream_memo()
-                        before = common.stream_cache_stats()
-                        task_start = time.perf_counter()
-                        name, tlb_kind, entries = task
-                        workload = common.get_workload(name, trace_length)
-                        common.get_miss_stream(workload, tlb_kind, entries)
-                        delta = common.stream_cache_stats().delta(before)
-                        return time.perf_counter() - task_start, delta
-
-                    try:
-                        with record_span(f"task:{label}", category="prewarm"):
-                            elapsed, delta = call_with_retry(
-                                run_prewarm, cfg.retry, key=label,
-                                on_retry=on_retry(label),
-                            )
-                    except KeyboardInterrupt:
-                        raise RunInterrupted(metrics.completed)
-                    except Exception as exc:
-                        if not cfg.keep_going:
-                            raise
-                        # The dependent experiments recompute their own
-                        # streams, so a prewarm failure only degrades.
-                        _record_failure(
-                            metrics, journal, label, "prewarm", exc
-                        )
-                        continue
-                    metrics.prewarm_tasks += 1
-                    metrics.prewarm_seconds += elapsed
-                    metrics.cache.merge(delta)
-                    registry.observe(
-                        "runner.task_seconds", elapsed, stage="prewarm"
-                    )
-                    if tracker is not None:
-                        tracker.task_done(label, elapsed, phase="prewarm")
-            metrics.prewarm_wall_seconds = prewarm_timer.last_seconds
-        with PhaseTimer("experiments") as experiments_timer:
-            if tracker is not None:
-                tracker.begin_phase("experiments", len(keys))
-            for key in keys:
-                attempts_used = [1]
-
-                def run_experiment(attempt, key=key):
-                    attempts_used[0] = attempt
-                    fault_point("runner.experiment", key=key, attempt=attempt)
-                    if cache is not None:
-                        common.clear_stream_memo()
-                    before = common.stream_cache_stats()
-                    task_start = time.perf_counter()
-                    result = producers[key]()
-                    delta = common.stream_cache_stats().delta(before)
-                    return result, time.perf_counter() - task_start, delta
-
-                try:
-                    with record_span(f"task:{key}", category="experiment"):
-                        result, elapsed, delta = call_with_retry(
-                            run_experiment, cfg.retry, key=key,
-                            on_retry=on_retry(key),
-                        )
-                except KeyboardInterrupt:
-                    raise RunInterrupted(metrics.completed)
-                except Exception as exc:
-                    if not cfg.keep_going:
-                        raise
-                    _record_failure(metrics, journal, key, "experiment", exc)
-                    continue
-                results[key] = result
-                metrics.timings.append(ExperimentTiming(key, elapsed, delta))
-                metrics.cache.merge(delta)
-                metrics.completed.append(key)
-                registry.observe(
-                    "runner.task_seconds", elapsed, stage="experiment"
-                )
-                if journal is not None:
-                    journal.append_result(
-                        key, task_digest(key, trace_length, workloads),
-                        _result_to_dict(result), elapsed, attempts_used[0],
-                    )
-                if tracker is not None:
-                    tracker.task_done(key, elapsed, phase="experiments")
-        metrics.experiments_wall_seconds = experiments_timer.last_seconds
-        return results
-    finally:
-        common.set_stream_cache(previous)
-
-
 # ---------------------------------------------------------------------------
-# The parallel scheduler
+# The scheduler (a process pool, or in-process at --jobs 1)
 # ---------------------------------------------------------------------------
 @dataclass
 class _Task:
@@ -972,7 +846,7 @@ class _Task:
     history: List[AttemptRecord] = field(default_factory=list)
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+def _terminate_pool(pool: Executor) -> None:
     """Kill the pool's workers and discard its queue.
 
     Used when abandoning hung or doomed work: cache writes are atomic
@@ -991,7 +865,7 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 def _drain(
     pool_ref: Dict[str, object],
     tasks: Sequence[_Task],
-    submit: Callable[[ProcessPoolExecutor, _Task], Future],
+    submit: Callable[[Executor, _Task], Future],
     on_success: Callable[[_Task, object], None],
     cfg: ResilienceConfig,
     metrics: RunMetrics,
@@ -1007,7 +881,9 @@ def _drain(
     recycled (workers terminated, collateral tasks re-run without an
     attempt charge); a worker crash (``BrokenExecutor``) likewise
     recycles and retries.  Permanent failures either abort the stage
-    (default) or land in the failure manifest (``keep_going``).
+    (default) or land in the failure manifest (``keep_going``).  The
+    in-process executor of ``--jobs 1`` finishes each task inside
+    ``submit``, so there a deadline never expires.
     """
     registry = get_registry()
     queue = deque(tasks)
@@ -1145,7 +1021,7 @@ def _drain(
                 raise abort
 
 
-def _run_parallel(
+def _run_stages(
     keys: Sequence[str],
     trace_length: int,
     cache_dir: Optional[str],
@@ -1155,7 +1031,19 @@ def _run_parallel(
     journal: Optional[RunJournal],
     tracker: Optional[ProgressTracker] = None,
 ) -> Dict[str, ExperimentResult]:
-    def pool_factory() -> ProcessPoolExecutor:
+    """Run the prewarm stage (with a stream cache) and then the experiments.
+
+    Every task of both stages goes through :func:`_drain` on one
+    executor — :class:`_InlineExecutor` at ``--jobs 1``, a process pool
+    otherwise — and lands through one success handler, so metrics,
+    registry, journal and progress are fed the same way at every
+    ``--jobs``.  Each stage runs under a ``phase:<name>`` span and is
+    observed into ``runner.phase_seconds{phase}``, even when it is
+    interrupted.
+    """
+    def executor_factory() -> Executor:
+        if metrics.jobs == 1:
+            return _InlineExecutor()
         return ProcessPoolExecutor(
             max_workers=metrics.jobs,
             initializer=_worker_init,
@@ -1165,92 +1053,74 @@ def _run_parallel(
             ),
         )
 
-    pool_ref: Dict[str, object] = {
-        "pool": pool_factory(), "factory": pool_factory,
-    }
-    results: Dict[str, ExperimentResult] = {}
-    try:
-        # Stage 1: fan out the stream-collection frontier.  Only useful
-        # when artefacts persist — without a cache directory the streams
-        # could not cross process boundaries.
-        if cache_dir is not None:
-            with PhaseTimer("prewarm") as prewarm_timer:
-                prewarm_tasks = [
-                    _Task(
-                        "prewarm", task, _prewarm_label(task),
-                        task_rng(cfg.retry, _prewarm_label(task)),
-                    )
-                    for task in stream_prewarm_plan(keys, workloads)
-                ]
-                if tracker is not None:
-                    tracker.begin_phase("prewarm", len(prewarm_tasks))
-
-                def submit_prewarm(pool, task):
-                    return pool.submit(
-                        _prewarm_worker, task.key, trace_length, task.attempts
-                    )
-
-                def prewarm_done(task, value):
-                    _, elapsed, delta, telemetry = value
-                    metrics.prewarm_tasks += 1
-                    metrics.prewarm_seconds += elapsed
-                    metrics.cache.merge(delta)
-                    _absorb_telemetry(metrics, telemetry)
-                    get_registry().observe(
-                        "runner.task_seconds", elapsed, stage="prewarm"
-                    )
-                    if tracker is not None:
-                        tracker.task_done(
-                            task.label, elapsed, phase="prewarm"
-                        )
-
-                _drain(
-                    pool_ref, prewarm_tasks, submit_prewarm, prewarm_done,
-                    cfg, metrics, journal, tracker,
-                )
-            metrics.prewarm_wall_seconds = prewarm_timer.last_seconds
-
-        # Stage 2: fan out the experiments themselves.
-        with PhaseTimer("experiments") as experiments_timer:
-            experiment_tasks = [
-                _Task("experiment", key, key, task_rng(cfg.retry, key))
-                for key in keys
-            ]
-            if tracker is not None:
-                tracker.begin_phase("experiments", len(experiment_tasks))
-
-            def submit_experiment(pool, task):
-                return pool.submit(
-                    _experiment_worker, task.key, trace_length, workloads,
-                    task.attempts,
-                )
-
-            def experiment_done(task, value):
-                key, result, elapsed, delta, telemetry = value
-                results[key] = result
-                metrics.timings.append(ExperimentTiming(key, elapsed, delta))
-                metrics.cache.merge(delta)
-                metrics.completed.append(key)
-                _absorb_telemetry(metrics, telemetry)
-                get_registry().observe(
-                    "runner.task_seconds", elapsed, stage="experiment"
-                )
-                if journal is not None:
-                    journal.append_result(
-                        key, task_digest(key, trace_length, workloads),
-                        _result_to_dict(result), elapsed, task.attempts,
-                    )
-                if tracker is not None:
-                    tracker.task_done(key, elapsed, phase="experiments")
-
-            _drain(
-                pool_ref, experiment_tasks, submit_experiment,
-                experiment_done, cfg, metrics, journal, tracker,
+    registry = get_registry()
+    stages: List[Tuple[str, List[_Task]]] = []
+    # Stage 1: the stream-collection frontier.  Only useful when
+    # artefacts persist — without a cache directory the streams could
+    # not cross process boundaries.
+    if common.stream_cache() is not None:
+        stages.append(("prewarm", [
+            _Task(
+                "prewarm", task, _prewarm_label(task),
+                task_rng(cfg.retry, _prewarm_label(task)),
             )
-            # Deterministic merge: paper order, not completion order.
-            order = {key: index for index, key in enumerate(EXPERIMENT_ORDER)}
-            metrics.timings.sort(key=lambda t: order.get(t.key, len(order)))
-        metrics.experiments_wall_seconds = experiments_timer.last_seconds
+            for task in stream_prewarm_plan(keys, workloads)
+        ]))
+    # Stage 2: the experiments themselves.
+    stages.append(("experiments", [
+        _Task("experiment", key, key, task_rng(cfg.retry, key))
+        for key in keys
+    ]))
+    results: Dict[str, ExperimentResult] = {}
+
+    def submit(pool: Executor, task: _Task) -> Future:
+        return pool.submit(
+            _run_task, task.stage, task.key, task.label, trace_length,
+            workloads, task.attempts,
+        )
+
+    def on_success(task: _Task, value) -> None:
+        result, elapsed, delta, telemetry = value
+        metrics.cache.merge(delta)
+        if telemetry is not None:
+            _absorb_telemetry(metrics, telemetry)
+        registry.observe("runner.task_seconds", elapsed, stage=task.stage)
+        if task.stage == "prewarm":
+            metrics.prewarm_tasks += 1
+            metrics.prewarm_seconds += elapsed
+        else:
+            results[task.key] = result
+            metrics.timings.append(ExperimentTiming(task.key, elapsed, delta))
+            metrics.completed.append(task.key)
+            if journal is not None:
+                journal.append_result(
+                    task.key, task_digest(task.key, trace_length, workloads),
+                    _result_to_dict(result), elapsed, task.attempts,
+                )
+        if tracker is not None:
+            tracker.task_done(task.label, elapsed)
+
+    pool_ref: Dict[str, object] = {
+        "pool": executor_factory(), "factory": executor_factory,
+    }
+    try:
+        for phase, tasks in stages:
+            with record_span(f"phase:{phase}", category="phase"):
+                started = time.perf_counter()
+                try:
+                    if tracker is not None:
+                        tracker.begin_phase(phase, len(tasks))
+                    _drain(
+                        pool_ref, tasks, submit, on_success, cfg, metrics,
+                        journal, tracker,
+                    )
+                finally:
+                    seconds = time.perf_counter() - started
+                    registry.observe(
+                        "runner.phase_seconds", seconds, phase=phase
+                    )
+            # RunMetrics.prewarm_wall_seconds / .experiments_wall_seconds
+            setattr(metrics, f"{phase}_wall_seconds", seconds)
     except KeyboardInterrupt:
         # Graceful drain: cancel pending work, kill the workers (their
         # results are discarded; cache/journal writes are atomic), and
@@ -1260,6 +1130,9 @@ def _run_parallel(
         metrics.interrupted = True
         raise RunInterrupted(metrics.completed)
     pool_ref["pool"].shutdown(wait=True)
+    # Deterministic merge: paper order, not completion order.
+    order = {key: index for index, key in enumerate(EXPERIMENT_ORDER)}
+    metrics.timings.sort(key=lambda t: order.get(t.key, len(order)))
     return results
 
 

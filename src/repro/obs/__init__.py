@@ -1,4 +1,4 @@
-"""Observability: walk tracing, a process-wide metrics registry, timers.
+"""Observability: walk tracing, a process-wide metrics registry, spans.
 
 Three small, dependency-light building blocks that let the simulator
 *explain itself* instead of only reporting aggregate averages:
@@ -15,8 +15,6 @@ Three small, dependency-light building blocks that let the simulator
   shootdown machinery, and the replication layer report into, so cache
   hit/miss/evict-with-reason, IPI rounds, and replica fan-out writes are
   queryable from one place (``python -m repro metrics``).
-- :mod:`repro.obs.timer` — wall-clock phase timers recording into the
-  registry's histograms (the runner wraps its phase-1 / phase-2 stages).
 - :mod:`repro.obs.spans` — hierarchical wall-clock spans (run → phase →
   task → stage) recorded in parent and worker processes and exported as
   Chrome trace-event JSON (``--profile-out``, loadable in Perfetto).
@@ -67,7 +65,6 @@ from repro.obs.spans import (
     uninstall_recorder,
     validate_nesting,
 )
-from repro.obs.timer import PhaseTimer, phase_timer
 from repro.obs.trace import (
     WalkEvent,
     WalkTracer,
@@ -107,8 +104,6 @@ __all__ = [
     "record_span",
     "uninstall_recorder",
     "validate_nesting",
-    "PhaseTimer",
-    "phase_timer",
     "WalkEvent",
     "WalkTracer",
     "active_tracer",

@@ -36,6 +36,5 @@ from repro.resilience.retry import (  # noqa: F401
     TaskTimeoutError,
     backoff_delay,
     backoff_schedule,
-    call_with_retry,
     classify_error,
 )

@@ -22,21 +22,21 @@ Backoff is exponential with bounded jitter: attempt *n* sleeps
 ``u`` drawn uniformly from [-1, 1) by a caller-seeded RNG, so schedules
 are deterministic in tests and thundering-herd-free in real sweeps.
 
-When the budget is exhausted the **original** exception is re-raised
-with the attempt history attached as ``retry_history`` (a tuple of
+The experiment runner's scheduler (``repro.experiments.runner``)
+applies this policy to every task at every ``--jobs`` setting.  When
+the budget is exhausted it re-raises the **original** exception with
+the attempt history attached as ``retry_history`` (a tuple of
 :class:`AttemptRecord`), so callers see exactly what was tried; with
-``max_retries=0`` the wrapper is a transparent pass-through — today's
-fail-fast behaviour, bit for bit.
+``max_retries=0`` nothing is retried — fail-fast, bit for bit.
 """
 
 from __future__ import annotations
 
 import random
-import time
 import zlib
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ReproError
 
@@ -135,43 +135,3 @@ def classify_error(exc: BaseException) -> str:
     if isinstance(exc, (OSError, MemoryError)):
         return "transient"
     return "fatal"
-
-
-# ---------------------------------------------------------------------------
-# The serial-path retry loop (the parallel scheduler re-implements the
-# same policy around futures; both share backoff_delay/classify_error)
-# ---------------------------------------------------------------------------
-def call_with_retry(
-    fn: Callable[[int], object],
-    policy: RetryPolicy,
-    key: object = "",
-    classify: Callable[[BaseException], str] = classify_error,
-    on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
-    sleep: Callable[[float], None] = time.sleep,
-):
-    """Call ``fn(attempt)`` with the policy's budget; returns its result.
-
-    Fatal errors propagate immediately.  Transient errors are retried up
-    to ``policy.max_retries`` times with jittered exponential backoff
-    (``on_retry(attempt, error, delay)`` fires before each sleep).  On
-    exhaustion the *original* final exception is re-raised with the full
-    attempt history attached as ``retry_history``.
-    """
-    history: List[AttemptRecord] = []
-    rng = task_rng(policy, key)
-    attempt = 1
-    while True:
-        try:
-            return fn(attempt)
-        except Exception as exc:
-            if classify(exc) == "fatal" or attempt > policy.max_retries:
-                history.append(AttemptRecord(attempt, repr(exc), 0.0))
-                exc.retry_history = tuple(history)
-                raise
-            delay = backoff_delay(policy, attempt, rng)
-            history.append(AttemptRecord(attempt, repr(exc), delay))
-            if on_retry is not None:
-                on_retry(attempt, exc, delay)
-            if delay > 0:
-                sleep(delay)
-            attempt += 1

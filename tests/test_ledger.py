@@ -455,3 +455,32 @@ class TestGateSabotage:
         assert rc == 0
         assert "baseline fallback disabled" in out
         assert "ungated" in out
+
+    @pytest.mark.parametrize("aggregate, expected", [(9.0, 1), (11.0, 0)])
+    def test_batch_family_enforces_the_speedup_floor(
+        self, tmp_path, capsys, aggregate, expected
+    ):
+        gate = _load_bench_gate()
+        doc = {
+            "benchmark": "batch",
+            "trace_length": 500,
+            "aggregate_speedup": aggregate,
+            "scalar_ms": 90.0,
+            "batch_ms": 10.0,
+            "configs": [
+                {"workload": "gcc", "tlb": "direct", "table": "hashed",
+                 "speedup": aggregate, "scalar_ms": 90.0, "batch_ms": 10.0},
+            ],
+        }
+        fresh = tmp_path / "BENCH_batch.json"
+        fresh.write_text(json.dumps(doc))
+        no_baselines = tmp_path / "baselines"
+        no_baselines.mkdir()
+        rc = gate.main([
+            "--family", f"batch={fresh}",
+            "--baseline-dir", str(no_baselines),
+            "--speedup-floor", "10",
+        ])
+        out = capsys.readouterr().out
+        assert rc == expected
+        assert ("below the 10.0x floor" in out) == bool(expected)

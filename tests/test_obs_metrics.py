@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     get_registry,
     reset_registry,
 )
-from repro.obs.timer import PHASE_METRIC, PhaseTimer, phase_timer
 
 
 @pytest.fixture(autouse=True)
@@ -198,26 +197,6 @@ class TestRenderAndSnapshot:
         assert get_registry().counter("something") == 1
         reset_registry()
         assert get_registry().counter("something") == 0
-
-
-class TestPhaseTimer:
-    def test_records_histogram_per_phase(self):
-        registry = MetricsRegistry()
-        with PhaseTimer("prewarm", registry=registry) as timer:
-            pass
-        assert timer.last_seconds >= 0.0
-        assert registry.histogram(PHASE_METRIC, phase="prewarm").count == 1
-        with phase_timer("prewarm", registry=registry):
-            pass
-        assert registry.histogram(PHASE_METRIC, phase="prewarm").count == 2
-
-    def test_defaults_to_process_registry(self):
-        with PhaseTimer("experiments"):
-            pass
-        assert (
-            get_registry().histogram(PHASE_METRIC, phase="experiments").count
-            == 1
-        )
 
 
 class TestSubsystemReporting:

@@ -7,12 +7,10 @@ import pytest
 from repro.cache.stream_cache import StreamCacheError
 from repro.errors import ConfigurationError, PageFaultError
 from repro.resilience.retry import (
-    AttemptRecord,
     RetryPolicy,
     TaskTimeoutError,
     backoff_delay,
     backoff_schedule,
-    call_with_retry,
     classify_error,
     task_rng,
 )
@@ -97,101 +95,6 @@ class TestClassification:
     ])
     def test_fatal(self, exc):
         assert classify_error(exc) == "fatal"
-
-
-class TestCallWithRetry:
-    def test_success_passes_result_through(self):
-        assert call_with_retry(lambda attempt: 42, RetryPolicy()) == 42
-
-    def test_transient_failures_are_retried(self):
-        calls = []
-
-        def flaky(attempt):
-            calls.append(attempt)
-            if attempt < 3:
-                raise OSError(errno.EIO, "transient")
-            return "ok"
-
-        policy = RetryPolicy(max_retries=2, base_delay=0.0, jitter=0.0)
-        assert call_with_retry(flaky, policy) == "ok"
-        assert calls == [1, 2, 3]
-
-    def test_fatal_failures_are_not_retried(self):
-        calls = []
-
-        def broken(attempt):
-            calls.append(attempt)
-            raise ConfigurationError("permanently wrong")
-
-        policy = RetryPolicy(max_retries=5, base_delay=0.0)
-        with pytest.raises(ConfigurationError):
-            call_with_retry(broken, policy)
-        assert calls == [1]
-
-    def test_exhaustion_reraises_original_with_history(self):
-        errors = [
-            OSError(errno.ENOSPC, "first"),
-            OSError(errno.EIO, "second"),
-            OSError(errno.EIO, "third"),
-        ]
-
-        def always_failing(attempt):
-            raise errors[attempt - 1]
-
-        policy = RetryPolicy(max_retries=2, base_delay=0.0, jitter=0.0)
-        with pytest.raises(OSError) as excinfo:
-            call_with_retry(always_failing, policy)
-        assert excinfo.value is errors[2]  # the original final exception
-        history = excinfo.value.retry_history
-        assert len(history) == 3
-        assert all(isinstance(record, AttemptRecord) for record in history)
-        assert [record.attempt for record in history] == [1, 2, 3]
-        assert "first" in history[0].error and "third" in history[2].error
-
-    def test_zero_retries_is_a_transparent_pass_through(self):
-        """max_retries=0 reproduces today's fail-fast bit for bit."""
-        sleeps = []
-        error = OSError(errno.EIO, "boom")
-
-        def failing(attempt):
-            raise error
-
-        with pytest.raises(OSError) as excinfo:
-            call_with_retry(
-                failing, RetryPolicy(max_retries=0), sleep=sleeps.append
-            )
-        assert excinfo.value is error  # same object, not a wrapper
-        assert sleeps == []  # and no backoff was taken
-
-    def test_on_retry_callback_sees_each_backoff(self):
-        seen = []
-
-        def flaky(attempt):
-            if attempt == 1:
-                raise OSError(errno.EIO, "once")
-            return "ok"
-
-        policy = RetryPolicy(max_retries=1, base_delay=0.0, jitter=0.0)
-        call_with_retry(
-            flaky, policy,
-            on_retry=lambda attempt, exc, delay: seen.append(
-                (attempt, type(exc).__name__, delay)
-            ),
-        )
-        assert seen == [(1, "OSError", 0.0)]
-
-    def test_sleep_receives_the_backoff_schedule(self):
-        sleeps = []
-
-        def failing(attempt):
-            raise OSError(errno.EIO, "always")
-
-        policy = RetryPolicy(
-            max_retries=3, base_delay=0.1, multiplier=2.0, jitter=0.0
-        )
-        with pytest.raises(OSError):
-            call_with_retry(failing, policy, sleep=sleeps.append)
-        assert sleeps == pytest.approx([0.1, 0.2, 0.4])
 
 
 def test_task_timeout_error_carries_key_and_budget():

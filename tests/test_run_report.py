@@ -6,6 +6,7 @@ bench-gate sidecar validator — asserted against the same run directory.
 
 import importlib.util
 import json
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -126,6 +127,35 @@ class TestTraceTimeline:
         summary = profiled_run.metrics.span_summary()
         assert summary["count"] == len(profiled_run.metrics.spans)
         assert summary["run_coverage"] >= 0.99
+
+    def test_coverage_holds_when_the_progress_write_is_slow(
+        self, tmp_path, monkeypatch
+    ):
+        """The tracker's final fsync'd write is part of the measured wall
+        time, so a slow disk cannot open a gap under the run span."""
+        from repro.obs.watch import ProgressTracker
+
+        finish = ProgressTracker.finish
+
+        def slow_finish(self, interrupted=False):
+            time.sleep(0.05)
+            finish(self, interrupted)
+
+        monkeypatch.setattr(ProgressTracker, "finish", slow_finish)
+        common.clear_caches()
+        try:
+            _, metrics = runner.run_all_with_metrics(
+                TRACE_LENGTH, jobs=1, cache_dir=str(tmp_path / "streams"),
+                workloads=WORKLOADS, only=("table1",),
+                resilience=runner.ResilienceConfig(
+                    run_dir=str(tmp_path / "run")
+                ),
+                profile=True,
+            )
+        finally:
+            common.clear_caches()
+            reset_registry()
+        assert metrics.span_summary()["run_coverage"] >= 0.99
 
 
 class TestReportCli:
