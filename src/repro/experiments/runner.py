@@ -231,13 +231,13 @@ def stream_prewarm_plan(
 _IN_WORKER = False
 
 #: Set by :func:`_worker_init` when the parent run is profiled: worker
-#: tasks then install a per-task walk tracer feeding the registry
-#: histograms and a :class:`~repro.obs.profile.WalkProfile`.
+#: tasks then install a per-task walk tracer and ship its
+#: :class:`~repro.obs.profile.WalkProfile`.
 _WORKER_PROFILED = False
 
 #: Worker tracer ring capacity.  The ring's events are never shipped to
-#: the parent (only totals, histograms, and the profile are), so a small
-#: ring bounds memory without losing any aggregate.
+#: the parent (only the profile is), so a small ring bounds memory
+#: without losing any aggregate.
 _WORKER_RING = 4096
 
 
@@ -302,9 +302,7 @@ def _task_scope(label: str, stage: str):
     the task's work directly.  In a pool worker it resets the process
     registry (making the task's registry state an exact delta), records
     the task's span tree under ``task:<label>``, and — when the run is
-    profiled — installs a walk tracer attached to the registry and a
-    fresh walk profile, so per-walk histograms and the profile
-    accumulate from the same ``record`` calls as the trace.
+    profiled — installs a fresh walk tracer whose profile it ships.
     """
     if not _IN_WORKER:
         with record_span(f"task:{label}", category=stage):
@@ -313,12 +311,10 @@ def _task_scope(label: str, stage: str):
     registry = reset_registry()
     recorder = _spans.install_recorder(_spans.SpanRecorder())
     tracer = None
-    profile = None
     if _WORKER_PROFILED:
-        profile = WalkProfile()
-        tracer = _trace.install_tracer(_trace.WalkTracer(
-            capacity=_WORKER_RING, registry=registry, profile=profile,
-        ))
+        tracer = _trace.install_tracer(
+            _trace.WalkTracer(capacity=_WORKER_RING)
+        )
     telemetry = TaskTelemetry()
     recorder.begin(f"task:{label}", category=stage)
     try:
@@ -328,10 +324,9 @@ def _task_scope(label: str, stage: str):
         _spans.uninstall_recorder(recorder)
         if tracer is not None:
             _trace.uninstall_tracer(tracer)
+            telemetry.profile = tracer.profile.as_dict()
         telemetry.state = registry.state()
         telemetry.spans = recorder.spans
-        if profile is not None:
-            telemetry.profile = profile.as_dict()
 
 
 def _prewarm_label(task: StreamTask) -> str:
@@ -638,8 +633,8 @@ def _absorb_telemetry(metrics: RunMetrics, telemetry: TaskTelemetry) -> None:
     """Fold one worker task's telemetry into the parent's aggregates.
 
     The registry delta always merges (worker counters — cache traffic,
-    injected faults, walk histograms — must survive ``--jobs N``); spans
-    and the walk profile land only when the run is collecting them.
+    injected faults — must survive ``--jobs N``); spans and the walk
+    profile land only when the run is collecting them.
     """
     get_registry().merge_state(telemetry.state)
     recorder = _spans.active_recorder()
@@ -697,10 +692,12 @@ def run_all(
 
     ``profile=True`` turns on the run profiler: a span recorder covers
     the whole run (parent and workers; exported via ``--profile-out``),
-    and a walk tracer attached to the metrics registry feeds the
-    ``walk.cache_lines`` / ``walk.probes`` percentile histograms and the
-    per-table :class:`~repro.obs.profile.WalkProfile` on
-    ``metrics.walk_profile``.  Worker registry deltas merge into the
+    and walk tracers count every walk into the per-table
+    :class:`~repro.obs.profile.WalkProfile` on ``metrics.walk_profile``
+    (workers ship theirs, and the parent merges them).  When the run
+    ends, even by interruption, the ``walk.cache_lines`` /
+    ``walk.probes`` percentile histograms are derived from that profile
+    into the metrics registry.  Worker registry deltas merge into the
     parent registry regardless of profiling, so counters never vanish
     under ``--jobs N``.
 
@@ -722,8 +719,7 @@ def run_all(
 
     recorder: Optional[_spans.SpanRecorder] = None
     owns_recorder = False
-    tracer = None
-    owns_tracer = False
+    owned_tracer = None
     if profile:
         metrics.walk_profile = WalkProfile()
         recorder = _spans.active_recorder()
@@ -731,20 +727,15 @@ def run_all(
             recorder = _spans.install_recorder(_spans.SpanRecorder())
             owns_recorder = True
         if metrics.jobs == 1:
-            # Serial: walks happen in-process; one run-scoped tracer
-            # feeds histograms + profile.  An already-installed tracer
-            # (--trace-out) is attached to, not replaced.
-            registry = get_registry()
+            # Walks happen in this process: the installed tracer
+            # (--trace-out), or else a run-scoped one, counts them into
+            # the run's profile.
             tracer = _trace.active_tracer()
             if tracer is None:
-                tracer = _trace.install_tracer(_trace.WalkTracer(
-                    registry=registry, profile=metrics.walk_profile,
-                ))
-                owns_tracer = True
-            else:
-                tracer.attach(
-                    registry=registry, profile=metrics.walk_profile
+                tracer = owned_tracer = _trace.install_tracer(
+                    _trace.WalkTracer()
                 )
+            tracer.profile = metrics.walk_profile
         recorder.begin(
             "run", category="run",
             jobs=metrics.jobs, trace_length=trace_length,
@@ -822,10 +813,12 @@ def run_all(
             metrics.spans = list(recorder.spans)
             if owns_recorder:
                 _spans.uninstall_recorder(recorder)
-        if tracer is not None and owns_tracer:
-            _trace.uninstall_tracer(tracer)
+        if owned_tracer is not None:
+            _trace.uninstall_tracer(owned_tracer)
         common.set_stream_cache(previous_cache)
         common.configure_engine(previous_engine)
+        if profile:
+            metrics.walk_profile.observe_into(get_registry())
     if cfg.run_dir:
         _write_run_artifacts(cfg.run_dir, metrics)
     return results

@@ -11,10 +11,10 @@ kernels of :mod:`repro.mmu.batch_kernels`.  The strategy:
 2. **Walk** every unique VPN through the table's kernel in one shot
    (per-element ``(lines, probes, kind)`` arrays, ``kind < 0`` = fault).
 3. **Aggregate** with count-weighted sums: the replay totals, the
-   table's :class:`~repro.pagetables.base.WalkStats`, the installed
-   :class:`~repro.obs.trace.WalkTracer` (via grouped events), the
-   registry histograms, and the walk-profile heat rows all advance
-   exactly as the scalar loop would have advanced them.
+   table's :class:`~repro.pagetables.base.WalkStats`, and the installed
+   :class:`~repro.obs.trace.WalkTracer`'s walk profile (grouped walks
+   via ``record_groups``, heat rows via ``TableProfile.add_heat``) all
+   advance exactly as the scalar loop would have advanced them.
 
 The compute phase is pure — stats mutation starts only after every
 kernel call has succeeded, so a :class:`BatchUnsupportedError` mid-way
@@ -24,9 +24,10 @@ the scalar path, which supports every table.
 Exactness contract (enforced by ``tests/test_batch_differential.py``
 and the hypothesis suite): for supported tables the returned
 :class:`~repro.mmu.simulate.ReplayResult`, the table's WalkStats, and
-all tracer aggregates are equal to the scalar replay's, field by field.
-The only tolerated divergence is the tracer's event *ring*: grouped
-events are accounted as recorded-and-dropped rather than retained.
+the tracer's totals and walk profile are equal to the scalar replay's,
+field by field.  The only tolerated divergence is the tracer's event
+*ring*: grouped events are accounted as recorded-and-dropped rather
+than retained.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repro.mmu.batch_kernels import (
 )
 from repro.mmu.simulate import MissStream, ReplayResult
 from repro.obs import trace as _trace
-from repro.obs.profile import HEAT_CELLS
 from repro.pagetables.pte import PTEKind
 
 __all__ = [
@@ -49,14 +49,6 @@ __all__ = [
     "replay_misses_batch",
     "replay_misses_batch_many",
 ]
-
-#: Same multiplier as ``repro.obs.profile.heat_cell``.
-_GOLDEN = 0x9E3779B97F4A7C15
-
-#: ``heat_cell`` reduces by ``(hash * cells) >> 64``; for a power-of-two
-#: cell count that is a plain right shift.
-assert HEAT_CELLS & (HEAT_CELLS - 1) == 0, "heat folding assumes 2^k cells"
-_HEAT_SHIFT = 64 - (HEAT_CELLS.bit_length() - 1)
 
 #: Field widths for packing (kind, lines, probes) into one group key.
 _PROBE_BITS = 24
@@ -70,14 +62,8 @@ def _active_tracer():
     return _trace._ACTIVE
 
 
-def _heat_cells(vpns: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.obs.profile.heat_cell`."""
-    hashed = vpns.astype(np.uint64) * np.uint64(_GOLDEN)
-    return (hashed >> np.uint64(_HEAT_SHIFT)).astype(np.int64)
-
-
-def _emit_groups(tracer, table, op, codes, lines, probes, counts) -> None:
-    """Feed count-weighted walk groups into the tracer.
+def _emit(tracer, table, op, vpns, codes, lines, probes, counts) -> None:
+    """Feed count-weighted walks into the tracer and its heat row.
 
     Events sharing one ``(kind, lines, probes)`` signature collapse to a
     single :meth:`~repro.obs.trace.WalkTracer.record_groups` call, so the
@@ -110,17 +96,7 @@ def _emit_groups(tracer, table, op, codes, lines, probes, counts) -> None:
             table.numa_node,
             int(grouped[group]),
         )
-
-
-def _emit_heat(tracer, table, vpns, lines, counts) -> None:
-    """Fold per-unique-VPN line totals into the profile heat row."""
-    profile = tracer.profile
-    if profile is None:
-        return
-    cells = _heat_cells(vpns)
-    weights = (lines * counts).astype(np.float64)
-    heat = np.bincount(cells, weights=weights, minlength=HEAT_CELLS)
-    profile.table(table.name).add_heat(int(value) for value in heat)
+    tracer.profile.table(table.name).add_heat(vpns, lines * counts)
 
 
 def replay_misses_batch(
@@ -195,8 +171,8 @@ def replay_misses_batch(
         stats.probes += int((probes * counts).sum())
         stats.faults += int(counts[~resolved].sum())
         if tracer is not None:
-            _emit_groups(tracer, table, "walk", kind, lines, probes, counts)
-            _emit_heat(tracer, table, unique_vpns, lines, counts)
+            _emit(tracer, table, "walk", unique_vpns, kind, lines, probes,
+                  counts)
 
     if block_data is not None:
         counts, boffs, to_block, unique_vpbns, block = block_data
@@ -227,11 +203,9 @@ def replay_misses_batch(
                 inner.stats.faults += int(fetches[inner_fault].sum())
         if tracer is not None:
             codes = np.where(block.fault, -1, int(PTEKind.BASE))
-            _emit_groups(
-                tracer, table, "block", codes, block.lines, block.probes, fetches
-            )
-            _emit_heat(
-                tracer, table, unique_vpbns << block_shift, block.lines, fetches
+            _emit(
+                tracer, table, "block", unique_vpbns << block_shift, codes,
+                block.lines, block.probes, fetches,
             )
 
     return ReplayResult(

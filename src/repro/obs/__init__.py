@@ -1,7 +1,7 @@
 """Observability: walk tracing, a process-wide metrics registry, spans.
 
-Three small, dependency-light building blocks that let the simulator
-*explain itself* instead of only reporting aggregate averages:
+Six small, dependency-light modules that let the simulator *explain
+itself* instead of only reporting aggregate averages:
 
 - :mod:`repro.obs.trace` — a :class:`~repro.obs.trace.WalkTracer` that
   records one structured event per page-table walk (table kind, probes,
@@ -19,8 +19,8 @@ Three small, dependency-light building blocks that let the simulator
   task → stage) recorded in parent and worker processes and exported as
   Chrome trace-event JSON (``--profile-out``, loadable in Perfetto).
 - :mod:`repro.obs.profile` — per-table walk profiles (exact cache-line
-  and probe distributions, PTE-kind mix, hash heat rows) aggregated from
-  the tracer stream and rendered by ``repro.cli report``.
+  and probe distributions, PTE-kind mix, hash heat rows): the one store
+  each traced walk is counted in, rendered by ``repro.cli report``.
 - :mod:`repro.obs.ledger` — the cross-*run* layer: an append-only
   benchmark ledger ingesting every ``BENCH_*.json`` and run-dir artefact
   into ``(family, config, metric)`` rows, with noise bands (median ±
@@ -32,9 +32,11 @@ Three small, dependency-light building blocks that let the simulator
 
 The tracing invariant the differential tests enforce: over a traced
 :func:`repro.mmu.simulate.replay_misses` run, the tracer's
-``replay_lines`` total equals the replay's ``cache_lines`` exactly, and
-an attached registry's ``walk.cache_lines`` histograms bucket-sum to the
-tracer's ``total_lines``.
+``replay_lines`` total equals the replay's ``cache_lines`` exactly.
+The tracer's other totals and the registry's ``walk.cache_lines`` /
+``walk.probes`` histograms are views of the tracer's walk profile
+(:meth:`~repro.obs.profile.WalkProfile.observe_into`), so they agree
+with it by construction.
 """
 
 from repro.obs.ledger import (

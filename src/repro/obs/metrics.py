@@ -23,15 +23,15 @@ Histograms are **bucketed**: alongside count/total/min/max, every
 observation lands in a log₂ bucket (bucket *e* covers ``(2^(e-1),
 2^e]``), which is what lets :meth:`HistogramStats.percentile` estimate
 p50/p95/p99 without retaining raw samples.  The bucket-count invariant
-``sum(buckets) + zeros == count`` is what the profiler's differential
-tests pin against the walk tracer's totals.
+``sum(buckets) + zeros == count`` is what the profiler's tests pin
+against the walk profile the ``walk.*`` histograms are derived from.
 
 Cross-process aggregation goes through :meth:`MetricsRegistry.state`
 (a JSON-safe dump keyed by *structured* name+label pairs) and
 :meth:`MetricsRegistry.merge_state` — never through rendered string
 keys, so label values containing ``,``, ``=``, or ``}`` survive the
 round trip.  Worker processes return a per-task ``state()`` delta that
-the parent folds in, which is how labelled counters, gauges, and walk
+the parent folds in, which is how labelled counters, gauges, and
 histograms survive ``--jobs N``.
 """
 
@@ -97,6 +97,9 @@ class HistogramStats:
         return exponent - 1 if mantissa == 0.5 else exponent
 
     def observe(self, value: float) -> None:
+        # Summaries are floats whatever the caller passes, so a merged
+        # copy (rebuilt by from_dict) dumps the same JSON as the original.
+        value = float(value)
         self.count += 1
         self.total += value
         if self._min is None or value < self._min:
@@ -113,12 +116,13 @@ class HistogramStats:
         """Record ``count`` identical observations in O(1).
 
         Exactly equivalent to calling :meth:`observe` ``count`` times —
-        the batch replay engine groups walks by cost and lands each group
-        here, so the registry's histograms stay bit-identical to the
-        scalar engine's.
+        a walk profile derives its ``walk.*`` histograms with one call
+        per distinct cost
+        (:meth:`~repro.obs.profile.WalkProfile.observe_into`).
         """
         if count <= 0:
             return
+        value = float(value)
         self.count += count
         self.total += value * count
         if self._min is None or value < self._min:

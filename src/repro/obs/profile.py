@@ -6,7 +6,7 @@ table:
 
 - **exact** cache-line and probe-count distributions (small-integer
   ``value → count`` maps, so p50/p95/p99 here are exact, unlike the
-  log₂-bucketed registry histograms they cross-check);
+  log₂-bucketed registry histograms derived from them);
 - the PTE-kind mix (``base`` / ``superpage`` / ``partial_subblock`` /
   ``fault`` / ...);
 - per-NUMA-node cache-line totals;
@@ -18,6 +18,11 @@ Profiles are plain dict-of-ints underneath: picklable across the worker
 pool, mergeable in the parent (:meth:`WalkProfile.merge`), and JSON
 round-trippable for the ``walk_profile.json`` run artefact that
 ``repro.cli report`` renders.
+
+The profile is the one place a walk is counted.  The tracer's totals
+are read from it, and the registry's ``walk.cache_lines`` /
+``walk.probes`` histograms are derived from it once per run
+(:meth:`WalkProfile.observe_into`).
 
 The heat hash is deliberately a *local* copy of the multiplicative hash
 used by ``repro.pagetables.hashed`` — importing that module here would
@@ -37,6 +42,11 @@ HEAT_CELLS = 16
 #: 2^64 / golden ratio — same constant as the hashed page tables use.
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+
+#: ``heat_cell`` reduces by ``(hash * cells) >> 64``; for a power-of-two
+#: cell count that is a plain right shift.
+assert HEAT_CELLS & (HEAT_CELLS - 1) == 0, "heat folding assumes 2^k cells"
+_HEAT_SHIFT = 64 - (HEAT_CELLS.bit_length() - 1)
 
 
 def heat_cell(vpn: int, cells: int = HEAT_CELLS) -> int:
@@ -86,37 +96,18 @@ class TableProfile:
     # ------------------------------------------------------------------
     def record(
         self,
-        vpn: int,
         kind: str,
         lines: int,
         probes: int,
         fault: bool,
         node: Optional[int] = None,
-    ) -> None:
-        self.walks += 1
-        if fault:
-            self.faults += 1
-        self.lines[int(lines)] += 1
-        self.probes[int(probes)] += 1
-        self.kinds[kind] += 1
-        if node is not None:
-            self.lines_by_node[int(node)] += int(lines)
-        self.heat[heat_cell(int(vpn))] += int(lines)
-
-    def record_group(
-        self,
-        kind: str,
-        lines: int,
-        probes: int,
-        fault: bool,
-        count: int,
-        node: Optional[int] = None,
+        count: int = 1,
     ) -> None:
         """Record ``count`` walks sharing one (kind, cost) signature.
 
-        Equivalent to ``count`` :meth:`record` calls *except* for the
-        heat row, which depends on each walk's VPN — batch callers
-        account heat separately via :meth:`add_heat`.
+        The heat row depends on each walk's VPN, so callers fold it in
+        themselves: one :func:`heat_cell` per walk, or :meth:`add_heat`
+        for a whole array of walks.
         """
         if count <= 0:
             return
@@ -129,10 +120,20 @@ class TableProfile:
         if node is not None:
             self.lines_by_node[int(node)] += int(lines) * count
 
-    def add_heat(self, cells) -> None:
-        """Fold a precomputed per-cell line total into the heat row."""
-        for cell, lines in enumerate(cells):
-            self.heat[cell] += int(lines)
+    def add_heat(self, vpns, lines) -> None:
+        """Fold walks at ``vpns`` charging ``lines`` each into the heat row.
+
+        The vectorised :func:`heat_cell`: the same Fibonacci hash in
+        wrapping ``uint64`` arithmetic, reduced to its top bits.
+        """
+        import numpy as np  # here, so importing repro.obs needs no numpy
+
+        hashed = np.asarray(vpns).astype(np.uint64) * np.uint64(_GOLDEN)
+        cells = (hashed >> np.uint64(_HEAT_SHIFT)).astype(np.int64)
+        weights = np.asarray(lines).astype(np.float64)
+        heat = np.bincount(cells, weights=weights, minlength=HEAT_CELLS)
+        for cell, total in enumerate(heat):
+            self.heat[cell] += int(total)
 
     # ------------------------------------------------------------------
     @property
@@ -218,18 +219,6 @@ class WalkProfile:
             profile = self.tables[name] = TableProfile()
         return profile
 
-    def record(
-        self,
-        table: str,
-        vpn: int,
-        kind: str,
-        lines: int,
-        probes: int,
-        fault: bool,
-        node: Optional[int] = None,
-    ) -> None:
-        self.table(table).record(vpn, kind, lines, probes, fault, node)
-
     # ------------------------------------------------------------------
     @property
     def total_walks(self) -> int:
@@ -242,6 +231,22 @@ class WalkProfile:
     def merge(self, other: "WalkProfile") -> None:
         for name, profile in other.tables.items():
             self.table(name).merge(profile)
+
+    def observe_into(self, registry) -> None:
+        """Feed each table's cost distributions into registry histograms.
+
+        ``walk.cache_lines{table=...}`` and ``walk.probes{table=...}``
+        receive one observation per walk, exactly as if every walk had
+        been observed as it happened.
+        """
+        for name, profile in sorted(self.tables.items()):
+            for metric, values in (
+                ("walk.cache_lines", profile.lines),
+                ("walk.probes", profile.probes),
+            ):
+                handle = registry.histogram_handle(metric, table=name)
+                for value, count in sorted(values.items()):
+                    handle.observe_many(value, count)
 
     def merge_dict(self, doc: Mapping[str, object]) -> None:
         """Fold a serialised profile (e.g. from a worker) in."""

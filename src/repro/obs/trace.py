@@ -6,8 +6,10 @@ complete-subblock ``block`` fetch), the probes (buckets / chain nodes /
 tree levels examined), the cache lines touched, the resulting PTE kind
 (or ``fault``), and the accessing NUMA node.  Events land in a bounded
 ring buffer (oldest dropped first, drops counted) and can be exported as
-JSON Lines for offline analysis; running totals are kept outside the
-ring so aggregate invariants hold even after the ring wraps.
+JSON Lines for offline analysis.  Every walk is also counted, once, in
+the tracer's :class:`~repro.obs.profile.WalkProfile`, which lives
+outside the ring, so aggregate invariants hold even after the ring
+wraps.
 
 The emission hook lives in :meth:`repro.pagetables.base.PageTable.lookup`
 and the ``lookup_block`` implementations; with no tracer installed it is
@@ -26,11 +28,13 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter, deque
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Deque, Iterator, List, Optional
+
+from repro.obs.profile import TableProfile, WalkProfile, heat_cell
 
 #: Default ring capacity: enough for every miss of a --fast experiment.
 DEFAULT_CAPACITY = 65_536
@@ -76,24 +80,22 @@ class WalkEvent:
 
 
 class WalkTracer:
-    """Bounded ring buffer of :class:`WalkEvent` plus running totals.
+    """Bounded ring buffer of :class:`WalkEvent` plus the walks' profile.
 
-    A tracer can additionally be *attached* to a
-    :class:`~repro.obs.metrics.MetricsRegistry` and/or a
-    :class:`~repro.obs.profile.WalkProfile` (:meth:`attach`): every
-    recorded walk then also feeds the ``walk.cache_lines{table=...}`` /
-    ``walk.probes{table=...}`` registry histograms and the per-table
-    profile from the *same* call, so the trace, the percentile
-    histograms, and the walk profile can never disagree about what was
-    walked.  Both attachments default to off, keeping the bare tracer's
-    per-event cost unchanged.
+    Every recorded walk is counted once, in :attr:`profile` (created
+    when none is given).  The totals :attr:`total_lines`,
+    :attr:`total_probes` and :attr:`faults` are read from it, and the
+    registry's walk histograms are derived from it
+    (:meth:`~repro.obs.profile.WalkProfile.observe_into`), so the trace
+    header, the histograms and the profile cannot disagree about what
+    was walked.  The tracer itself keeps only the ring's accounting and
+    :attr:`replay_lines`.
     """
 
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
-        registry=None,
-        profile=None,
+        profile: Optional[WalkProfile] = None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -103,38 +105,25 @@ class WalkTracer:
         self.recorded = 0
         #: Events pushed out of the ring by newer ones.
         self.dropped = 0
-        #: Lines over every event (fault walks included).
-        self.total_lines = 0
         #: The replay-equivalent total: block fetches always charge their
         #: lines; single-PTE walks charge only when they do not fault —
         #: mirroring ``replay_misses`` exactly.
         self.replay_lines = 0
-        self.total_probes = 0
-        self.faults = 0
-        self.lines_by_table: Counter = Counter()
-        self.lines_by_node: Counter = Counter()
-        self.events_by_kind: Counter = Counter()
-        self.registry = None
-        self.profile = None
-        #: Per-table live histogram handles, resolved once per table so
-        #: the attached-registry hot path skips label rendering.
-        self._lines_handles: dict = {}
-        self._probes_handles: dict = {}
-        self.attach(registry=registry, profile=profile)
+        self.profile = profile if profile is not None else WalkProfile()
 
-    def attach(self, registry=None, profile=None) -> "WalkTracer":
-        """Attach a metrics registry and/or walk profile to this tracer.
+    # ------------------------------------------------------------------
+    @property
+    def total_lines(self) -> int:
+        """Lines over every walk (fault walks included)."""
+        return self.profile.total_lines
 
-        Subsequent :meth:`record` calls feed them alongside the ring.
-        Either argument may be ``None`` to leave that attachment as-is.
-        """
-        if registry is not None:
-            self.registry = registry
-            self._lines_handles = {}
-            self._probes_handles = {}
-        if profile is not None:
-            self.profile = profile
-        return self
+    @property
+    def total_probes(self) -> int:
+        return sum(t.total_probes for t in self.profile.tables.values())
+
+    @property
+    def faults(self) -> int:
+        return sum(t.faults for t in self.profile.tables.values())
 
     # ------------------------------------------------------------------
     def record(
@@ -164,30 +153,8 @@ class WalkTracer:
                 self._ring.popleft()
                 self.dropped += 1
         self._ring.append(event)
-        self.recorded += 1
-        self.total_lines += lines
-        if op == "block" or not fault:
-            self.replay_lines += lines
-        self.total_probes += probes
-        if fault:
-            self.faults += 1
-        self.lines_by_table[table] += lines
-        self.lines_by_node[node] += lines
-        self.events_by_kind[kind] += 1
-        registry = self.registry
-        if registry is not None:
-            lines_handle = self._lines_handles.get(table)
-            if lines_handle is None:
-                lines_handle = self._lines_handles[table] = (
-                    registry.histogram_handle("walk.cache_lines", table=table)
-                )
-                self._probes_handles[table] = (
-                    registry.histogram_handle("walk.probes", table=table)
-                )
-            lines_handle.observe(lines)
-            self._probes_handles[table].observe(probes)
-        if self.profile is not None:
-            self.profile.record(table, vpn, kind, lines, probes, fault, node)
+        profile = self._count(table, op, kind, lines, probes, fault, node, 1)
+        profile.heat[heat_cell(int(vpn))] += int(lines)
 
     def record_groups(
         self,
@@ -203,42 +170,29 @@ class WalkTracer:
         """Record ``count`` walks sharing one signature, without the ring.
 
         The batch replay engine cannot afford one Python event per walk,
-        so grouped walks advance every aggregate total exactly as
-        ``count`` :meth:`record` calls would, but the ring is not fed:
-        all ``count`` events are accounted as recorded *and* dropped
-        (``retained == recorded - dropped`` stays true).  Heat rows are
-        VPN-dependent and therefore fed separately by the batch engine
-        via :meth:`~repro.obs.profile.TableProfile.add_heat`.
+        so grouped walks are counted exactly as ``count`` :meth:`record`
+        calls would count them, but the ring is not fed: all ``count``
+        events are accounted as recorded *and* dropped (``retained ==
+        recorded - dropped`` stays true).  Heat rows are VPN-dependent
+        and therefore fed separately by the batch engine via
+        :meth:`~repro.obs.profile.TableProfile.add_heat`.
         """
         if count <= 0:
             return
-        self.recorded += count
         self.dropped += count
-        self.total_lines += lines * count
+        self._count(table, op, kind, lines, probes, fault, node, count)
+
+    def _count(
+        self, table: str, op: str, kind: str, lines: int, probes: int,
+        fault: bool, node: int, count: int,
+    ) -> TableProfile:
+        """Count walks into the profile; returns the table's profile."""
+        self.recorded += count
         if op == "block" or not fault:
             self.replay_lines += lines * count
-        self.total_probes += probes * count
-        if fault:
-            self.faults += count
-        self.lines_by_table[table] += lines * count
-        self.lines_by_node[node] += lines * count
-        self.events_by_kind[kind] += count
-        registry = self.registry
-        if registry is not None:
-            lines_handle = self._lines_handles.get(table)
-            if lines_handle is None:
-                lines_handle = self._lines_handles[table] = (
-                    registry.histogram_handle("walk.cache_lines", table=table)
-                )
-                self._probes_handles[table] = (
-                    registry.histogram_handle("walk.probes", table=table)
-                )
-            lines_handle.observe_many(lines, count)
-            self._probes_handles[table].observe_many(probes, count)
-        if self.profile is not None:
-            self.profile.table(table).record_group(
-                kind, lines, probes, fault, count, node
-            )
+        profile = self.profile.table(table)
+        profile.record(kind, lines, probes, fault, node, count)
+        return profile
 
     # ------------------------------------------------------------------
     def events(self) -> List[WalkEvent]:
@@ -252,17 +206,12 @@ class WalkTracer:
         return iter(self._ring)
 
     def clear(self) -> None:
-        """Drop the ring and zero every total."""
+        """Drop the ring and zero every total, with a fresh empty profile."""
         self._ring.clear()
         self.recorded = 0
         self.dropped = 0
-        self.total_lines = 0
         self.replay_lines = 0
-        self.total_probes = 0
-        self.faults = 0
-        self.lines_by_table = Counter()
-        self.lines_by_node = Counter()
-        self.events_by_kind = Counter()
+        self.profile = WalkProfile()
 
     # ------------------------------------------------------------------
     def export_jsonl(self, path: os.PathLike) -> Path:

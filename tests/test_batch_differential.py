@@ -4,8 +4,8 @@ The batch engine's whole claim is *exactness*: for every supported table
 it must reproduce the scalar replay bit for bit — the
 :class:`~repro.mmu.simulate.ReplayResult`, the table's
 :class:`~repro.pagetables.base.WalkStats` (including multi-table
-constituents), the tracer aggregates, the registry histograms, and the
-walk-profile heat rows.  These tests pin that contract on the paper's
+constituents), the tracer aggregates, and the tracer's walk profile
+with its heat rows.  These tests pin that contract on the paper's
 workloads in both replay modes, and then *sabotage* the kernels two ways
 (an off-by-one probe count, a dropped fault) to prove the differential
 actually has teeth: a batch engine with either classic vectorisation bug
@@ -28,8 +28,6 @@ from repro.mmu import batch as batch_module
 from repro.mmu.batch import replay_misses_batch
 from repro.mmu.batch_kernels import BatchUnsupportedError, compile_kernel
 from repro.mmu.simulate import replay_misses
-from repro.obs.metrics import get_registry, reset_registry
-from repro.obs.profile import WalkProfile
 from repro.obs.trace import WalkTracer, install_tracer, uninstall_tracer
 from repro.pagetables.guarded import GuardedPageTable
 
@@ -160,14 +158,10 @@ def test_batch_faults_match_scalar_on_foreign_stream(workload):
 
 
 # ---------------------------------------------------------------------------
-# Observability parity: tracer aggregates, histograms, heat
+# Observability parity: tracer aggregates and walk profile, heat included
 # ---------------------------------------------------------------------------
 def _traced_replay(engine_fn, stream, table, complete):
-    registry = reset_registry()
-    profile = WalkProfile()
-    tracer = install_tracer(
-        WalkTracer(capacity=64, registry=registry, profile=profile)
-    )
+    tracer = install_tracer(WalkTracer(capacity=64))
     try:
         engine_fn(stream, table, complete_subblock=complete)
     finally:
@@ -178,11 +172,8 @@ def _traced_replay(engine_fn, stream, table, complete):
         "replay_lines": tracer.replay_lines,
         "total_probes": tracer.total_probes,
         "faults": tracer.faults,
-        "lines_by_table": dict(tracer.lines_by_table),
-        "lines_by_node": dict(tracer.lines_by_node),
-        "events_by_kind": dict(tracer.events_by_kind),
     }
-    return aggregates, registry.snapshot(), profile.as_dict()
+    return aggregates, tracer.profile.as_dict()
 
 
 @pytest.mark.parametrize("complete", (False, True))
@@ -199,8 +190,7 @@ def test_tracer_and_profile_parity(workload, complete):
             fresh_table(name, workload, tlb_kind), complete,
         )
         assert batch[0] == scalar[0], name  # tracer aggregates
-        assert batch[1] == scalar[1], name  # registry histograms
-        assert batch[2] == scalar[2], name  # walk profile incl. heat
+        assert batch[1] == scalar[1], name  # walk profile incl. heat
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,20 @@ class TestGaugesAndHistograms:
         left.merge(HistogramStats())
         assert left.as_dict() == before
 
+    def test_int_observations_dump_like_their_merged_copy(self):
+        # A worker's histogram reaches the parent through as_dict and
+        # from_dict; fed ints, it must still dump the same JSON, or
+        # metrics.json would read 1 at --jobs 1 and 1.0 at --jobs N.
+        fed = HistogramStats()
+        for value in (1, 3, 3, 0):
+            fed.observe(value)
+        fed.observe_many(2, 4)
+        merged = HistogramStats()
+        merged.merge(json.loads(json.dumps(fed.as_dict())))
+        assert (json.dumps(fed.as_dict(), sort_keys=True)
+                == json.dumps(merged.as_dict(), sort_keys=True))
+        assert json.dumps(fed.as_dict()["min"]) == "0.0"
+
 
 class TestRenderAndSnapshot:
     def test_snapshot_is_json_ready(self):

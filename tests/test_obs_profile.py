@@ -1,6 +1,7 @@
 """Walk profiles: exact percentiles, heat rows, merging, tracer feed."""
 
 import json
+import random
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
@@ -25,6 +26,22 @@ class TestHeatCell:
         hit = {heat_cell(vpn) for vpn in range(256)}
         assert hit == set(range(HEAT_CELLS))
 
+    def test_add_heat_matches_heat_cell_per_vpn(self):
+        # The vectorised fold in wrapping uint64 arithmetic must land
+        # every VPN of the 52-bit VPN space where heat_cell puts it.
+        rng = random.Random(52)
+        vpns = [0, 1, (1 << 52) - 1, 1 << 51] + [
+            rng.getrandbits(52) for _ in range(2_000)
+        ]
+        lines = [rng.randrange(1, 40) for _ in vpns]
+        profile = TableProfile()
+        profile.add_heat(vpns, lines)
+        expected = [0] * HEAT_CELLS
+        for vpn, charged in zip(vpns, lines):
+            expected[heat_cell(vpn)] += charged
+        assert profile.heat == expected
+        assert len({heat_cell(vpn) for vpn in vpns}) == HEAT_CELLS
+
 
 class TestExactPercentile:
     def test_nearest_rank(self):
@@ -39,24 +56,25 @@ class TestExactPercentile:
 class TestTableProfile:
     def test_record_accumulates_every_dimension(self):
         profile = TableProfile()
-        profile.record(vpn=1, kind="base", lines=1, probes=1, fault=False)
-        profile.record(vpn=2, kind="base", lines=3, probes=2, fault=False,
-                       node=1)
-        profile.record(vpn=3, kind="fault", lines=0, probes=4, fault=True)
-        assert profile.walks == 3 and profile.faults == 1
-        assert profile.total_lines == 4 and profile.total_probes == 7
-        assert profile.kinds == {"base": 2, "fault": 1}
-        assert profile.lines_by_node == {1: 3}
-        assert sum(profile.heat) == profile.total_lines
+        profile.record(kind="base", lines=1, probes=1, fault=False)
+        profile.record(kind="base", lines=3, probes=2, fault=False, node=1,
+                       count=2)
+        profile.record(kind="fault", lines=0, probes=4, fault=True)
+        profile.record(kind="base", lines=9, probes=9, fault=False, count=0)
+        assert profile.walks == 4 and profile.faults == 1
+        assert profile.total_lines == 7 and profile.total_probes == 9
+        assert profile.kinds == {"base": 3, "fault": 1}
+        assert profile.lines_by_node == {1: 6}
+        assert profile.lines == {1: 1, 3: 2, 0: 1}
 
     def test_merge_equals_combined_and_round_trips(self):
         left, right, combined = TableProfile(), TableProfile(), TableProfile()
         for i in range(40):
             target = left if i % 2 else right
-            target.record(vpn=i, kind="base", lines=i % 5, probes=1 + i % 3,
-                          fault=False, node=i % 2)
-            combined.record(vpn=i, kind="base", lines=i % 5, probes=1 + i % 3,
-                            fault=False, node=i % 2)
+            for profile in (target, combined):
+                profile.record(kind="base", lines=i % 5, probes=1 + i % 3,
+                               fault=False, node=i % 2)
+                profile.add_heat([i], [i % 5])
         left.merge(right)
         assert left.as_dict() == combined.as_dict()
         doc = json.loads(json.dumps(combined.as_dict()))
@@ -66,12 +84,12 @@ class TestTableProfile:
 class TestWalkProfile:
     def test_tables_are_independent_and_merge_dict_folds(self):
         parent, worker = WalkProfile(), WalkProfile()
-        parent.record("hashed", vpn=1, kind="base", lines=2, probes=2,
-                      fault=False)
-        worker.record("hashed", vpn=2, kind="base", lines=4, probes=3,
-                      fault=False)
-        worker.record("clustered", vpn=3, kind="superpage", lines=1, probes=1,
-                      fault=False)
+        parent.table("hashed").record(kind="base", lines=2, probes=2,
+                                      fault=False)
+        worker.table("hashed").record(kind="base", lines=4, probes=3,
+                                      fault=False)
+        worker.table("clustered").record(kind="superpage", lines=1,
+                                         probes=1, fault=False)
         parent.merge_dict(json.loads(json.dumps(worker.as_dict())))
         assert parent.total_walks == 3
         assert parent.total_lines == 7
@@ -82,8 +100,9 @@ class TestWalkProfile:
 
 
 class TestTracerFeed:
-    """WalkTracer.record is the single source for trace, registry
-    histograms, and the profile — the three views can never disagree."""
+    """The tracer counts each walk once, into its profile: its totals
+    and the registry histograms derived from the profile cannot
+    disagree with it."""
 
     def _drive(self, tracer, walks=50):
         for i in range(walks):
@@ -96,8 +115,9 @@ class TestTracerFeed:
     def test_registry_and_profile_agree_with_totals(self):
         registry = MetricsRegistry()
         profile = WalkProfile()
-        tracer = WalkTracer(capacity=8, registry=registry, profile=profile)
+        tracer = WalkTracer(capacity=8, profile=profile)
         self._drive(tracer)
+        profile.observe_into(registry)
         table = profile.table("hashed")
         histogram = registry.histogram("walk.cache_lines", table="hashed")
         assert histogram.count == table.walks == 50
@@ -106,16 +126,28 @@ class TestTracerFeed:
                 == histogram.count)
         probes = registry.histogram("walk.probes", table="hashed")
         assert probes.total == table.total_probes == tracer.total_probes
+        assert tracer.faults == table.faults == 5
+        assert sum(table.heat) == table.total_lines
         # Exact profile percentiles bound the bucketed estimates.
         assert histogram.minimum <= table.lines_percentile(0.5)
         assert table.lines_percentile(0.99) <= histogram.maximum
+        # Derived once, the histograms dump exactly as per-walk ones.
+        observed = MetricsRegistry()
+        for i in range(50):
+            observed.observe("walk.cache_lines", 1 + i % 4, table="hashed")
+            observed.observe("walk.probes", 1 + i % 2, table="hashed")
+        assert (json.dumps(registry.state(), sort_keys=True)
+                == json.dumps(observed.state(), sort_keys=True))
 
-    def test_attach_after_construction(self):
-        registry = MetricsRegistry()
+    def test_profile_assigned_after_construction(self):
+        # A run hands its profile to an already-installed tracer: walks
+        # from then on count into that profile, and the totals follow.
         tracer = WalkTracer(capacity=8)
-        self._drive(tracer, walks=10)  # unattached: nothing observed
-        assert registry.histogram("walk.cache_lines", table="hashed").count == 0
-        tracer.attach(registry=registry, profile=WalkProfile())
         self._drive(tracer, walks=10)
-        assert registry.histogram("walk.cache_lines", table="hashed").count == 10
+        own = tracer.profile
+        tracer.profile = WalkProfile()
+        self._drive(tracer, walks=10)
+        assert own.total_walks == 10
         assert tracer.profile.total_walks == 10
+        assert tracer.total_lines == tracer.profile.total_lines
+        assert tracer.recorded == 20

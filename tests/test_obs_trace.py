@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.profile import WalkProfile
 from repro.obs.trace import (
     WalkEvent,
     WalkTracer,
@@ -49,13 +50,17 @@ class TestRing:
             WalkTracer(capacity=0)
 
     def test_clear_zeroes_everything(self):
-        tracer = WalkTracer(capacity=8)
+        profile = WalkProfile()
+        tracer = WalkTracer(capacity=8, profile=profile)
         record_n(tracer, 5)
         tracer.clear()
         assert len(tracer) == 0
         assert tracer.recorded == 0
         assert tracer.total_lines == 0
-        assert tracer.lines_by_table == {}
+        assert tracer.profile.tables == {}
+        assert tracer.profile.total_walks == 0
+        # The profile it was given keeps the walks counted before.
+        assert profile.total_walks == 5
 
 
 class TestReplayLines:
@@ -214,4 +219,5 @@ class TestHookIntegration:
             replicated.lookup(0x20, node=0)
             replicated.lookup(0x20, node=1)
         assert [event.node for event in tracer.events()] == [0, 1]
-        assert tracer.lines_by_node[0] == tracer.lines_by_node[1] > 0
+        (profile,) = tracer.profile.tables.values()
+        assert profile.lines_by_node[0] == profile.lines_by_node[1] > 0

@@ -12,6 +12,7 @@ Three layers of cross-validation:
    randomized (trace, TLB, table) configurations.
 """
 
+import json
 import random
 
 import pytest
@@ -176,6 +177,10 @@ class TestRunnerParity:
         serial_walks = walk_histograms(serial_state)
         assert serial_walks, "profiled run recorded no walk histograms"
         assert serial_walks == walk_histograms(parallel_state)
+        # Equal as JSON text too: 1 and 1.0 compare equal, but print
+        # differently in metrics.json and --metrics.
+        assert (json.dumps(serial_walks, sort_keys=True)
+                == json.dumps(walk_histograms(parallel_state), sort_keys=True))
 
         assert serial_metrics.walk_profile is not None
         assert (serial_metrics.walk_profile.as_dict()

@@ -377,6 +377,36 @@ class TestGracefulInterrupt:
         assert "table1" in excinfo.value.completed
         assert metrics.interrupted is True
 
+    def test_interrupted_profiled_run_keeps_its_walks(self, tmp_path):
+        # The walk histograms are derived from the run's profile when the
+        # run ends, so an interrupted run must still report the walks of
+        # the experiments it completed.
+        plan = FaultPlan(
+            (FaultRule("runner.experiment", "sigint", match="fig11b"),)
+        )
+        cfg = runner.ResilienceConfig(fault_plan=plan)
+        metrics = runner.RunMetrics()
+
+        def counts():
+            return {
+                key: histogram.count for key, histogram in
+                get_registry().histograms_named("walk.cache_lines").items()
+            }
+
+        before = counts()
+        with pytest.raises(runner.RunInterrupted):
+            runner.run_all(
+                TRACE_LENGTH, jobs=1, cache_dir=str(tmp_path / "cache"),
+                workloads=WORKLOADS, only=["fig11a", "fig11b"],
+                metrics=metrics, resilience=cfg, profile=True,
+            )
+        tables = metrics.walk_profile.tables
+        assert sum(table.walks for table in tables.values()) > 0
+        after = counts()
+        for name, table in tables.items():
+            key = f"walk.cache_lines{{table={name}}}"
+            assert after[key] - before.get(key, 0) == table.walks, name
+
     def test_interrupted_phase_is_still_observed(self, tmp_path):
         plan = FaultPlan(
             (FaultRule("runner.experiment", "sigint", match="fig9"),)

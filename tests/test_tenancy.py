@@ -22,7 +22,7 @@ import pytest
 from repro.analysis.metrics import make_table
 from repro.experiments import tenancy
 from repro.experiments.common import configure_engine, replay
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 from repro.obs.profile import WalkProfile
 from repro.obs.trace import WalkTracer, install_tracer, uninstall_tracer
 from repro.os.physmem import FrameAllocator
@@ -165,12 +165,9 @@ class TestSharedArena:
 # The 1-tenant differential
 # ---------------------------------------------------------------------------
 def _traced(fn):
-    """Run ``fn`` under a fresh tracer+registry+profile; return all three."""
-    registry = MetricsRegistry()
+    """Run ``fn`` under a fresh tracer; return its value, tracer, profile."""
     profile = WalkProfile()
-    tracer = WalkTracer(
-        capacity=100_000, registry=registry, profile=profile
-    )
+    tracer = WalkTracer(capacity=100_000, profile=profile)
     install_tracer(tracer)
     try:
         value = fn()
