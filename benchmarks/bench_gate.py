@@ -1,27 +1,20 @@
 """Bench-regression gate: fresh bench documents vs history and baselines.
 
-Two gating modes share this script:
-
-**Legacy single-baseline mode** (``--fresh``): the original NUMA gate.
-The NUMA sweep is fully deterministic (synthetic traces, fixed seeds,
-simulated latencies), so its per-config cycles-per-miss numbers are a
-*behavioural* signature, not a wall-clock one: any drift means the walk
-cost model, the placement policies, or the topology arithmetic changed.
-CI runs ``bench_numa.py --fast`` and this gate fails the lane when any
-``... cyc/miss`` column regresses (grows) by more than the threshold
-against ``benchmarks/baselines/BENCH_numa.json``.
-
-**Ledger mode** (``--family FAMILY=FILE`` with ``--ledger``): every
-bench family — numa, batch, tenancy, modern — gated against *noise
-bands* derived from the cross-run ledger (:mod:`repro.obs.ledger`):
-median ± k·MAD over the last N comparable entries per (config, metric).
-Deterministic metrics collapse to near-exact bands; wall-clock ones
-widen to their measured noise.  While a key's history is thinner than
-``--min-history`` entries, the gate falls back to the committed
-single baseline in ``--baseline-dir`` with the flat ``--threshold``.
+Every bench family — numa, batch, tenancy, modern — is gated with
+``--family FAMILY=FILE`` against *noise bands* derived from the
+cross-run ledger (``--ledger``, :mod:`repro.obs.ledger`): median ± k·MAD
+over the last N comparable entries per (config, metric).  Deterministic
+metrics collapse to near-exact bands; wall-clock ones widen to their
+measured noise.  While a key's history is thinner than
+``--min-history`` entries (or there is no ledger), the gate falls back
+to the committed single baseline in ``--baseline-dir`` with the flat
+``--threshold``.  A baseline recorded at another trace length is not
+comparable: a metric that would fall back to it makes the gate exit 2.
 ``--record`` appends the fresh document's rows to the ledger after a
 passing gate, so green runs grow the very history that tightens future
-gates.
+gates.  The NUMA sweep is deterministic, so its gated ``... cyc/miss``
+columns are a behavioural signature: any drift means the walk cost
+model, the placement policies, or the topology arithmetic changed.
 
 Improvements are **events, not just notes**: a metric that improves
 beyond its band (or, in baseline fallback, beyond the threshold) is
@@ -45,15 +38,12 @@ reported as a note.
 
 Usage::
 
-    python benchmarks/bench_gate.py --fresh BENCH_numa.json \
-        [--baseline benchmarks/baselines/BENCH_numa.json] [--threshold 0.10] \
-        [--report-sidecar run-dir/report.json]
-
     python benchmarks/bench_gate.py \
         --family numa=BENCH_numa.json --family batch=BENCH_batch.json \
-        --ledger ledger.jsonl --record [--band-k 4.0] [--band-window 20] \
+        [--ledger ledger.jsonl --record] [--band-k 4.0] [--band-window 20] \
         [--min-history 3] [--baseline-dir benchmarks/baselines] \
-        [--speedup-floor 10.0]
+        [--threshold 0.10] [--speedup-floor 10.0] \
+        [--report-sidecar run-dir/report.json]
 """
 
 from __future__ import annotations
@@ -64,16 +54,9 @@ import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-#: The regression-gated metric columns of each config record.
-GATED_COLUMNS = ("none cyc/miss", "mitosis cyc/miss", "migrate cyc/miss")
-
-#: Config identity: one sweep row per (workload/table, node count).
-_KEY_COLUMNS = ("workload/table", "nodes")
-
 _BASELINE_DIR = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "baselines"
 )
-DEFAULT_BASELINE = os.path.join(_BASELINE_DIR, "BENCH_numa.json")
 DEFAULT_THRESHOLD = 0.10
 
 
@@ -94,74 +77,6 @@ def _obs_ledger():
 def _load(path: str) -> dict:
     with open(path) as handle:
         return json.load(handle)
-
-
-def _config_key(record: dict) -> Tuple:
-    return tuple(record[column] for column in _KEY_COLUMNS)
-
-
-def _index(document: dict) -> Dict[Tuple, dict]:
-    configs = {}
-    for record in document.get("configs", []):
-        configs[_config_key(record)] = record
-    return configs
-
-
-def _compare_full(
-    fresh: dict, baseline: dict, threshold: float
-) -> Tuple[List[str], List[str], List[Tuple[Tuple, str, float, float]]]:
-    """(regressions, notes, improvements) between two benchmark documents.
-
-    Improvements come back structured — ``(config_key, column, old,
-    new)`` — so ledger mode can record them as band-resetting events
-    instead of losing them in the notes (the old asymmetry).
-    """
-    regressions: List[str] = []
-    notes: List[str] = []
-    improvements: List[Tuple[Tuple, str, float, float]] = []
-    fresh_configs = _index(fresh)
-    base_configs = _index(baseline)
-    for key in sorted(base_configs.keys() - fresh_configs.keys()):
-        notes.append(f"config {key} in baseline but not in fresh run")
-    for key in sorted(fresh_configs.keys() - base_configs.keys()):
-        notes.append(f"config {key} new in fresh run (not gated)")
-    for key in sorted(fresh_configs.keys() & base_configs.keys()):
-        fresh_record, base_record = fresh_configs[key], base_configs[key]
-        for column in GATED_COLUMNS:
-            if column not in fresh_record or column not in base_record:
-                notes.append(f"{key}: column {column!r} missing, skipped")
-                continue
-            new, old = float(fresh_record[column]), float(base_record[column])
-            if old <= 0:
-                notes.append(f"{key}: baseline {column} is {old}, skipped")
-                continue
-            change = (new - old) / old
-            if change > threshold:
-                regressions.append(
-                    f"{key} {column}: {old:.3f} -> {new:.3f} "
-                    f"(+{100 * change:.1f}% > {100 * threshold:.0f}%)"
-                )
-            elif change < -threshold:
-                notes.append(
-                    f"{key} {column}: improved {old:.3f} -> {new:.3f} "
-                    f"({100 * change:.1f}%); consider refreshing the baseline"
-                )
-                improvements.append((key, column, old, new))
-    return regressions, notes, improvements
-
-
-def compare(
-    fresh: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
-) -> Tuple[List[str], List[str]]:
-    """(regressions, notes) between two benchmark documents.
-
-    A regression is a gated column growing by more than ``threshold``
-    (relative) on a config present in both documents.  Configs present
-    on only one side are notes, not failures — the config matrix is
-    allowed to grow.
-    """
-    regressions, notes, _ = _compare_full(fresh, baseline, threshold)
-    return regressions, notes
 
 
 #: Required run-report sidecar schema version (see
@@ -285,12 +200,13 @@ def _gate_sidecar(path: str) -> int:
 # ---------------------------------------------------------------------------
 def _baseline_values(
     obs, family: str, baseline_dir: str, trace_length
-) -> Tuple[Dict[Tuple[str, str], float], List[str]]:
+) -> Tuple[Optional[Dict[Tuple[str, str], float]], List[str]]:
     """(config, metric) → value from the committed family baseline.
 
-    An absent baseline or a trace-length mismatch yields an empty map
-    plus a note — affected metrics stay ungated rather than mis-gated
-    against incomparable numbers.
+    An absent or unreadable baseline yields an empty map plus a note:
+    the affected metrics stay ungated.  A baseline recorded at another
+    trace length yields ``None`` plus the reason: its numbers are not
+    comparable, so a metric that would fall back to it refuses the gate.
     """
     path = os.path.join(baseline_dir, f"BENCH_{family}.json")
     if not os.path.exists(path):
@@ -300,10 +216,10 @@ def _baseline_values(
     except ValueError as error:
         return {}, [f"{family}: baseline {path} is not JSON: {error}"]
     if trace_length is not None and document.get("trace_length") != trace_length:
-        return {}, [
-            f"{family}: baseline trace_length "
-            f"{document.get('trace_length')} != fresh {trace_length}; "
-            "baseline fallback disabled"
+        return None, [
+            f"{family}: trace lengths differ (fresh {trace_length}, "
+            f"baseline {document.get('trace_length')}); numbers are not "
+            "comparable"
         ]
     values = {
         (row.config, row.metric): row.value
@@ -346,8 +262,9 @@ def _gate_family(
     baseline, baseline_notes = _baseline_values(
         obs, family, baseline_dir, trace_length
     )
-    for note in baseline_notes:
-        print(f"[bench gate] note: {note}")
+    if baseline is not None:
+        for note in baseline_notes:
+            print(f"[bench gate] note: {note}")
 
     regressions: List[str] = []
     improvements = []
@@ -375,6 +292,9 @@ def _gate_family(
             elif verdict == "improvement":
                 improvements.append((row, band.median, "band"))
             continue
+        if baseline is None:
+            print(f"[bench gate] {baseline_notes[0]}")
+            return 2, rows, []
         base = baseline.get((row.config, row.metric))
         if base is None or base == 0:
             ungated += 1
@@ -439,15 +359,6 @@ def main(argv=None) -> int:
         "sidecar is missing or malformed."
     )
     parser.add_argument(
-        "--fresh", metavar="FILE", default=None,
-        help="freshly generated BENCH_numa.json (legacy single-baseline "
-        "mode)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=DEFAULT_BASELINE,
-        help=f"committed baseline (default {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
         "--threshold", type=float, default=DEFAULT_THRESHOLD, metavar="FRAC",
         help="relative regression tolerance (default 0.10 = 10%%)",
     )
@@ -496,31 +407,27 @@ def main(argv=None) -> int:
         f"(default {_BASELINE_DIR})",
     )
     args = parser.parse_args(argv)
-    if args.fresh is None and args.report_sidecar is None and not args.family:
-        parser.error(
-            "nothing to gate: pass --fresh, --family, and/or --report-sidecar"
-        )
+    if args.report_sidecar is None and not args.family:
+        parser.error("nothing to gate: pass --family and/or --report-sidecar")
     if args.record and args.ledger is None:
         parser.error("--record needs --ledger")
     status = 0
     if args.report_sidecar is not None:
         status = _gate_sidecar(args.report_sidecar)
 
-    obs = _obs_ledger() if (args.family or args.ledger) else None
-    ledger = (
-        obs.BenchLedger(args.ledger)
-        if obs is not None and args.ledger is not None else None
+    if not args.family:
+        return status
+    obs = _obs_ledger()
+    ledger = obs.BenchLedger(args.ledger) if args.ledger is not None else None
+    band_k = obs.DEFAULT_BAND_K if args.band_k is None else args.band_k
+    band_window = (
+        obs.DEFAULT_BAND_WINDOW if args.band_window is None
+        else args.band_window
     )
-    band_k = args.band_k if args.band_k is not None else (
-        obs.DEFAULT_BAND_K if obs else 4.0
+    min_history = (
+        obs.DEFAULT_MIN_HISTORY if args.min_history is None
+        else args.min_history
     )
-    band_window = args.band_window if args.band_window is not None else (
-        obs.DEFAULT_BAND_WINDOW if obs else 20
-    )
-    min_history = args.min_history if args.min_history is not None else (
-        obs.DEFAULT_MIN_HISTORY if obs else 3
-    )
-
     for spec in args.family:
         family, _, path = spec.partition("=")
         if not path:
@@ -546,42 +453,6 @@ def main(argv=None) -> int:
             )
         status = max(status, family_status)
 
-    if args.fresh is None:
-        return status
-    fresh = _load(args.fresh)
-    baseline = _load(args.baseline)
-    if fresh.get("trace_length") != baseline.get("trace_length"):
-        print(
-            f"[bench gate] trace lengths differ (fresh "
-            f"{fresh.get('trace_length')}, baseline "
-            f"{baseline.get('trace_length')}); numbers are not comparable"
-        )
-        return 2
-    regressions, notes, improvements = _compare_full(
-        fresh, baseline, args.threshold
-    )
-    for note in notes:
-        print(f"[bench gate] note: {note}")
-    if ledger is not None and improvements:
-        # The old asymmetry: improvements were notes only.  Now they
-        # reset the numa bands like any other family's improvements.
-        for key, column, old, new in improvements:
-            config = f"{key[0]}/{key[1]}n"
-            ledger.append_event(obs.LedgerEvent(
-                kind="improvement", family="numa", config=config,
-                metric=column, old=old, new=new,
-                note="legacy gate improvement vs baseline",
-                git_sha=obs.git_sha(),
-            ))
-    gated = len(_index(fresh).keys() & _index(baseline).keys())
-    if regressions:
-        for line in regressions:
-            print(f"[bench gate] REGRESSION: {line}")
-        print(f"[bench gate] FAIL: {len(regressions)} regression(s) "
-              f"over {gated} config(s)")
-        return 1
-    print(f"[bench gate] OK: {gated} config(s) within "
-          f"{100 * args.threshold:.0f}% of baseline")
     return status
 
 

@@ -1,7 +1,7 @@
 """Diff two exported result sets: regression tracking across runs.
 
 ``python -m repro.analysis.compare old.json new.json`` compares two
-documents written by ``repro.experiments.runner --json`` and reports every
+documents written by ``repro experiment all --json`` and reports every
 numeric cell that drifted beyond a tolerance — the tool a maintainer runs
 after touching a generator or a page table to see exactly which figures
 moved.

@@ -1,6 +1,6 @@
 """Machine-readable export of experiment results.
 
-``python -m repro.experiments.runner --json results.json`` (or ``--csv
+``python -m repro experiment all --json results.json`` (or ``--csv
 DIR``) writes every regenerated table/figure for downstream analysis —
 plotting notebooks, regression dashboards, cross-run diffs.
 """

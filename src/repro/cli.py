@@ -6,18 +6,32 @@ Commands
     The calibrated suite with Table 1 characteristics.
 ``describe WORKLOAD``
     Layout, density, and page-table sizes for one workload.
-``experiment ID [--chart] [--jobs N] [--cache-dir DIR | --no-cache]
-[--max-retries N] [--task-timeout S] [--keep-going] [--run-dir DIR]
-[--resume DIR] [--fault-plan FILE]``
+``experiment ID [--fast | --trace-length N] [--engine scalar|batch]
+[--cache-dir DIR | --no-cache] [--workloads NAMES] [--chart]
+[--trace-out FILE]``
     Regenerate one table/figure or extension study: ``table1``, ``fig9``,
     ``fig10``, ``fig11a``–``fig11d``, ``table2``, ``sensitivity``,
     ``softtlb``, ``multisize``, ``multiprog``, ``guarded``, ``sasos``,
     ``cachesim``, ``pressure``, ``promotion-scan``, ``numa``,
-    ``tenancy``, or ``all``.  The ``numa`` study accepts ``--topology``
-    (preset name or topology JSON file) and ``--replication`` (policy
-    subset).  The ``tenancy`` study accepts ``--tenants``
+    ``tenancy``, ``modern``, ``claims``, or ``all``.  Each id produces
+    through the runner's own producer table.  The ``numa`` study accepts
+    ``--topology`` (preset name or topology JSON file) and
+    ``--replication`` (policy subset); ``tenancy`` accepts ``--tenants``
     (comma-separated populations, e.g. ``100,1000,10000``) and
-    ``--churn`` (mode subset from ``static,churn``).
+    ``--churn`` (mode subset from ``static,churn``); ``modern`` accepts
+    ``--footprint`` (MB list); both of the last two accept ``--tables``.
+    ``--trace-out FILE`` records one structured event per page-table
+    walk and exports the trace as JSON Lines.
+``experiment all [--jobs N] [--only IDS] [--json FILE] [--csv DIR]
+[--metrics] [--profile-out FILE] [--max-retries N] [--task-timeout S]
+[--keep-going] [--run-dir DIR] [--resume DIR] [--fault-plan FILE]``
+    The whole suite in paper order, through the runner's resilient
+    scheduler (:func:`repro.experiments.runner.run_all`), with the
+    persistent stream cache in the user cache directory by default.
+    Only ``all`` reads these run options (``--profile-out`` profiles the
+    run and exports a Chrome trace-event timeline for Perfetto), and
+    only the studies named above read their restriction flags: any
+    other id given one exits 2.
 ``topology [NAME|FILE] [--validate FILE]``
     NUMA machine models: list the presets, print one preset's (or a JSON
     file's) latency matrix, or validate a topology JSON file.
@@ -34,10 +48,11 @@ Commands
     ETA (from ledger history when available), and loud stall detection.
     Exit codes: 0 finished, 1 interrupted/failed, 2 missing, 3 stalled.
 ``metrics [ID] [--fast] [--json] [--from DIR]``
-    Dump a metrics registry: either run one experiment (default
-    ``table1``) and dump the live process-wide registry, or — with
-    ``--from DIR`` — load a finished run's persisted ``metrics.json``
-    from its run directory and dump that instead.
+    Dump a metrics registry: either run one experiment id (default
+    ``table1``; any ``experiment`` id but ``claims``) and dump the live
+    process-wide registry, or — with ``--from DIR`` — load a finished
+    run's persisted ``metrics.json`` from its run directory and dump
+    that instead.
 ``report RUN_DIR [--ledger FILE]``
     Render one self-contained markdown report for a run directory
     (metrics block, phase/span summary, walk-cost percentiles per table,
@@ -47,31 +62,52 @@ Commands
     markdown.
 ``validate``
     Audit workload calibration against Table 1 (non-zero exit on drift).
-
-The ``experiment`` command accepts ``--trace-out FILE`` to record one
-structured event per page-table walk and export the trace as JSON Lines
-(single-process runs only), and — for ``all`` — ``--profile-out FILE``
-to profile the run (spans across parent and workers, per-walk percentile
-histograms) and export a Chrome trace-event timeline for Perfetto.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.metrics import make_table, normalised_sizes, table_sizes
 from repro.analysis.report import render_table
 from repro.workloads.suite import PAPER_WORKLOADS, load_workload
 
-#: Experiment ids accepted by the ``experiment`` command.
+#: Experiment ids accepted by the ``experiment`` command, in paper order.
 EXPERIMENT_IDS = (
     "table1", "fig9", "fig10", "fig11a", "fig11b", "fig11c", "fig11d",
     "table2", "sensitivity", "softtlb", "multisize", "multiprog",
     "guarded", "sasos", "cachesim", "pressure", "promotion-scan",
     "numa", "tenancy", "modern", "claims", "all",
 )
+
+#: The ids that are not exactly one runner key.  ``claims`` is a CLI-only
+#: study, and ``all`` runs every key (or the ``--only`` subset).
+_ID_KEYS = {
+    "promotion-scan": ("promotion_scan",),
+    "sensitivity": (
+        "sens_cacheline", "sens_subblock", "sens_buckets",
+        "sens_tlb_geometry", "sens_hash_quality", "sens_shared_private",
+    ),
+}
+
+#: ``experiment`` flags that only some ids read: dest → those ids.  Any
+#: other id given one is a usage error rather than silently ignoring it.
+_FLAG_READERS = {
+    **dict.fromkeys(
+        ("jobs", "only", "profile_out", "json", "csv", "metrics",
+         "max_retries", "task_timeout", "keep_going", "run_dir", "resume",
+         "fault_plan"),
+        ("all",),
+    ),
+    "topology": ("numa",),
+    "replication": ("numa",),
+    "tenants": ("tenancy",),
+    "churn": ("tenancy",),
+    "tables": ("tenancy", "modern"),
+    "footprint": ("modern",),
+}
 
 
 def _cmd_list_workloads(args: argparse.Namespace) -> int:
@@ -110,119 +146,226 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
+def runner_keys(exp_id: str) -> Tuple[str, ...]:
+    """The runner keys (``EXPERIMENT_ORDER`` entries) one id regenerates."""
+    return _ID_KEYS.get(exp_id, (exp_id,))
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        fig9, fig10, fig11, multiprog, multisize, runner, sensitivity,
-        softtlb, table1, table2,
+    for dest, readers in _FLAG_READERS.items():
+        value = getattr(args, dest)
+        if value is not None and value is not False and args.id not in readers:
+            args.usage_error(
+                f"--{dest.replace('_', '-')} is not read by '{args.id}' "
+                f"(only by {' and '.join(repr(r) for r in readers)})"
+            )
+    if args.trace_length is not None:
+        trace_length = args.trace_length
+    elif args.id == "claims":
+        trace_length = 30_000 if args.fast else 60_000
+    else:
+        trace_length = 50_000 if args.fast else 200_000
+    workloads = (
+        [part.strip() for part in args.workloads.split(",")]
+        if args.workloads else None
     )
+    if args.id == "all":
+        return _run_all(args, trace_length, workloads)
+    from repro.experiments import common, runner
 
-    from repro.experiments import cachesim, guarded, pressure, promotion_scan, sasos
-
-    trace_length = 50_000 if args.fast else 200_000
-    exp_id = args.id
-    trace_out = getattr(args, "trace_out", None)
-    if exp_id == "all":
-        argv: List[str] = ["--fast"] if args.fast else []
-        argv += ["--jobs", str(args.jobs)]
-        argv += ["--engine", args.engine]
-        if args.no_cache:
-            argv.append("--no-cache")
-        elif args.cache_dir:
-            argv += ["--cache-dir", args.cache_dir]
-        if args.only:
-            argv += ["--only", args.only]
-        if args.workloads:
-            argv += ["--workloads", args.workloads]
-        if trace_out:
-            argv += ["--trace-out", trace_out]
-        if getattr(args, "profile_out", None):
-            argv += ["--profile-out", args.profile_out]
-        if args.max_retries:
-            argv += ["--max-retries", str(args.max_retries)]
-        if args.task_timeout is not None:
-            argv += ["--task-timeout", str(args.task_timeout)]
-        if args.keep_going:
-            argv.append("--keep-going")
-        if args.resume:
-            argv += ["--resume", args.resume]
-        elif args.run_dir:
-            argv += ["--run-dir", args.run_dir]
-        if args.fault_plan:
-            argv += ["--fault-plan", args.fault_plan]
-        return runner.main(argv)
     if args.cache_dir and not args.no_cache:
-        from repro.experiments.common import configure_stream_cache
-
-        configure_stream_cache(args.cache_dir)
-    from repro.experiments.common import configure_engine
-
-    configure_engine(args.engine)
-    producers = {
-        "table1": lambda: table1.run(trace_length=trace_length),
-        "fig9": lambda: fig9.run(),
-        "fig10": lambda: fig10.run(),
-        "fig11a": lambda: fig11.run_subfigure("11a", trace_length=trace_length),
-        "fig11b": lambda: fig11.run_subfigure("11b", trace_length=trace_length),
-        "fig11c": lambda: fig11.run_subfigure("11c", trace_length=trace_length),
-        "fig11d": lambda: fig11.run_subfigure("11d", trace_length=trace_length),
-        "table2": lambda: table2.run(),
-        "softtlb": lambda: softtlb.run(trace_length=trace_length),
-        "multisize": lambda: multisize.run(),
-        "multiprog": lambda: multiprog.run(trace_length=trace_length),
-        "guarded": lambda: guarded.run(trace_length=trace_length),
-        "sasos": lambda: sasos.run(),
-        "cachesim": lambda: cachesim.run(trace_length=trace_length),
-        "pressure": lambda: pressure.run(),
-        "promotion-scan": lambda: promotion_scan.run(),
-        "numa": lambda: _run_numa_experiment(args, trace_length),
-        "tenancy": lambda: _run_tenancy_experiment(args, trace_length),
-        "modern": lambda: _run_modern_experiment(args, trace_length),
-    }
-    if exp_id == "sensitivity":
-        sensitivity.main()
-        return 0
-    if exp_id == "claims":
+        common.configure_stream_cache(args.cache_dir)
+    common.configure_engine(args.engine)
+    if args.id == "claims":
         from repro.experiments import claims as claims_module
 
-        verdicts = claims_module.verify(
-            trace_length=30_000 if args.fast else 60_000
-        )
+        verdicts = claims_module.verify(trace_length=trace_length)
         print(claims_module.report(verdicts).render())
         return 0 if all(claim.holds for claim in verdicts) else 1
-    if trace_out:
-        from repro.obs.trace import trace_walks
+    restricted = {
+        "numa": _run_numa_experiment,
+        "tenancy": _run_tenancy_experiment,
+        "modern": _run_modern_experiment,
+    }.get(args.id)
+    with _tracing(args.trace_out) as tracer:
+        if restricted is not None:
+            results = [restricted(args, trace_length, workloads)]
+        else:
+            table = runner.producers(trace_length, workloads)
+            results = [table[key]() for key in runner_keys(args.id)]
+    for index, result in enumerate(results):
+        if index:
+            print()
+        if args.chart:
+            from repro.analysis.plot import chart_result
 
-        with trace_walks() as tracer:
-            result = producers[exp_id]()
-        path = tracer.export_jsonl(trace_out)
-    else:
-        result = producers[exp_id]()
-    if getattr(args, "chart", False):
-        from repro.analysis.plot import chart_result
-
-        clip = 5.0 if exp_id in ("fig9", "fig10") else None
-        print(chart_result(result, clip=clip))
-    else:
-        print(result.render(precision=3))
-    if trace_out:
-        print(tracer.summary())
-        print(f"[trace written to {path}]")
+            clip = 5.0 if args.id in ("fig9", "fig10") else None
+            print(chart_result(result, clip=clip))
+        else:
+            print(result.render(precision=3))
+    _print_trace(tracer, args.trace_out)
     return 0
 
 
-def _run_numa_experiment(args: argparse.Namespace, trace_length: int):
+def _tracing(trace_out: Optional[str]):
+    """``--trace-out``'s walk tracer as a context, or no tracing."""
+    from contextlib import nullcontext
+
+    from repro.obs.trace import trace_walks
+
+    return trace_walks() if trace_out else nullcontext()
+
+
+def _print_trace(tracer, trace_out: Optional[str]) -> None:
+    """Export a ``--trace-out`` tracer and report where it went."""
+    if tracer is not None:
+        path = tracer.export_jsonl(trace_out)
+        print(tracer.summary())
+        print(f"[trace written to {path}]")
+
+
+def _run_all(
+    args: argparse.Namespace,
+    trace_length: int,
+    workloads: Optional[List[str]],
+) -> int:
+    """``experiment all``: every selected experiment, through ``run_all``."""
+    import signal
+    from pathlib import Path
+
+    from repro.analysis.report import (
+        render_failure_manifest,
+        render_run_metrics,
+    )
+    from repro.cache.stream_cache import default_cache_dir
+    from repro.experiments.runner import (
+        ResilienceConfig,
+        RunInterrupted,
+        RunMetrics,
+        run_all,
+        select_experiments,
+    )
+    from repro.obs.metrics import get_registry
+    from repro.resilience.faults import FaultPlan
+    from repro.resilience.retry import RetryPolicy
+
+    jobs = 1 if args.jobs is None else args.jobs
+    max_retries = 0 if args.max_retries is None else args.max_retries
+    if jobs < 1:
+        args.usage_error("--jobs must be at least 1")
+    if args.trace_out and jobs != 1:
+        args.usage_error(
+            "--trace-out requires --jobs 1 (worker processes' walks "
+            "cannot be traced into one ring buffer)"
+        )
+    if max_retries < 0:
+        args.usage_error("--max-retries must be >= 0")
+    if args.resume and args.run_dir and args.resume != args.run_dir:
+        args.usage_error("--resume DIR and --run-dir DIR must agree")
+    cache_dir: Optional[str] = None
+    if not args.no_cache:
+        cache_dir = args.cache_dir or str(default_cache_dir())
+    fault_plan = None
+    if args.fault_plan:
+        fault_plan = FaultPlan.from_json(Path(args.fault_plan).read_text())
+    resilience = ResilienceConfig(
+        retry=RetryPolicy(max_retries=max_retries),
+        task_timeout=args.task_timeout,
+        keep_going=args.keep_going,
+        run_dir=args.resume or args.run_dir,
+        resume=bool(args.resume),
+        fault_plan=fault_plan,
+    )
+    only = args.only.split(",") if args.only else None
+
+    def _sigterm(signum, frame):
+        raise KeyboardInterrupt
+
+    try:
+        previous_term = signal.signal(signal.SIGTERM, _sigterm)
+    except ValueError:  # not the main thread
+        previous_term = None
+    metrics = RunMetrics()
+    try:
+        with _tracing(args.trace_out) as tracer:
+            # A run directory implies profiling: every run-dir then
+            # carries the walk profile and percentile histograms that
+            # `repro report` renders.
+            results = run_all(
+                trace_length,
+                jobs=jobs,
+                cache_dir=cache_dir,
+                workloads=workloads,
+                only=only,
+                metrics=metrics,
+                resilience=resilience,
+                profile=bool(args.profile_out or resilience.run_dir),
+                engine=args.engine,
+            )
+    except RunInterrupted as interrupt:
+        total = len(select_experiments(only))
+        done = len(interrupt.completed) + metrics.resumed_skips
+        print(
+            f"[interrupted: {done}/{total} experiments completed"
+            + (
+                f"; resume with --resume {resilience.run_dir}]"
+                if resilience.run_dir
+                else "]"
+            )
+        )
+        return 130
+    finally:
+        if previous_term is not None:
+            signal.signal(signal.SIGTERM, previous_term)
+    for result in results.values():
+        print(result.render(precision=3))
+        print()
+    if args.json:
+        from repro.analysis.export import write_json
+
+        print(f"[results written to {write_json(results, args.json)}]")
+    if args.csv:
+        from repro.analysis.export import write_csv
+
+        paths = write_csv(results, args.csv)
+        print(f"[{len(paths)} CSV files written to {args.csv}/]")
+    print(render_run_metrics(metrics))
+    print(metrics.cache_summary())
+    _print_trace(tracer, args.trace_out)
+    if args.profile_out:
+        from repro.obs.spans import export_chrome_trace
+
+        path = export_chrome_trace(metrics.spans, args.profile_out)
+        print(f"[profile written to {path} ({len(metrics.spans)} spans)]")
+    if args.metrics:
+        print()
+        print(get_registry().render())
+    print(
+        f"[{len(results)} experiments regenerated in "
+        f"{metrics.wall_seconds:.1f}s with {metrics.jobs} job(s)]"
+    )
+    if metrics.failures:
+        print()
+        print(render_failure_manifest(metrics.failures))
+        return 1
+    return 0
+
+
+def _run_numa_experiment(
+    args: argparse.Namespace,
+    trace_length: int,
+    workloads: Optional[List[str]],
+):
     """The numa study with its --topology / --replication restrictions."""
     from repro.experiments import numa as numa_experiment
     from repro.numa.policy import POLICY_NAMES
     from repro.numa.topology import get_topology
 
-    kwargs: dict = {"trace_length": trace_length}
-    topology = getattr(args, "topology", None)
-    if topology:
-        kwargs["topologies"] = (get_topology(topology),)
-    replication = getattr(args, "replication", None)
-    if replication:
-        policies = tuple(replication.split(","))
+    kwargs: dict = {"trace_length": trace_length, "workloads": workloads}
+    if args.topology:
+        kwargs["topologies"] = (get_topology(args.topology),)
+    if args.replication:
+        policies = tuple(args.replication.split(","))
         unknown = sorted(set(policies) - set(POLICY_NAMES))
         if unknown:
             raise SystemExit(
@@ -233,51 +376,57 @@ def _run_numa_experiment(args: argparse.Namespace, trace_length: int):
     return numa_experiment.run(**kwargs)
 
 
-def _run_tenancy_experiment(args: argparse.Namespace, trace_length: int):
-    """The tenancy study with its --tenants / --churn restrictions."""
+def _run_tenancy_experiment(
+    args: argparse.Namespace,
+    trace_length: int,
+    workloads: Optional[List[str]],
+):
+    """The tenancy study with its --tenants / --churn / --tables
+    restrictions."""
     from repro.experiments import tenancy as tenancy_experiment
 
-    kwargs: dict = {"trace_length": trace_length}
-    tenants = getattr(args, "tenants", None)
-    if tenants:
+    kwargs: dict = {"trace_length": trace_length, "workloads": workloads}
+    if args.tenants:
         try:
             kwargs["tenants"] = tuple(
-                int(part) for part in tenants.split(",")
+                int(part) for part in args.tenants.split(",")
             )
         except ValueError:
             raise SystemExit(
-                f"--tenants expects comma-separated integers, got {tenants!r}"
+                f"--tenants expects comma-separated integers, "
+                f"got {args.tenants!r}"
             )
-    churn = getattr(args, "churn", None)
-    if churn:
+    if args.churn:
         try:
-            kwargs["churn_modes"] = tenancy_experiment.parse_churn(churn)
+            kwargs["churn_modes"] = tenancy_experiment.parse_churn(args.churn)
         except ValueError as exc:
             raise SystemExit(str(exc))
+    if args.tables:
+        kwargs["tables"] = tuple(args.tables.split(","))
     return tenancy_experiment.run(**kwargs)
 
 
-def _run_modern_experiment(args: argparse.Namespace, trace_length: int):
-    """The modern sweep with its --workloads / --footprint restrictions."""
+def _run_modern_experiment(
+    args: argparse.Namespace,
+    trace_length: int,
+    workloads: Optional[List[str]],
+):
+    """The modern sweep with its --footprint / --tables restrictions."""
     from repro.experiments import modern as modern_experiment
 
-    kwargs: dict = {"trace_length": trace_length}
-    workloads = getattr(args, "workloads", None)
-    if workloads:
-        kwargs["workloads"] = tuple(
-            part.strip() for part in workloads.split(",")
-        )
-    footprint = getattr(args, "footprint", None)
-    if footprint:
+    kwargs: dict = {"trace_length": trace_length, "workloads": workloads}
+    if args.footprint:
         try:
             kwargs["footprints"] = modern_experiment.parse_footprints(
-                footprint
+                args.footprint
             )
         except ValueError:
             raise SystemExit(
                 f"--footprint expects comma-separated MB values, "
-                f"got {footprint!r}"
+                f"got {args.footprint!r}"
             )
+    if args.tables:
+        kwargs["tables"] = tuple(args.tables.split(","))
     return modern_experiment.run(**kwargs)
 
 
@@ -344,10 +493,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         cache_dir = None
         if args.cache_dir and not args.no_cache:
             cache_dir = args.cache_dir
-        if args.id:
-            run_all_with_metrics(
-                trace_length, jobs=1, cache_dir=cache_dir, only=[args.id],
-            )
+        run_all_with_metrics(
+            trace_length, jobs=1, cache_dir=cache_dir,
+            only=None if args.id == "all" else runner_keys(args.id),
+        )
         registry = get_registry()
     if args.json:
         import json
@@ -521,19 +670,23 @@ def build_parser() -> argparse.ArgumentParser:
     describe = sub.add_parser("describe", help="inspect one workload")
     describe.add_argument("workload", choices=sorted(PAPER_WORKLOADS))
 
-    experiment = sub.add_parser("experiment", help="regenerate a table/figure")
+    experiment = sub.add_parser(
+        "experiment", help="regenerate a table/figure, or all of them"
+    )
+    experiment.set_defaults(usage_error=experiment.error)
     experiment.add_argument("id", choices=EXPERIMENT_IDS)
     experiment.add_argument("--fast", action="store_true",
                             help="shorter traces")
+    experiment.add_argument(
+        "--trace-length", type=int, default=None, metavar="N",
+        help="explicit reference-trace length (overrides --fast)",
+    )
     experiment.add_argument("--chart", action="store_true",
                             help="render as a terminal bar chart")
     experiment.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for 'all' (forwarded to the runner)",
-    )
-    experiment.add_argument(
         "--cache-dir", metavar="DIR", default=None,
-        help="persistent miss-stream cache directory",
+        help="persistent miss-stream cache directory (default: the user "
+        "cache dir for 'all', none for a single id)",
     )
     experiment.add_argument(
         "--no-cache", action="store_true",
@@ -545,12 +698,13 @@ def build_parser() -> argparse.ArgumentParser:
         "streams (exact; unsupported tables fall back to scalar)",
     )
     experiment.add_argument(
-        "--only", metavar="IDS", default=None,
-        help="for 'all': comma-separated experiment subset, paper order kept",
+        "--workloads", metavar="NAMES", default=None,
+        help="comma-separated workload subset for trace-driven experiments",
     )
     experiment.add_argument(
-        "--workloads", metavar="NAMES", default=None,
-        help="for 'all': workload subset for trace-driven experiments",
+        "--trace-out", metavar="FILE", default=None,
+        help="record one event per page-table walk and write the trace "
+        "as JSON Lines (with 'all', requires --jobs 1)",
     )
     experiment.add_argument(
         "--topology", metavar="NAME|FILE", default=None,
@@ -578,40 +732,71 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 16,64,256; accepts fractions and TB-scale values)",
     )
     experiment.add_argument(
-        "--trace-out", metavar="FILE", default=None, dest="trace_out",
-        help="record one event per page-table walk and write the trace "
-        "as JSON Lines (single-process runs only)",
+        "--tables", metavar="LIST", default=None,
+        help="for 'tenancy' and 'modern': comma-separated page-table "
+        "subset",
     )
-    experiment.add_argument(
-        "--profile-out", metavar="FILE", default=None, dest="profile_out",
-        help="for 'all': profile the run and write the span timeline as "
-        "Chrome trace-event JSON (Perfetto / chrome://tracing)",
+    run = experiment.add_argument_group(
+        "run options", "read only by 'all', the whole suite through the "
+        "runner's scheduler"
     )
-    experiment.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="for 'all': retry transiently failed tasks up to N times",
+    run.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="fan experiments out over N worker processes (default 1)",
     )
-    experiment.add_argument(
+    run.add_argument(
+        "--only", metavar="IDS", default=None,
+        help="comma-separated runner experiment ids to run (paper order "
+        "kept)",
+    )
+    run.add_argument(
+        "--json", metavar="FILE", default=None,
+        help="additionally export every result to one JSON file",
+    )
+    run.add_argument(
+        "--csv", metavar="DIR", default=None,
+        help="additionally export one CSV per experiment into DIR",
+    )
+    run.add_argument(
+        "--metrics", action="store_true",
+        help="additionally print the process-wide metrics registry",
+    )
+    run.add_argument(
+        "--profile-out", metavar="FILE", default=None,
+        help="profile the run (spans in parent and workers, per-walk "
+        "percentile histograms, walk profile) and write the span "
+        "timeline as Chrome trace-event JSON (open in Perfetto or "
+        "chrome://tracing); works with any --jobs",
+    )
+    run.add_argument(
+        "--max-retries", type=int, default=None, metavar="N",
+        help="retry a transiently failed task up to N times with "
+        "jittered exponential backoff (default 0: fail fast)",
+    )
+    run.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="for 'all': per-task wall-clock budget (parallel runs)",
+        help="per-task wall-clock budget; a task past it is abandoned "
+        "and its worker pool recycled (parallel runs only)",
     )
-    experiment.add_argument(
+    run.add_argument(
         "--keep-going", action="store_true",
-        help="for 'all': complete around failed experiments and report "
-        "a failure manifest",
+        help="complete the run around permanently failed experiments "
+        "and report a failure manifest (exit code 1)",
     )
-    experiment.add_argument(
+    run.add_argument(
         "--run-dir", metavar="DIR", default=None,
-        help="for 'all': journal completed experiments for --resume",
+        help="journal completed experiments into DIR/journal.jsonl "
+        "(append-only, fsync'd) so the run is resumable",
     )
-    experiment.add_argument(
+    run.add_argument(
         "--resume", metavar="DIR", default=None,
-        help="for 'all': resume a journaled run, skipping completed "
-        "experiments",
+        help="resume from DIR's journal: completed experiments are "
+        "skipped, new completions are appended (implies --run-dir DIR)",
     )
-    experiment.add_argument(
+    run.add_argument(
         "--fault-plan", metavar="FILE", default=None,
-        help="for 'all': arm a JSON fault-injection plan (chaos testing)",
+        help="arm a JSON fault-injection plan in the runner and every "
+        "worker (chaos testing only)",
     )
 
     metrics = sub.add_parser(
@@ -619,8 +804,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "id", nargs="?", default="table1",
-        help="runner experiment id to run before dumping (default "
-        "table1; see 'experiment' for the ids)",
+        choices=[exp_id for exp_id in EXPERIMENT_IDS if exp_id != "claims"],
+        help="experiment id to run before dumping (default table1; the "
+        "ids of 'experiment' except claims)",
     )
     metrics.add_argument("--fast", action="store_true",
                          help="shorter traces")

@@ -30,15 +30,16 @@ Sensitivity sweeps and prose-claim studies:
 
 Harness:
 
-- :mod:`repro.experiments.runner` — run everything; ``--json``/``--csv``
-  export.
+- :mod:`repro.experiments.runner` — run everything (``run_all``), in
+  paper order, through one resilient scheduler.
 - :mod:`repro.experiments.claims` — verify every headline claim, with a
   non-zero exit on failure (the acceptance gate).
 
 Every module exposes ``run(...)`` returning an
-:class:`~repro.experiments.common.ExperimentResult` and prints a
-paper-style text table when executed as a script
-(``python -m repro.experiments.fig9``).
+:class:`~repro.experiments.common.ExperimentResult`.  The command line
+for all of them is ``python -m repro experiment ID`` (one table, e.g.
+``fig9``) or ``python -m repro experiment all`` (the whole suite), which
+prints each as a paper-style text table.
 """
 
 from repro.experiments.common import ExperimentResult

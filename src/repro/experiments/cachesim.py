@@ -113,12 +113,3 @@ def run(
             "the 'missed' columns measure exactly that."
         ),
     )
-
-
-def main() -> None:
-    """Print the study."""
-    print(run().render(precision=3))
-
-
-if __name__ == "__main__":
-    main()

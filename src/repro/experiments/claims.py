@@ -2,7 +2,7 @@
 
 EXPERIMENTS.md narrates the reproduction; this module *executes* it.  Each
 claim is a predicate over freshly regenerated experiment data; the output
-is a claim-by-claim verdict table, and ``python -m repro.experiments.claims``
+is a claim-by-claim verdict table, and ``python -m repro experiment claims``
 exits non-zero if any reproducible claim fails — the reproduction's
 end-to-end acceptance gate.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import fig9, fig10, fig11, table1, table2
-from repro.experiments.common import ExperimentResult, clear_caches
+from repro.experiments.common import ExperimentResult
 
 #: Trace length for the verification pass (a compromise between runtime
 #: and statistical stability; the shapes are robust well below this).
@@ -177,17 +177,3 @@ def report(claims: Sequence[Claim]) -> ExperimentResult:
         rows=rows,
         notes=f"{passed}/{len(claims)} claims hold.",
     )
-
-
-def main() -> None:
-    """Verify everything; non-zero exit if any claim fails."""
-    import sys
-
-    clear_caches()
-    claims = verify()
-    print(report(claims).render())
-    sys.exit(0 if all(claim.holds for claim in claims) else 1)
-
-
-if __name__ == "__main__":
-    main()

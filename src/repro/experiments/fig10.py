@@ -80,12 +80,3 @@ def run(
             "hashed+superpage improved but above the clustered variants."
         ),
     )
-
-
-def main() -> None:
-    """Print the reproduced figure data."""
-    print(run().render(precision=3))
-
-
-if __name__ == "__main__":
-    main()

@@ -136,14 +136,3 @@ def run_all(
         figure: run_subfigure(figure, workloads, trace_length)
         for figure in SUBFIGURES
     }
-
-
-def main() -> None:
-    """Print all four reproduced sub-figures."""
-    for result in run_all().values():
-        print(result.render(precision=3))
-        print()
-
-
-if __name__ == "__main__":
-    main()

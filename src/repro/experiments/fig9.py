@@ -52,12 +52,3 @@ def run(
             "truncates at 5.0) for sparse workloads."
         ),
     )
-
-
-def main() -> None:
-    """Print the reproduced figure data."""
-    print(run().render(precision=3))
-
-
-if __name__ == "__main__":
-    main()

@@ -25,7 +25,6 @@ grow.  Replays go through :func:`repro.experiments.common.replay`, so
 
 from __future__ import annotations
 
-import argparse
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -165,47 +164,6 @@ def run(
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Production workload sweep (fig9/fig11 claims at "
-        "modern footprints)."
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="short traces (50k references per configuration)",
-    )
-    parser.add_argument(
-        "--trace-length", type=int, default=None, metavar="N",
-        help="references per configuration (default 200000)",
-    )
-    parser.add_argument(
-        "--workloads", default=None, metavar="LIST",
-        help=f"comma-separated subset of {','.join(DEFAULT_WORKLOADS)}",
-    )
-    parser.add_argument(
-        "--footprint", default=None, metavar="LIST",
-        help="comma-separated footprints in MB "
-        f"(default {','.join(str(f) for f in DEFAULT_FOOTPRINTS)})",
-    )
-    parser.add_argument(
-        "--tables", default=None, metavar="LIST",
-        help=f"comma-separated table subset (default {','.join(DEFAULT_TABLES)})",
-    )
-    args = parser.parse_args(argv)
-    trace_length = args.trace_length or (50_000 if args.fast else 200_000)
-    workloads = (
-        tuple(args.workloads.split(",")) if args.workloads else None
-    )
-    footprints = parse_footprints(args.footprint) if args.footprint else None
-    tables = tuple(args.tables.split(",")) if args.tables else None
-    result = run(
-        trace_length=trace_length, workloads=workloads,
-        footprints=footprints, tables=tables,
-    )
-    print(result.render())
-    return 0
-
-
 def parse_footprints(text: str) -> Tuple[float, ...]:
     """``"16,64,256"`` → numeric footprints in MB."""
     footprints = []
@@ -213,7 +171,3 @@ def parse_footprints(text: str) -> Tuple[float, ...]:
         value = float(part.strip())
         footprints.append(int(value) if value.is_integer() else value)
     return tuple(footprints)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

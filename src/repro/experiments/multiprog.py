@@ -130,12 +130,3 @@ def run(
             "again in page-table cache-line traffic."
         ),
     )
-
-
-def main() -> None:
-    """Print the study."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

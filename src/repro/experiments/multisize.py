@@ -118,12 +118,3 @@ def run(
             "table searched before the owning one)."
         ),
     )
-
-
-def main() -> None:
-    """Print the study."""
-    print(run().render(precision=3))
-
-
-if __name__ == "__main__":
-    main()

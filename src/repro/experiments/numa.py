@@ -160,12 +160,3 @@ def run(
             "'migrate' moves hot lines to their dominant accessor."
         ),
     )
-
-
-def main() -> None:
-    """Print the sweep."""
-    print(run().render(precision=3))
-
-
-if __name__ == "__main__":
-    main()

@@ -103,12 +103,3 @@ def run(
             "Figure 10 savings evaporate — §7's warning, quantified."
         ),
     )
-
-
-def main() -> None:
-    """Print the study."""
-    print(run().render(precision=3))
-
-
-if __name__ == "__main__":
-    main()

@@ -84,12 +84,3 @@ def run(
             "information in other page tables is less efficient'."
         ),
     )
-
-
-def main() -> None:
-    """Print the study."""
-    print(run().render(precision=2))
-
-
-if __name__ == "__main__":
-    main()

@@ -1,8 +1,8 @@
-"""Run every experiment and emit a combined report.
+"""Run every experiment and collect the results in paper order.
 
-``python -m repro.experiments.runner`` regenerates all reproduced tables
-and figures and prints them in paper order.  The orchestration is a small
-two-stage dependency graph:
+:func:`run_all` regenerates all reproduced tables and figures; ``python
+-m repro experiment all`` is its command line.  The orchestration is a
+small two-stage dependency graph:
 
 1. **Stream collection** — every (workload, TLB configuration) miss
    stream the selected experiments will replay, fanned out across worker
@@ -12,39 +12,32 @@ two-stage dependency graph:
    once their stream artefacts exist, each worker reading phase-1 results
    from the shared cache instead of re-simulating.
 
-One scheduler runs both stages at every ``--jobs`` setting.  ``--jobs N``
-submits the tasks to a pool of N worker processes; ``--jobs 1`` submits
+One scheduler runs both stages at every ``jobs`` setting.  ``jobs=N``
+submits the tasks to a pool of N worker processes; ``jobs=1`` submits
 them to an in-process executor that runs each task as it is submitted,
 so retries, failure records, journaling and progress take the same path
 either way.  Results are merged deterministically in paper order, so
-``--jobs 8`` produces byte-identical output to ``--jobs 1``.  With a warm
+``jobs=8`` produces byte-identical output to ``jobs=1``.  With a warm
 cache a repeat invocation performs *zero* phase-1 simulations — run time
 is bounded by the cheap phase-2 replay cost.
 
-Execution is **resilient** (:mod:`repro.resilience`): transient task
-failures (worker crashes, hung workers, cache I/O errors) are retried
-with jittered exponential backoff under ``--max-retries``; ``--task-
-timeout`` bounds each pool task's wall clock (worker pools are recycled
-around hung tasks); ``--keep-going`` completes the DAG around
-permanently failed tasks and emits an explicit failure manifest instead
-of all-or-nothing; ``--run-dir`` journals every completed experiment to
-an append-only fsync'd JSONL so ``--resume`` skips finished work after a
-crash or SIGINT; and Ctrl-C drains gracefully — pending tasks are
-cancelled, the journal is flushed, and the completed experiments are
-reported.
-
-Pass ``--fast`` for shorter traces, ``--jobs N`` to parallelise,
-``--cache-dir``/``--no-cache`` to control the persistent stream cache,
-and ``--only``/``--workloads`` to restrict the experiment set.
+Execution is **resilient** (:mod:`repro.resilience`, configured by a
+:class:`ResilienceConfig`): transient task failures (worker crashes,
+hung workers, cache I/O errors) are retried with jittered exponential
+backoff; a per-task timeout bounds each pool task's wall clock (worker
+pools are recycled around hung tasks); ``keep_going`` completes the DAG
+around permanently failed tasks and emits an explicit failure manifest
+instead of all-or-nothing; a run directory journals every completed
+experiment to an append-only fsync'd JSONL so a resumed run skips
+finished work after a crash or SIGINT; and Ctrl-C drains gracefully —
+pending tasks are cancelled, the journal is flushed, and
+:class:`RunInterrupted` carries the completed experiments.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
-import signal
-import sys
 import time
 from collections import deque
 from concurrent.futures import (
@@ -62,7 +55,7 @@ from itertools import count
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.stream_cache import CacheStats, default_cache_dir
+from repro.cache.stream_cache import CacheStats
 from repro.errors import ConfigurationError
 from repro.obs import spans as _spans
 from repro.obs import trace as _trace
@@ -127,7 +120,7 @@ _SINGLE_STREAM_EXPERIMENTS = (
 )
 
 
-def _producers(
+def producers(
     trace_length: int,
     workloads: Optional[Sequence[str]] = None,
 ) -> Dict[str, Callable[[], ExperimentResult]]:
@@ -135,6 +128,8 @@ def _producers(
 
     ``workloads`` restricts every experiment that accepts a workload
     subset; the rest (synthetic-space and analytic studies) ignore it.
+    Runner tasks and ``repro experiment ID`` both produce through this
+    table.
     """
     w = {"workloads": tuple(workloads)} if workloads else {}
     return {
@@ -367,7 +362,7 @@ def _run_task(
             workload = common.get_workload(name, trace_length)
             common.get_miss_stream(workload, tlb_kind, entries)
         else:
-            result = _producers(trace_length, workloads)[key]()
+            result = producers(trace_length, workloads)[key]()
         elapsed = time.perf_counter() - started
         delta = common.stream_cache_stats().delta(before)
     return result, elapsed, delta, telemetry
@@ -1147,226 +1142,3 @@ def run_all_with_metrics(
         resilience=resilience, profile=profile, engine=engine,
     )
     return results, metrics
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(
-        description="Reproduce every table and figure of the paper."
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="use shorter traces (50k references) for a quick pass",
-    )
-    parser.add_argument(
-        "--trace-length", type=int, default=None, metavar="N",
-        help="explicit reference-trace length (overrides --fast)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan experiments out over N worker processes (default 1)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="persistent miss-stream cache directory "
-        "(default: the user cache dir)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent miss-stream cache",
-    )
-    parser.add_argument(
-        "--engine", choices=common.ENGINES, default="scalar",
-        help="phase-2 replay engine: 'batch' vectorises whole miss "
-        "streams (exact; unsupported tables fall back to scalar)",
-    )
-    parser.add_argument(
-        "--only", metavar="IDS",
-        help="comma-separated experiment ids to run (paper order kept)",
-    )
-    parser.add_argument(
-        "--workloads", metavar="NAMES",
-        help="comma-separated workload subset for trace-driven experiments",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE",
-        help="additionally export every result to one JSON file",
-    )
-    parser.add_argument(
-        "--csv", metavar="DIR",
-        help="additionally export one CSV per experiment into DIR",
-    )
-    parser.add_argument(
-        "--trace-out", metavar="FILE", default=None,
-        help="record one event per page-table walk and write the trace "
-        "as JSON Lines (requires --jobs 1: walks happen in-process)",
-    )
-    parser.add_argument(
-        "--profile-out", metavar="FILE", default=None,
-        help="profile the run (spans in parent and workers, per-walk "
-        "percentile histograms, walk profile) and write the span "
-        "timeline as Chrome trace-event JSON (open in Perfetto or "
-        "chrome://tracing); works with any --jobs",
-    )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help="additionally print the process-wide metrics registry",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="retry a transiently failed task up to N times with "
-        "jittered exponential backoff (default 0: fail fast)",
-    )
-    parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task wall-clock budget; a task past it is abandoned "
-        "and its worker pool recycled (parallel runs only)",
-    )
-    parser.add_argument(
-        "--keep-going", action="store_true",
-        help="complete the run around permanently failed experiments "
-        "and report a failure manifest (exit code 1)",
-    )
-    parser.add_argument(
-        "--run-dir", metavar="DIR", default=None,
-        help="journal completed experiments into DIR/journal.jsonl "
-        "(append-only, fsync'd) so the run is resumable",
-    )
-    parser.add_argument(
-        "--resume", metavar="DIR", default=None,
-        help="resume from DIR's journal: completed experiments are "
-        "skipped, new completions are appended (implies --run-dir DIR)",
-    )
-    parser.add_argument(
-        "--fault-plan", metavar="FILE", default=None,
-        help="arm a JSON fault-injection plan in the runner and every "
-        "worker (chaos testing only)",
-    )
-    args = parser.parse_args(argv)
-    if args.trace_length is not None:
-        trace_length = args.trace_length
-    else:
-        trace_length = 50_000 if args.fast else 200_000
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
-    if args.trace_out and args.jobs != 1:
-        parser.error(
-            "--trace-out requires --jobs 1 (worker processes' walks "
-            "cannot be traced into one ring buffer)"
-        )
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.resume and args.run_dir and args.resume != args.run_dir:
-        parser.error("--resume DIR and --run-dir DIR must agree")
-    cache_dir: Optional[str] = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or str(default_cache_dir())
-
-    fault_plan = None
-    if args.fault_plan:
-        fault_plan = FaultPlan.from_json(Path(args.fault_plan).read_text())
-    resilience = ResilienceConfig(
-        retry=RetryPolicy(max_retries=args.max_retries),
-        task_timeout=args.task_timeout,
-        keep_going=args.keep_going,
-        run_dir=args.resume or args.run_dir,
-        resume=bool(args.resume),
-        fault_plan=fault_plan,
-    )
-
-    tracer = None
-    if args.trace_out:
-        from repro.obs.trace import WalkTracer, install_tracer
-
-        tracer = install_tracer(WalkTracer())
-
-    def _sigterm(signum, frame):
-        raise KeyboardInterrupt
-
-    try:
-        previous_term = signal.signal(signal.SIGTERM, _sigterm)
-    except ValueError:  # not the main thread
-        previous_term = None
-    metrics = RunMetrics()
-    # A run directory implies profiling: every run-dir then carries the
-    # walk profile and percentile histograms `repro.cli report` renders.
-    profile = bool(args.profile_out or resilience.run_dir)
-    try:
-        results = run_all(
-            trace_length,
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            workloads=args.workloads.split(",") if args.workloads else None,
-            only=args.only.split(",") if args.only else None,
-            metrics=metrics,
-            resilience=resilience,
-            profile=profile,
-            engine=args.engine,
-        )
-    except RunInterrupted as interrupt:
-        total = len(select_experiments(
-            args.only.split(",") if args.only else None
-        ))
-        done = len(interrupt.completed) + metrics.resumed_skips
-        print(
-            f"[interrupted: {done}/{total} experiments completed"
-            + (
-                f"; resume with --resume {resilience.run_dir}]"
-                if resilience.run_dir
-                else "]"
-            )
-        )
-        return 130
-    finally:
-        if previous_term is not None:
-            signal.signal(signal.SIGTERM, previous_term)
-        if tracer is not None:
-            from repro.obs.trace import uninstall_tracer
-
-            uninstall_tracer(tracer)
-    for key, result in results.items():
-        print(result.render(precision=3))
-        print()
-    if args.json:
-        from repro.analysis.export import write_json
-
-        print(f"[results written to {write_json(results, args.json)}]")
-    if args.csv:
-        from repro.analysis.export import write_csv
-
-        paths = write_csv(results, args.csv)
-        print(f"[{len(paths)} CSV files written to {args.csv}/]")
-    from repro.analysis.report import (
-        render_failure_manifest,
-        render_run_metrics,
-    )
-
-    print(render_run_metrics(metrics))
-    print(metrics.cache_summary())
-    if tracer is not None:
-        path = tracer.export_jsonl(args.trace_out)
-        print(tracer.summary())
-        print(f"[trace written to {path}]")
-    if args.profile_out:
-        from repro.obs.spans import export_chrome_trace
-
-        path = export_chrome_trace(metrics.spans, args.profile_out)
-        print(f"[profile written to {path} ({len(metrics.spans)} spans)]")
-    if args.metrics:
-        from repro.obs.metrics import get_registry as _get_registry
-
-        print()
-        print(_get_registry().render())
-    print(
-        f"[{len(results)} experiments regenerated in "
-        f"{metrics.wall_seconds:.1f}s with {metrics.jobs} job(s)]"
-    )
-    if metrics.failures:
-        print()
-        print(render_failure_manifest(metrics.failures))
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

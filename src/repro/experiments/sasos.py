@@ -84,12 +84,3 @@ def run(
             "within page blocks."
         ),
     )
-
-
-def main() -> None:
-    """Print the study."""
-    print(run().render(precision=3))
-
-
-if __name__ == "__main__":
-    main()

@@ -358,22 +358,3 @@ def shared_vs_private_tables(
             "include bucket arrays to expose that trade-off."
         ),
     )
-
-
-def main() -> None:
-    """Print all six sweeps."""
-    print(cache_line_sweep().render(precision=3))
-    print()
-    print(subblock_factor_sweep().render(precision=3))
-    print()
-    print(bucket_count_sweep().render(precision=3))
-    print()
-    print(tlb_geometry_sweep().render(precision=3))
-    print()
-    print(hash_quality_sweep().render(precision=3))
-    print()
-    print(shared_vs_private_tables().render(precision=3))
-
-
-if __name__ == "__main__":
-    main()

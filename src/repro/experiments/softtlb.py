@@ -71,12 +71,3 @@ def run(
             "on swTLB misses."
         ),
     )
-
-
-def main() -> None:
-    """Print the study."""
-    print(run().render(precision=3))
-
-
-if __name__ == "__main__":
-    main()

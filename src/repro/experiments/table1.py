@@ -87,12 +87,3 @@ def run(
             "paper, not absolute counts."
         ),
     )
-
-
-def main() -> None:
-    """Print the reproduced table."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

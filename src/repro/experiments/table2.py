@@ -105,12 +105,3 @@ def run(
             "variance)."
         ),
     )
-
-
-def main() -> None:
-    """Print the validation table."""
-    print(run().render(precision=3))
-
-
-if __name__ == "__main__":
-    main()

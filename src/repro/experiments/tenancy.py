@@ -23,7 +23,6 @@ not a misconfigured hash size.
 
 from __future__ import annotations
 
-import argparse
 import math
 from typing import List, Optional, Sequence, Tuple
 
@@ -207,49 +206,6 @@ def run(
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Multi-tenant shared-arena sweep (walk-cycle "
-        "percentiles per table organisation)."
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="short trace budget (50k misses per configuration)",
-    )
-    parser.add_argument(
-        "--trace-length", type=int, default=None, metavar="N",
-        help="miss budget per configuration (default 200000)",
-    )
-    parser.add_argument(
-        "--tenants", default=None, metavar="LIST",
-        help="comma-separated tenant counts (default 100,1000; "
-        "the full sweep is 100,1000,10000)",
-    )
-    parser.add_argument(
-        "--tables", default=None, metavar="LIST",
-        help=f"comma-separated table subset (default {','.join(DEFAULT_TABLES)})",
-    )
-    parser.add_argument(
-        "--churn", default=None, metavar="MODES",
-        help="comma-separated churn modes from {static,churn} "
-        "(default both)",
-    )
-    args = parser.parse_args(argv)
-    trace_length = args.trace_length or (50_000 if args.fast else 200_000)
-    tenants = (
-        tuple(int(part) for part in args.tenants.split(","))
-        if args.tenants else None
-    )
-    tables = tuple(args.tables.split(",")) if args.tables else None
-    churn_modes = parse_churn(args.churn) if args.churn else None
-    result = run(
-        trace_length=trace_length, tenants=tenants, tables=tables,
-        churn_modes=churn_modes,
-    )
-    print(result.render())
-    return 0
-
-
 def parse_churn(text: str) -> Tuple[float, ...]:
     """``static,churn`` → the matching churn fractions."""
     modes = []
@@ -264,7 +220,3 @@ def parse_churn(text: str) -> Tuple[float, ...]:
                 f"unknown churn mode {part!r}; known: static, churn"
             )
     return tuple(modes)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -169,7 +169,7 @@ def test_sigkill_then_resume_reproduces_uninterrupted_output(tmp_path):
     cache_dir = tmp_path / "cache"
     run_dir = tmp_path / "run"
     base_args = [
-        sys.executable, "-m", "repro.experiments.runner",
+        sys.executable, "-m", "repro", "experiment", "all",
         "--trace-length", str(TRACE_LENGTH),
         "--workloads", "mp3d",
         "--only", "table1,fig9,fig10,fig11a,fig11b",

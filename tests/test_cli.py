@@ -43,3 +43,91 @@ class TestCommands:
         assert main(["experiment", "multisize"]) == 0
         out = capsys.readouterr().out
         assert "two-clustered" in out
+
+
+#: Flags only ``experiment all`` reads, each with a value where it takes one.
+RUN_FLAGS = [
+    ["--jobs", "4"], ["--only", "fig9"], ["--profile-out", "trace.json"],
+    ["--json", "results.json"], ["--csv", "csv"], ["--metrics"],
+    ["--max-retries", "0"], ["--task-timeout", "5"], ["--keep-going"],
+    ["--run-dir", "run"], ["--resume", "run"], ["--fault-plan", "plan.json"],
+]
+
+
+class TestExperimentFlags:
+    """A flag the chosen id does not read is a usage error, not ignored."""
+
+    @pytest.mark.parametrize("flag", RUN_FLAGS, ids=lambda flag: flag[0])
+    def test_run_flag_with_a_single_id_is_a_usage_error(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig9", *flag])
+        assert exc.value.code == 2
+        assert f"{flag[0]} is not read by 'fig9'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("exp_id, flag", [
+        ("all", ["--tenants", "100"]),
+        ("fig9", ["--topology", "2-node"]),
+        ("tenancy", ["--replication", "none"]),
+        ("numa", ["--churn", "static"]),
+        ("tenancy", ["--footprint", "4"]),
+        ("table1", ["--tables", "hashed"]),
+        ("all", ["--tables", "hashed"]),
+    ])
+    def test_restriction_flag_with_another_id_is_a_usage_error(
+        self, exp_id, flag, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", exp_id, *flag])
+        assert exc.value.code == 2
+        assert f"{flag[0]} is not read by '{exp_id}'" in (
+            capsys.readouterr().err
+        )
+
+    def test_a_single_id_reads_workloads(self, capsys):
+        assert main(["experiment", "table1", "--trace-length", "2000",
+                     "--workloads", "mp3d,gcc"]) == 0
+        out = capsys.readouterr().out
+        assert "mp3d" in out and "gcc" in out
+        assert "coral" not in out
+
+
+class TestOneCommandLine:
+    """Single ids and ``all`` produce through one table and print alike."""
+
+    def test_id_table_covers_the_runner_keys_exactly(self):
+        from repro.cli import EXPERIMENT_IDS, runner_keys
+        from repro.experiments.runner import EXPERIMENT_ORDER
+
+        keys = [
+            key
+            for exp_id in EXPERIMENT_IDS
+            if exp_id not in ("claims", "all")
+            for key in runner_keys(exp_id)
+        ]
+        assert keys == list(EXPERIMENT_ORDER)
+
+    @pytest.mark.parametrize("exp_id, key", [
+        ("fig9", "fig9"),
+        ("multisize", "multisize"),
+        ("promotion-scan", "promotion_scan"),
+    ])
+    def test_a_single_id_prints_what_all_prints(self, exp_id, key, capsys):
+        assert main(["experiment", exp_id]) == 0
+        single = capsys.readouterr().out
+        assert main(["experiment", "all", "--only", key, "--no-cache"]) == 0
+        whole = capsys.readouterr().out
+        assert single + "\n" == whole.split("Run metrics")[0]
+
+    @pytest.mark.parametrize("exp_id", ["promotion-scan", "sensitivity"])
+    def test_metrics_takes_the_experiment_ids(self, exp_id, capsys):
+        assert main(["metrics", exp_id, "--fast"]) == 0
+        assert "runner.task_seconds" in capsys.readouterr().out
+
+    def test_metrics_rejects_an_unknown_id(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "fig42"])
+        assert exc.value.code == 2

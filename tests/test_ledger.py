@@ -437,13 +437,12 @@ class TestGateSabotage:
             for e in events
         )
 
-    def test_trace_length_mismatch_disables_baseline(
+    def test_trace_length_mismatch_refuses_the_baseline(
         self, tmp_path, baseline_dir, capsys
     ):
         gate = _load_bench_gate()
         doc = json.loads(json.dumps(TENANCY_DOC))
         doc["trace_length"] = 777
-        doc["configs"][0]["p99_cycles"] *= 10  # would trip if gated
         fresh = tmp_path / "BENCH_tenancy_fresh.json"
         fresh.write_text(json.dumps(doc))
         rc = gate.main([
@@ -452,9 +451,32 @@ class TestGateSabotage:
             "--baseline-dir", str(baseline_dir),
         ])
         out = capsys.readouterr().out
+        assert rc == 2
+        assert "not comparable" in out
+        assert "tenancy OK" not in out
+
+    def test_banded_metrics_pass_beside_a_mismatched_baseline(
+        self, tmp_path, baseline_dir, capsys
+    ):
+        """Bands need no baseline, so its trace length does not matter."""
+        gate = _load_bench_gate()
+        doc = json.loads(json.dumps(TENANCY_DOC))
+        doc["trace_length"] = 777
+        ledger_path = tmp_path / "ledger.jsonl"
+        ledger = BenchLedger(ledger_path)
+        for jobs in (1, 2, 3):
+            ledger.append_rows(rows_from_bench(doc, stamp=Stamp(jobs=jobs)))
+        fresh = tmp_path / "BENCH_tenancy_fresh.json"
+        fresh.write_text(json.dumps(doc))
+        rc = gate.main([
+            "--family", f"tenancy={fresh}",
+            "--ledger", str(ledger_path),
+            "--baseline-dir", str(baseline_dir),
+        ])
+        out = capsys.readouterr().out
         assert rc == 0
-        assert "baseline fallback disabled" in out
-        assert "ungated" in out
+        assert "not comparable" not in out
+        assert "0 baseline-gated, 0 ungated" in out
 
     @pytest.mark.parametrize("aggregate, expected", [(9.0, 1), (11.0, 0)])
     def test_batch_family_enforces_the_speedup_floor(

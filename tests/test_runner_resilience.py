@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro import cli
 from repro.errors import ConfigurationError
 from repro.experiments import runner
 from repro.obs.metrics import get_registry
@@ -432,12 +433,12 @@ class TestGracefulInterrupt:
 class TestCliFlags:
     def test_main_rejects_negative_retries(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
-            runner.main(["--max-retries", "-1"])
+            cli.main(["experiment", "all", "--max-retries", "-1"])
 
     def test_main_rejects_conflicting_dirs(self, tmp_path):
         with pytest.raises(SystemExit):
-            runner.main(
-                ["--resume", str(tmp_path / "a"),
+            cli.main(
+                ["experiment", "all", "--resume", str(tmp_path / "a"),
                  "--run-dir", str(tmp_path / "b")]
             )
 
@@ -449,8 +450,9 @@ class TestCliFlags:
         )
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(plan.to_json())
-        code = runner.main(
+        code = cli.main(
             [
+                "experiment", "all",
                 "--trace-length", str(TRACE_LENGTH),
                 "--workloads", "mp3d",
                 "--only", "table1,fig9",
@@ -468,13 +470,14 @@ class TestCliFlags:
     def test_resume_flag_skips_completed(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         args = [
+            "experiment", "all",
             "--trace-length", str(TRACE_LENGTH),
             "--workloads", "mp3d",
             "--only", "table1",
             "--cache-dir", str(tmp_path / "cache"),
         ]
-        assert runner.main(args + ["--run-dir", str(run_dir)]) == 0
+        assert cli.main(args + ["--run-dir", str(run_dir)]) == 0
         capsys.readouterr()
-        assert runner.main(args + ["--resume", str(run_dir)]) == 0
+        assert cli.main(args + ["--resume", str(run_dir)]) == 0
         out = capsys.readouterr().out
         assert "1 resumed" in out

@@ -1,6 +1,6 @@
 """End-to-end smoke: a warm stream cache makes the second run phase-2-only.
 
-Runs the actual CLI (``python -m repro.experiments.runner``) twice against
+Runs the actual CLI (``python -m repro experiment all``) twice against
 one cache directory — the acceptance check that a repeat ``run_all``
 performs **zero** ``collect_misses`` calls and produces byte-identical
 tables.  Marked slow: the CI fast lane (``-m "not slow"``) skips it.
@@ -27,7 +27,7 @@ def run_runner(cache_dir, jobs: int = 2) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     command = [
-        sys.executable, "-m", "repro.experiments.runner",
+        sys.executable, "-m", "repro", "experiment", "all",
         "--fast", "--jobs", str(jobs),
         "--only", "table1,fig11a,fig11d,multiprog",
         "--workloads", "mp3d,compress",

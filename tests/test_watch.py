@@ -244,7 +244,7 @@ def test_sigkilled_run_reports_stall_not_hang(tmp_path):
     run_dir = tmp_path / "run"
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro.experiments.runner",
+            sys.executable, "-m", "repro", "experiment", "all",
             "--trace-length", "2000", "--workloads", "mp3d",
             "--only", "table1,fig9,fig10,fig11a,fig11b",
             "--cache-dir", str(tmp_path / "cache"),
