@@ -1,22 +1,11 @@
 """Benchmark the modern workload sweep and emit ``BENCH_modern.json``.
 
-Runs the :mod:`repro.experiments.modern` production sweep — every
-(workload, footprint, table) cell — under the batch engine and records
-each cell's headline numbers: mapped pages, table size relative to
-hashed, cache lines per miss, and raw miss intensity.  The JSON carries
-``headers``/``rows`` so ``repro.cli report`` renders the sweep verbatim
+Runs the :mod:`repro.experiments.modern` sweep — one runner cell per
+(workload, footprint) pair, over every table — under the batch engine
+through ``benchmarks/sweep.py``, and writes the cell records: mapped
+pages, table size relative to hashed, lines per miss, and miss
+intensity.  ``headers``/``rows`` let ``repro report`` render the sweep
 in a run report's bench-artefacts section.
-
-The document is **deterministic**: identical for the same seed and
-sweep regardless of ``--jobs`` (wall time is printed, never embedded),
-so CI can diff the artifact across runs and the determinism test can
-assert byte-identity between ``--jobs 1`` and ``--jobs 4``.
-
-Long sweeps are resumable: ``--run-dir DIR`` journals each completed
-cell through :class:`repro.resilience.journal.RunJournal`, and
-``--resume DIR`` replays journaled cells instead of recomputing them
-(entries are digest-checked, so a changed trace length silently
-recomputes).
 
 Usage::
 
@@ -26,18 +15,15 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 # Self-locating: runnable as `python benchmarks/bench_modern.py` from
 # the repository root without the root on sys.path.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from benchmarks import sweep
 from benchmarks.conftest import BENCH_TRACE_LENGTH
 from repro.experiments import modern
 
@@ -49,62 +35,6 @@ DEFAULT_OUT = "BENCH_modern.json"
 FULL_FOOTPRINTS = modern.DEFAULT_FOOTPRINTS
 FAST_FOOTPRINTS = (4, 8)
 
-ConfigKey = Tuple[str, float]
-
-
-def sweep_configs(
-    workloads: Sequence[str], footprints: Sequence[float]
-) -> List[ConfigKey]:
-    """The sweep's cells in deterministic (workload, footprint) order."""
-    return [
-        (name, footprint_mb)
-        for name in workloads
-        for footprint_mb in footprints
-    ]
-
-
-def config_id(key: ConfigKey) -> str:
-    name, footprint_mb = key
-    return f"{name}/{footprint_mb:g}MB"
-
-
-def measure_config(key: ConfigKey, trace_length: int) -> Dict[str, object]:
-    """One cell's deterministic record (no wall time — see module doc)."""
-    from repro.experiments.common import configure_engine
-
-    configure_engine("batch")
-    name, footprint_mb = key
-    rows = modern.run_config(
-        name, footprint_mb, modern.DEFAULT_TABLES, trace_length
-    )
-    tables = [
-        {
-            "table": row[0].rsplit("/", 1)[1],
-            "size_vs_hashed": row[2],
-            "lines_per_miss": row[3],
-        }
-        for row in rows
-    ]
-    return {
-        "config": config_id(key),
-        "workload": name,
-        "footprint_mb": footprint_mb,
-        "mapped_pages": rows[0][1],
-        "misses_per_kref": rows[0][4],
-        "tables": tables,
-    }
-
-
-def _measure_remote(args: Tuple[ConfigKey, int]) -> Dict[str, object]:
-    key, trace_length = args
-    return measure_config(key, trace_length)
-
-
-def _digest(key: ConfigKey, trace_length: int) -> str:
-    from repro.resilience.journal import task_digest
-
-    return task_digest(f"modern-bench:{config_id(key)}", trace_length)
-
 
 def collect(
     trace_length: int,
@@ -115,74 +45,10 @@ def collect(
 ) -> dict:
     """The whole sweep as one JSON-ready document (plus stdout timing)."""
     workloads = modern.DEFAULT_WORKLOADS
-    configs = sweep_configs(workloads, footprints)
-    journal = None
-    journaled: Dict[ConfigKey, Dict[str, object]] = {}
-    if run_dir:
-        from repro.resilience.journal import RunJournal
-
-        journal = RunJournal(run_dir)
-        os.makedirs(run_dir, exist_ok=True)
-        journal.ensure_header({
-            "benchmark": "modern",
-            "trace_length": trace_length,
-            "footprints": list(footprints),
-        })
-        if resume:
-            state = journal.load()
-            for key in configs:
-                cached = state.result_for(
-                    config_id(key), _digest(key, trace_length)
-                )
-                if cached is not None:
-                    journaled[key] = cached
-    pending = [key for key in configs if key not in journaled]
-    started = time.perf_counter()
-    records: Dict[ConfigKey, Dict[str, object]] = dict(journaled)
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, record in zip(
-                pending,
-                pool.map(
-                    _measure_remote,
-                    [(key, trace_length) for key in pending],
-                ),
-            ):
-                records[key] = record
-                if journal is not None:
-                    journal.append_result(
-                        config_id(key), _digest(key, trace_length),
-                        record, time.perf_counter() - started,
-                    )
-    else:
-        for key in pending:
-            cell_started = time.perf_counter()
-            record = measure_config(key, trace_length)
-            records[key] = record
-            if journal is not None:
-                journal.append_result(
-                    config_id(key), _digest(key, trace_length),
-                    record, time.perf_counter() - cell_started,
-                )
-    elapsed = time.perf_counter() - started
-    # Merge in sweep order regardless of completion order or source
-    # (journal vs fresh), so the document is jobs- and resume-invariant.
-    ordered = [records[key] for key in configs]
-    rows: List[List] = []
-    for record in ordered:
-        for table in record["tables"]:
-            rows.append(
-                [
-                    f"{record['config']}/{table['table']}",
-                    record["mapped_pages"],
-                    table["size_vs_hashed"],
-                    table["lines_per_miss"],
-                    record["misses_per_kref"],
-                ]
-            )
-    print(
-        f"[{len(pending)} cells computed, {len(journaled)} resumed "
-        f"in {elapsed:.1f}s with {jobs} job(s)]"
+    result = sweep.run_cells(
+        "modern",
+        modern.cells(workloads, footprints, modern.DEFAULT_TABLES),
+        trace_length, jobs, run_dir, resume,
     )
     return {
         "benchmark": "modern",
@@ -195,56 +61,20 @@ def collect(
             "config", "mapped pages", "size vs hashed", "lines/miss",
             "misses/1k",
         ],
-        "rows": rows,
-        "configs": ordered,
+        "rows": result.rows,
+        "configs": result.records,
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Production workload sweep benchmark -> "
-        "BENCH_modern.json"
+    return sweep.main(
+        argv, collect,
+        fast=dict(trace_length=20_000, footprints=FAST_FOOTPRINTS),
+        full=dict(trace_length=BENCH_TRACE_LENGTH, footprints=FULL_FOOTPRINTS),
+        default_out=DEFAULT_OUT,
+        description="Production workload sweep benchmark -> BENCH_modern.json",
+        fast_help="small footprints at a short trace for CI smoke lanes",
     )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="small footprints at a short trace for CI smoke lanes",
-    )
-    parser.add_argument(
-        "--out", metavar="FILE", default=DEFAULT_OUT,
-        help=f"output JSON path (default {DEFAULT_OUT})",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sweep (document is identical "
-        "for any N)",
-    )
-    parser.add_argument(
-        "--run-dir", metavar="DIR", default=None,
-        help="journal completed cells into DIR for --resume",
-    )
-    parser.add_argument(
-        "--resume", metavar="DIR", default=None,
-        help="resume a journaled sweep, skipping completed cells",
-    )
-    args = parser.parse_args(argv)
-    run_dir = args.resume or args.run_dir
-    if args.fast:
-        document = collect(
-            trace_length=20_000, footprints=FAST_FOOTPRINTS,
-            jobs=args.jobs, run_dir=run_dir, resume=bool(args.resume),
-        )
-    else:
-        document = collect(
-            trace_length=BENCH_TRACE_LENGTH, footprints=FULL_FOOTPRINTS,
-            jobs=args.jobs, run_dir=run_dir, resume=bool(args.resume),
-        )
-    from repro.util.atomic_io import atomic_write_text
-
-    atomic_write_text(
-        args.out, json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"[{len(document['configs'])} cells -> {args.out}]")
-    return 0
 
 
 if __name__ == "__main__":

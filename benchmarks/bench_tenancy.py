@@ -1,23 +1,12 @@
 """Benchmark the multi-tenant sweep and emit ``BENCH_tenancy.json``.
 
-Runs the :mod:`repro.experiments.tenancy` consolidation sweep — every
-(table, tenants, churn) cell up to the 10k-tenant point — under the
-batch engine and records each cell's headline numbers: walk-cycle
-p50/p95/p99, the worst single tenant's p99, lines/miss, and the
-reclaim/refault/shootdown lifecycle counters.  The JSON carries
-``headers``/``rows`` so ``repro.cli report`` renders the percentile
-table verbatim in a run report's bench-artefacts section.
-
-The document is **deterministic**: identical for the same seed and
-sweep regardless of ``--jobs`` (wall time is printed, never embedded),
-so CI can diff the artifact across runs and the determinism test can
-assert byte-identity between ``--jobs 1`` and ``--jobs 4``.
-
-Long sweeps are resumable: ``--run-dir DIR`` journals each completed
-cell through :class:`repro.resilience.journal.RunJournal`, and
-``--resume DIR`` replays journaled cells instead of recomputing them
-(entries are digest-checked, so a changed trace length or stream-cache
-schema silently recomputes).
+Runs the :mod:`repro.experiments.tenancy` sweep — one runner cell per
+(tenants, churn) pair, over every table, up to the 10k-tenant point —
+under the batch engine through ``benchmarks/sweep.py``, and writes each
+(table, tenants, churn) configuration of the cell records: walk-cycle
+p50/p95/p99, the worst tenant's p99, lines/miss, and the lifecycle
+counters.  ``headers``/``rows`` let ``repro report`` render the
+percentile table in a run report's bench-artefacts section.
 
 Usage::
 
@@ -27,18 +16,15 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 # Self-locating: runnable as `python benchmarks/bench_tenancy.py` from
 # the repository root without the root on sys.path.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from benchmarks import sweep
 from benchmarks.conftest import BENCH_TRACE_LENGTH
 from repro.experiments import tenancy
 
@@ -49,73 +35,30 @@ DEFAULT_OUT = "BENCH_tenancy.json"
 FULL_TENANTS = tenancy.SWEEP_TENANTS
 FAST_TENANTS = (100,)
 
-ConfigKey = Tuple[str, int, float]
+#: The record's cycle figures, rounded to three places in the document.
+_CYCLES = (
+    "p50_cycles", "p95_cycles", "p99_cycles", "worst_tenant_p99",
+    "mean_cycles",
+)
 
 
-def sweep_configs(
-    tables: Sequence[str], tenants: Sequence[int], churn: Sequence[float]
-) -> List[ConfigKey]:
-    """The sweep's cells in deterministic (tenants, churn, table) order."""
-    return [
-        (table_name, count, churn_fraction)
-        for count in tenants
-        for churn_fraction in churn
-        for table_name in tables
-    ]
-
-
-def config_id(key: ConfigKey) -> str:
-    table_name, count, churn_fraction = key
-    return f"{table_name}/{count}t/{tenancy.churn_tag(churn_fraction)}"
-
-
-def measure_config(key: ConfigKey, trace_length: int) -> Dict[str, object]:
-    """One cell's deterministic record (no wall time — see module doc)."""
-    from repro.experiments.common import configure_engine
-
-    configure_engine("batch")
-    table_name, count, churn_fraction = key
-    result, scheduler = tenancy.run_config(
-        table_name, count, churn_fraction, trace_length
-    )
-    resolved = result.misses - result.faults
-    stats = scheduler.arena.stats
-    return {
-        "config": config_id(key),
-        "table": table_name,
-        "tenants": count,
-        "churn": tenancy.churn_tag(churn_fraction),
-        "misses": result.misses,
-        "p50_cycles": round(result.population.p50, 3),
-        "p95_cycles": round(result.population.p95, 3),
-        "p99_cycles": round(result.population.p99, 3),
-        "worst_tenant_p99": round(result.worst_tenant_p99, 3),
-        "mean_cycles": round(result.mean_cycles, 3),
-        "lines_per_miss": round(
-            result.cache_lines / resolved if resolved else 0.0, 4
-        ),
-        "refault_misses": result.refault_misses,
-        "arrivals": result.arrivals,
-        "departures": result.departures,
-        "reclaims": result.reclaims,
-        "evicted_ptes": result.evicted_ptes,
-        "refaulted_ptes": stats.refaulted_ptes,
-        "pte_inserts": stats.pte_inserts,
-        "pte_removes": stats.pte_removes,
-        "table_bytes_created": stats.bytes_created,
-        "shootdown_entries": result.shootdown_entries,
+def config_document(
+    record: Dict[str, object], table: Dict[str, object]
+) -> Dict[str, object]:
+    """One (table, tenants, churn) configuration of a cell record: the
+    table's numbers, with lines/miss in place of the raw line count."""
+    document = {
+        name: round(value, 3) if name in _CYCLES else value
+        for name, value in table.items()
+        if name not in ("faults", "cache_lines")
     }
-
-
-def _measure_remote(args: Tuple[ConfigKey, int]) -> Dict[str, object]:
-    key, trace_length = args
-    return measure_config(key, trace_length)
-
-
-def _digest(key: ConfigKey, trace_length: int) -> str:
-    from repro.resilience.journal import task_digest
-
-    return task_digest(f"tenancy-bench:{config_id(key)}", trace_length)
+    document.update(
+        config=tenancy.config_label(record, table),
+        tenants=record["tenants"],
+        churn=record["churn"],
+        lines_per_miss=round(tenancy.lines_per_miss(table), 4),
+    )
+    return document
 
 
 def collect(
@@ -128,72 +71,15 @@ def collect(
     """The whole sweep as one JSON-ready document (plus stdout timing)."""
     tables = tenancy.DEFAULT_TABLES
     churn = tenancy.DEFAULT_CHURN
-    configs = sweep_configs(tables, tenants, churn)
-    journal = None
-    journaled: Dict[ConfigKey, Dict[str, object]] = {}
-    if run_dir:
-        from repro.resilience.journal import RunJournal
-
-        journal = RunJournal(run_dir)
-        os.makedirs(run_dir, exist_ok=True)
-        journal.ensure_header({
-            "benchmark": "tenancy",
-            "trace_length": trace_length,
-            "tenants": list(tenants),
-        })
-        if resume:
-            state = journal.load()
-            for key in configs:
-                cached = state.result_for(
-                    config_id(key), _digest(key, trace_length)
-                )
-                if cached is not None:
-                    journaled[key] = cached
-    pending = [key for key in configs if key not in journaled]
-    started = time.perf_counter()
-    records: Dict[ConfigKey, Dict[str, object]] = dict(journaled)
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, record in zip(
-                pending,
-                pool.map(
-                    _measure_remote,
-                    [(key, trace_length) for key in pending],
-                ),
-            ):
-                records[key] = record
-                if journal is not None:
-                    journal.append_result(
-                        config_id(key), _digest(key, trace_length),
-                        record, time.perf_counter() - started,
-                    )
-    else:
-        for key in pending:
-            cell_started = time.perf_counter()
-            record = measure_config(key, trace_length)
-            records[key] = record
-            if journal is not None:
-                journal.append_result(
-                    config_id(key), _digest(key, trace_length),
-                    record, time.perf_counter() - cell_started,
-                )
-    elapsed = time.perf_counter() - started
-    # Merge in sweep order regardless of completion order or source
-    # (journal vs fresh), so the document is jobs- and resume-invariant.
-    ordered = [records[key] for key in configs]
-    rows = [
-        [
-            record["config"], record["p50_cycles"], record["p95_cycles"],
-            record["p99_cycles"], record["worst_tenant_p99"],
-            record["mean_cycles"], record["lines_per_miss"],
-            record["refault_misses"], record["evicted_ptes"],
-        ]
-        for record in ordered
-    ]
-    print(
-        f"[{len(pending)} cells computed, {len(journaled)} resumed "
-        f"in {elapsed:.1f}s with {jobs} job(s)]"
+    result = sweep.run_cells(
+        "tenancy", tenancy.cells(tenants=tenants, tables=tables),
+        trace_length, jobs, run_dir, resume,
     )
+    configs = [
+        config_document(record, table)
+        for record in result.records
+        for table in record["tables"]
+    ]
     return {
         "benchmark": "tenancy",
         "trace_length": trace_length,
@@ -208,56 +94,27 @@ def collect(
             "worst-tenant p99", "mean cyc", "lines/miss",
             "refault misses", "evicted PTEs",
         ],
-        "rows": rows,
-        "configs": ordered,
+        "rows": [
+            [config[name] for name in (
+                "config", *_CYCLES, "lines_per_miss", "refault_misses",
+                "evicted_ptes",
+            )]
+            for config in configs
+        ],
+        "configs": configs,
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    return sweep.main(
+        argv, collect,
+        fast=dict(trace_length=20_000, tenants=FAST_TENANTS),
+        full=dict(trace_length=BENCH_TRACE_LENGTH, tenants=FULL_TENANTS),
+        default_out=DEFAULT_OUT,
         description="Multi-tenant consolidation benchmark -> "
-        "BENCH_tenancy.json"
+        "BENCH_tenancy.json",
+        fast_help="100-tenant subset at a short trace for CI smoke lanes",
     )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="100-tenant subset at a short trace for CI smoke lanes",
-    )
-    parser.add_argument(
-        "--out", metavar="FILE", default=DEFAULT_OUT,
-        help=f"output JSON path (default {DEFAULT_OUT})",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sweep (document is identical "
-        "for any N)",
-    )
-    parser.add_argument(
-        "--run-dir", metavar="DIR", default=None,
-        help="journal completed cells into DIR for --resume",
-    )
-    parser.add_argument(
-        "--resume", metavar="DIR", default=None,
-        help="resume a journaled sweep, skipping completed cells",
-    )
-    args = parser.parse_args(argv)
-    run_dir = args.resume or args.run_dir
-    if args.fast:
-        document = collect(
-            trace_length=20_000, tenants=FAST_TENANTS, jobs=args.jobs,
-            run_dir=run_dir, resume=bool(args.resume),
-        )
-    else:
-        document = collect(
-            trace_length=BENCH_TRACE_LENGTH, tenants=FULL_TENANTS,
-            jobs=args.jobs, run_dir=run_dir, resume=bool(args.resume),
-        )
-    from repro.util.atomic_io import atomic_write_text
-
-    atomic_write_text(
-        args.out, json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"[{len(document['configs'])} cells -> {args.out}]")
-    return 0
 
 
 if __name__ == "__main__":

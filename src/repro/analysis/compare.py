@@ -1,19 +1,16 @@
 """Diff two exported result sets: regression tracking across runs.
 
-``python -m repro.analysis.compare old.json new.json`` compares two
-documents written by ``repro experiment all --json`` and reports every
-numeric cell that drifted beyond a tolerance — the tool a maintainer runs
+``repro compare OLD.json NEW.json`` compares two documents written by
+``repro experiment all --json`` and reports every numeric cell that
+drifted beyond :data:`DEFAULT_TOLERANCE` — the tool a maintainer runs
 after touching a generator or a page table to see exactly which figures
 moved.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.export import read_json
 from repro.analysis.report import render_table
 
 #: Default relative drift considered significant.
@@ -79,26 +76,3 @@ def render_diff(drifts: List[List]) -> str:
         title=f"{len(drifts)} drifted cells",
         precision=4,
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: non-zero exit when any cell drifted."""
-    parser = argparse.ArgumentParser(
-        description="Diff two runner --json exports."
-    )
-    parser.add_argument("old")
-    parser.add_argument("new")
-    parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help=f"relative drift threshold (default {DEFAULT_TOLERANCE})",
-    )
-    args = parser.parse_args(argv)
-    drifts = diff_results(
-        read_json(args.old), read_json(args.new), args.tolerance
-    )
-    print(render_diff(drifts))
-    return 1 if drifts else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,15 +18,7 @@ from repro.util.atomic_io import atomic_write_text, atomic_writer
 
 def results_to_dict(results: Dict[str, "ExperimentResult"]) -> dict:
     """Convert an experiment-id → result mapping into plain data."""
-    return {
-        key: {
-            "experiment": result.experiment,
-            "headers": list(result.headers),
-            "rows": [list(row) for row in result.rows],
-            "notes": result.notes,
-        }
-        for key, result in results.items()
-    }
+    return {key: result.as_dict() for key, result in results.items()}
 
 
 def write_json(results: Dict[str, "ExperimentResult"], path: str) -> Path:

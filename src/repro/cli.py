@@ -35,11 +35,13 @@ Commands
 ``topology [NAME|FILE] [--validate FILE]``
     NUMA machine models: list the presets, print one preset's (or a JSON
     file's) latency matrix, or validate a topology JSON file.
-``compare WORKLOAD`` / ``compare RUN_A RUN_B``
+``compare WORKLOAD`` / ``compare RUN_A RUN_B`` / ``compare OLD.json NEW.json``
     With one workload name: quick both-metrics shoot-out.  With two run
     directories: a cross-run delta table over every (family, config,
     metric) the two runs share (metrics.json, report.json walk profile,
-    and any ``BENCH_*.json``).
+    and any ``BENCH_*.json``).  With two ``experiment all --json``
+    exports: every numeric cell that drifted by 2% or more (exit 1 on
+    any drift).
 ``trend [--ledger FILE] [--family F] [--last N] [--all]``
     Per-metric sparklines over the cross-run benchmark ledger (gated
     metrics by default; ``--all`` trends every key).
@@ -60,14 +62,16 @@ Commands
     when a ledger is available); writes ``report.md`` plus a JSON
     sidecar ``report.json`` into the run directory and prints the
     markdown.
-``validate``
-    Audit workload calibration against Table 1 (non-zero exit on drift).
+``validate [--fast]``
+    Audit every workload's calibration, paper and modern, against its
+    Table 1 targets at 100k references (non-zero exit on drift).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import List, Optional, Tuple
 
 from repro.analysis.metrics import make_table, normalised_sizes, table_sizes
@@ -182,14 +186,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         verdicts = claims_module.verify(trace_length=trace_length)
         print(claims_module.report(verdicts).render())
         return 0 if all(claim.holds for claim in verdicts) else 1
-    restricted = {
-        "numa": _run_numa_experiment,
-        "tenancy": _run_tenancy_experiment,
-        "modern": _run_modern_experiment,
-    }.get(args.id)
+    restrictions = _restrictions(args)
     with _tracing(args.trace_out) as tracer:
-        if restricted is not None:
-            results = [restricted(args, trace_length, workloads)]
+        if restrictions or args.id in runner.CELLED:
+            module = import_module(f"repro.experiments.{args.id}")
+            results = [module.run(
+                trace_length=trace_length, workloads=workloads,
+                **restrictions,
+            )]
         else:
             table = runner.producers(trace_length, workloads)
             results = [table[key]() for key in runner_keys(args.id)]
@@ -230,7 +234,6 @@ def _run_all(
     workloads: Optional[List[str]],
 ) -> int:
     """``experiment all``: every selected experiment, through ``run_all``."""
-    import signal
     from pathlib import Path
 
     from repro.analysis.report import (
@@ -242,8 +245,10 @@ def _run_all(
         ResilienceConfig,
         RunInterrupted,
         RunMetrics,
+        interrupt_line,
         run_all,
         select_experiments,
+        sigterm_drains,
     )
     from repro.obs.metrics import get_registry
     from repro.resilience.faults import FaultPlan
@@ -277,17 +282,9 @@ def _run_all(
         fault_plan=fault_plan,
     )
     only = args.only.split(",") if args.only else None
-
-    def _sigterm(signum, frame):
-        raise KeyboardInterrupt
-
-    try:
-        previous_term = signal.signal(signal.SIGTERM, _sigterm)
-    except ValueError:  # not the main thread
-        previous_term = None
     metrics = RunMetrics()
     try:
-        with _tracing(args.trace_out) as tracer:
+        with sigterm_drains(), _tracing(args.trace_out) as tracer:
             # A run directory implies profiling: every run-dir then
             # carries the walk profile and percentile histograms that
             # `repro report` renders.
@@ -302,21 +299,10 @@ def _run_all(
                 profile=bool(args.profile_out or resilience.run_dir),
                 engine=args.engine,
             )
-    except RunInterrupted as interrupt:
+    except RunInterrupted:
         total = len(select_experiments(only))
-        done = len(interrupt.completed) + metrics.resumed_skips
-        print(
-            f"[interrupted: {done}/{total} experiments completed"
-            + (
-                f"; resume with --resume {resilience.run_dir}]"
-                if resilience.run_dir
-                else "]"
-            )
-        )
+        print(interrupt_line(metrics, total, resilience.run_dir))
         return 130
-    finally:
-        if previous_term is not None:
-            signal.signal(signal.SIGTERM, previous_term)
     for result in results.values():
         print(result.render(precision=3))
         print()
@@ -351,83 +337,46 @@ def _run_all(
     return 0
 
 
-def _run_numa_experiment(
-    args: argparse.Namespace,
-    trace_length: int,
-    workloads: Optional[List[str]],
-):
-    """The numa study with its --topology / --replication restrictions."""
-    from repro.experiments import numa as numa_experiment
+def _restrictions(args: argparse.Namespace) -> dict:
+    """The id's restriction flags as keywords of its ``run``.  Each is
+    checked alone (tenancy and modern: through ``cells``), so a bad value
+    is a usage error naming its flag, raised before anything runs."""
+    from repro.errors import ConfigurationError
+    from repro.experiments import modern, tenancy
     from repro.numa.policy import POLICY_NAMES
     from repro.numa.topology import get_topology
 
-    kwargs: dict = {"trace_length": trace_length, "workloads": workloads}
-    if args.topology:
-        kwargs["topologies"] = (get_topology(args.topology),)
-    if args.replication:
-        policies = tuple(args.replication.split(","))
-        unknown = sorted(set(policies) - set(POLICY_NAMES))
+    def policies(text: str) -> Tuple[str, ...]:
+        names = tuple(text.split(","))
+        unknown = sorted(set(names) - set(POLICY_NAMES))
         if unknown:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"unknown replication policies {unknown}; "
                 f"known: {POLICY_NAMES}"
             )
-        kwargs["policies"] = policies
-    return numa_experiment.run(**kwargs)
+        return names
 
-
-def _run_tenancy_experiment(
-    args: argparse.Namespace,
-    trace_length: int,
-    workloads: Optional[List[str]],
-):
-    """The tenancy study with its --tenants / --churn / --tables
-    restrictions."""
-    from repro.experiments import tenancy as tenancy_experiment
-
-    kwargs: dict = {"trace_length": trace_length, "workloads": workloads}
-    if args.tenants:
+    parsers = {  # dest → (the keyword of run, parser of the flag's text)
+        "topology": ("topologies", lambda text: (get_topology(text),)),
+        "replication": ("policies", policies),
+        "tenants": ("tenants", lambda text: tuple(map(int, text.split(",")))),
+        "churn": ("churn_modes", tenancy.parse_churn),
+        "footprint": ("footprints", modern.parse_footprints),
+        "tables": ("tables", lambda text: tuple(text.split(","))),
+    }
+    cells = {"tenancy": tenancy.cells, "modern": modern.cells}.get(args.id)
+    restrictions: dict = {}
+    for dest, (keyword, parse) in parsers.items():
+        text = getattr(args, dest)
+        if text is None:
+            continue
         try:
-            kwargs["tenants"] = tuple(
-                int(part) for part in args.tenants.split(",")
-            )
-        except ValueError:
-            raise SystemExit(
-                f"--tenants expects comma-separated integers, "
-                f"got {args.tenants!r}"
-            )
-    if args.churn:
-        try:
-            kwargs["churn_modes"] = tenancy_experiment.parse_churn(args.churn)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-    if args.tables:
-        kwargs["tables"] = tuple(args.tables.split(","))
-    return tenancy_experiment.run(**kwargs)
-
-
-def _run_modern_experiment(
-    args: argparse.Namespace,
-    trace_length: int,
-    workloads: Optional[List[str]],
-):
-    """The modern sweep with its --footprint / --tables restrictions."""
-    from repro.experiments import modern as modern_experiment
-
-    kwargs: dict = {"trace_length": trace_length, "workloads": workloads}
-    if args.footprint:
-        try:
-            kwargs["footprints"] = modern_experiment.parse_footprints(
-                args.footprint
-            )
-        except ValueError:
-            raise SystemExit(
-                f"--footprint expects comma-separated MB values, "
-                f"got {args.footprint!r}"
-            )
-    if args.tables:
-        kwargs["tables"] = tuple(args.tables.split(","))
-    return modern_experiment.run(**kwargs)
+            restrictions[keyword] = parse(text)
+            if cells is not None:
+                cells(**{keyword: restrictions[keyword]})
+        except (ValueError, ConfigurationError) as exc:
+            args.usage_error(f"--{dest}: {exc}")
+    return restrictions
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
@@ -546,6 +495,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     import os
 
+    if os.path.isfile(args.workload):
+        return _cmd_compare_exports(args)
     if os.path.isdir(args.workload) or getattr(args, "run_b", None):
         return _cmd_compare_runs(args)
     from repro.mmu.simulate import collect_misses, replay_misses
@@ -571,6 +522,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ),
     ))
     return 0
+
+
+def _cmd_compare_exports(args: argparse.Namespace) -> int:
+    """``compare OLD.json NEW.json``: drifted cells; exit 1 on drift."""
+    import os
+
+    from repro.analysis.compare import diff_results, render_diff
+    from repro.analysis.export import read_json
+
+    old, new = args.workload, getattr(args, "run_b", None)
+    if new is None or not os.path.isfile(new):
+        print(
+            f"compare: {old} is a --json export — pass a second export "
+            "to diff against (compare OLD.json NEW.json)"
+        )
+        return 1
+    drifts = diff_results(read_json(old), read_json(new))
+    print(render_diff(drifts))
+    return 1 if drifts else 0
 
 
 def _cmd_compare_runs(args: argparse.Namespace) -> int:
@@ -642,17 +612,18 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _compare_target(value: str):
-    """A ``compare`` positional: a paper workload or a run directory."""
+    """A ``compare`` positional: a paper workload, a run directory, or a
+    ``--json`` export."""
     import os
 
     if value in sorted(set(PAPER_WORKLOADS) - {"kernel"}):
         return value
-    if os.path.isdir(value):
+    if os.path.exists(value):
         return value
     raise argparse.ArgumentTypeError(
         f"{value!r} is neither a comparable workload "
         f"({', '.join(sorted(set(PAPER_WORKLOADS) - {'kernel'}))}) "
-        "nor an existing run directory"
+        "nor an existing run directory or --json export"
     )
 
 
@@ -856,16 +827,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser(
         "compare",
-        help="page-table shoot-out for a workload, or a cross-run delta "
-        "between two run directories",
+        help="page-table shoot-out for a workload, a cross-run delta "
+        "between two run directories, or the drifted cells between two "
+        "--json exports",
     )
     compare.add_argument(
-        "workload", metavar="WORKLOAD|RUN_A", type=_compare_target,
-        help="a paper workload name, or a run directory to diff",
+        "workload", metavar="WORKLOAD|RUN_A|OLD.json", type=_compare_target,
+        help="a paper workload name, a run directory, or a --json export "
+        "to diff",
     )
     compare.add_argument(
-        "run_b", metavar="RUN_B", nargs="?", default=None,
-        help="second run directory (cross-run delta mode)",
+        "run_b", metavar="RUN_B|NEW.json", nargs="?", default=None,
+        help="second run directory or --json export",
     )
 
     trend = sub.add_parser(

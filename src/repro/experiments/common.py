@@ -52,6 +52,9 @@ class ExperimentResult:
     headers: List[str]
     rows: List[List]
     notes: str = ""
+    #: A celled experiment's cell records, in sweep order (the rows are
+    #: derived from them); ``None`` for every other experiment.
+    records: Optional[List[Dict[str, object]]] = None
 
     def render(self, precision: int = 2) -> str:
         """Paper-style text rendering."""
@@ -60,6 +63,25 @@ class ExperimentResult:
         if self.notes:
             text += f"\n\n{self.notes}"
         return text
+
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-safe form (exports, journal entries); no records."""
+        return {
+            "experiment": self.experiment,
+            "headers": list(self.headers),
+            "rows": [list(row) for row in self.rows],
+            "notes": self.notes,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: Dict[str, object]) -> "ExperimentResult":
+        """Rebuild an :meth:`as_dict` form; renders byte-identically."""
+        return cls(
+            experiment=str(doc["experiment"]),
+            headers=list(doc["headers"]),
+            rows=[list(row) for row in doc["rows"]],
+            notes=str(doc.get("notes", "")),
+        )
 
     def by_label(self) -> Dict[str, List]:
         """Rows keyed by their first column."""

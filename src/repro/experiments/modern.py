@@ -21,6 +21,10 @@ sizing, as the tenancy sweep does), so the sweep compares table
 *organisations*, not a fixed hash size that degrades as footprints
 grow.  Replays go through :func:`repro.experiments.common.replay`, so
 ``--engine batch`` and the persistent stream cache apply unchanged.
+
+The sweep is ordered :func:`cells`; :func:`measure` turns one into a
+JSON-safe record and :func:`merge` turns the records into the table.
+The runner runs each cell as its own task; :func:`run` maps serially.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import make_table, normalised_sizes, table_sizes
+from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     TLB_ENTRIES,
@@ -122,25 +127,65 @@ def run_config(
     return rows
 
 
-def run(
-    trace_length: int = 200_000,
+def cells(
     workloads: Optional[Sequence[str]] = None,
     footprints: Optional[Sequence[float]] = None,
     tables: Optional[Sequence[str]] = None,
-    seed: int = SEED,
-) -> ExperimentResult:
-    """The modern sweep as an :class:`ExperimentResult`."""
-    names = select_workloads(workloads)
+) -> List[Dict[str, object]]:
+    """The sweep's cells in order, one per (workload, footprint) pair; a
+    cell's tables share one workload build and miss stream."""
     footprint_list = tuple(footprints or DEFAULT_FOOTPRINTS)
-    table_names = tuple(tables or DEFAULT_TABLES)
-    rows: List[List] = []
-    for name in names:
-        for footprint_mb in footprint_list:
-            rows.extend(
-                run_config(
-                    name, footprint_mb, table_names, trace_length, seed
-                )
-            )
+    table_names = list(tables or DEFAULT_TABLES)
+    bad = [mb for mb in footprint_list if not 0 < mb < math.inf]
+    if bad:
+        raise ConfigurationError(
+            f"footprints must be positive, finite MB values, got {bad}"
+        )
+    for name in table_names:
+        make_table(name)  # an unknown name raises ConfigurationError
+    return [
+        {
+            "id": f"{name}/{footprint_mb:g}MB",
+            "workload": name,
+            "footprint_mb": footprint_mb,
+            "tables": table_names,
+        }
+        for name in select_workloads(workloads)
+        for footprint_mb in footprint_list
+    ]
+
+
+def measure(cell: Dict[str, object], trace_length: int) -> Dict[str, object]:
+    """One cell's JSON-safe record: the run_config numbers, per table."""
+    rows = run_config(
+        cell["workload"], cell["footprint_mb"], cell["tables"], trace_length
+    )
+    return {
+        "config": cell["id"],
+        "workload": cell["workload"],
+        "footprint_mb": cell["footprint_mb"],
+        "mapped_pages": rows[0][1],
+        "misses_per_kref": rows[0][4],
+        "tables": [
+            {"table": name, "size_vs_hashed": row[2], "lines_per_miss": row[3]}
+            for name, row in zip(cell["tables"], rows)
+        ],
+    }
+
+
+def merge(records: Sequence[Dict[str, object]]) -> ExperimentResult:
+    """The sweep's records, in sweep order, as an :class:`ExperimentResult`."""
+    rows = [
+        [
+            f"{record['config']}/{table['table']}",
+            record["mapped_pages"],
+            table["size_vs_hashed"],
+            table["lines_per_miss"],
+            record["misses_per_kref"],
+        ]
+        for record in records
+        for table in record["tables"]
+    ]
     return ExperimentResult(
         experiment=(
             "Modern workloads: table size and lines/miss across footprints"
@@ -161,7 +206,19 @@ def run(
             "floor), so organisations are compared at matched load "
             "factors."
         ),
+        records=list(records),
     )
+
+
+def run(
+    trace_length: int = 200_000,
+    workloads: Optional[Sequence[str]] = None,
+    footprints: Optional[Sequence[float]] = None,
+    tables: Optional[Sequence[str]] = None,
+) -> ExperimentResult:
+    """The modern sweep as an :class:`ExperimentResult`."""
+    sweep = cells(workloads, footprints, tables)
+    return merge([measure(cell, trace_length) for cell in sweep])
 
 
 def parse_footprints(text: str) -> Tuple[float, ...]:

@@ -10,7 +10,9 @@ small two-stage dependency graph:
    (:mod:`repro.cache.stream_cache`);
 2. **Replays / report rows** — the experiments themselves, fanned out
    once their stream artefacts exist, each worker reading phase-1 results
-   from the shared cache instead of re-simulating.
+   from the shared cache instead of re-simulating.  A *celled*
+   experiment (:data:`CELLED`) runs each cell of its sweep as one task,
+   labelled ``<key>/<cell id>``.
 
 One scheduler runs both stages at every ``jobs`` setting.  ``jobs=N``
 submits the tasks to a pool of N worker processes; ``jobs=1`` submits
@@ -28,9 +30,9 @@ backoff; a per-task timeout bounds each pool task's wall clock (worker
 pools are recycled around hung tasks); ``keep_going`` completes the DAG
 around permanently failed tasks and emits an explicit failure manifest
 instead of all-or-nothing; a run directory journals every completed
-experiment to an append-only fsync'd JSONL so a resumed run skips
-finished work after a crash or SIGINT; and Ctrl-C drains gracefully —
-pending tasks are cancelled, the journal is flushed, and
+task to an append-only fsync'd JSONL so a resumed run skips finished
+work after a crash or SIGINT; and Ctrl-C drains gracefully — pending
+tasks are cancelled, the journal is flushed, and
 :class:`RunInterrupted` carries the completed experiments.
 """
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import json
 import random
+import signal
 import time
 from collections import deque
 from concurrent.futures import (
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cache.stream_cache import CacheStats
 from repro.errors import ConfigurationError
@@ -119,6 +122,14 @@ _SINGLE_STREAM_EXPERIMENTS = (
     "table1", "softtlb", "guarded", "cachesim", "numa",
 )
 
+#: Experiments that run as cells, one task each.  Each module provides
+#: ``cells(workloads)`` (its sweep), ``measure(cell, trace_length)``
+#: (one JSON-safe record) and ``merge(records)`` (the result).
+CELLED = {"tenancy": tenancy, "modern": modern}
+
+#: One cell of a celled experiment: JSON-safe, with a unique ``id``.
+Cell = Dict[str, object]
+
 
 def producers(
     trace_length: int,
@@ -129,7 +140,7 @@ def producers(
     ``workloads`` restricts every experiment that accepts a workload
     subset; the rest (synthetic-space and analytic studies) ignore it.
     Runner tasks and ``repro experiment ID`` both produce through this
-    table.
+    table; the :data:`CELLED` experiments produce cell by cell instead.
     """
     w = {"workloads": tuple(workloads)} if workloads else {}
     return {
@@ -160,8 +171,6 @@ def producers(
         "pressure": lambda: pressure.run(),
         "promotion_scan": lambda: promotion_scan.run(**w),
         "numa": lambda: numa.run(trace_length=trace_length, **w),
-        "tenancy": lambda: tenancy.run(trace_length=trace_length, **w),
-        "modern": lambda: modern.run(trace_length=trace_length, **w),
     }
 
 
@@ -329,6 +338,12 @@ def _prewarm_label(task: StreamTask) -> str:
     return "/".join(str(part) for part in task)
 
 
+def _cell_label(key: str, cell: Optional[Cell]) -> str:
+    """A task's label and journal key: the experiment, or
+    ``<experiment>/<cell id>`` for a cell."""
+    return key if cell is None else f"{key}/{cell['id']}"
+
+
 def _run_task(
     stage: str,
     key: object,
@@ -336,14 +351,13 @@ def _run_task(
     trace_length: int,
     workloads: Optional[Tuple[str, ...]],
     attempt: int = 1,
-) -> Tuple[
-    Optional[ExperimentResult], float, CacheStats, Optional[TaskTelemetry]
-]:
+) -> Tuple[object, float, CacheStats, Optional[TaskTelemetry]]:
     """One task of either stage, in a pool worker or in the runner.
 
     A ``prewarm`` task materialises one miss stream (``key`` is a
     :data:`StreamTask`) into the shared cache; an ``experiment`` task
-    produces one experiment's result table.  With a stream cache the
+    (``key`` is an (experiment, cell) pair) produces one experiment's
+    result table, or one cell's record.  With a stream cache the
     stream memo is dropped first, so the task's cache delta depends
     only on (key, disk state) — not on which tasks ran before it in the
     same process — keeping the accounting identical across ``--jobs``.
@@ -362,7 +376,11 @@ def _run_task(
             workload = common.get_workload(name, trace_length)
             common.get_miss_stream(workload, tlb_kind, entries)
         else:
-            result = producers(trace_length, workloads)[key]()
+            name, cell = key
+            result = (
+                producers(trace_length, workloads)[name]() if cell is None
+                else CELLED[name].measure(cell, trace_length)
+            )
         elapsed = time.perf_counter() - started
         delta = common.stream_cache_stats().delta(before)
     return result, elapsed, delta, telemetry
@@ -449,24 +467,27 @@ class RunInterrupted(KeyboardInterrupt):
         )
 
 
-def _result_to_dict(result: ExperimentResult) -> Dict[str, object]:
-    """JSON-safe journal payload for one result."""
-    return {
-        "experiment": result.experiment,
-        "headers": list(result.headers),
-        "rows": [list(row) for row in result.rows],
-        "notes": result.notes,
-    }
+@contextmanager
+def sigterm_drains():
+    """Within the block, SIGTERM drains the run as Ctrl-C does."""
+    try:
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    except ValueError:  # not the main thread
+        previous = None
+    try:
+        yield
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
-def _result_from_dict(doc: Dict[str, object]) -> ExperimentResult:
-    """Rebuild a journaled result; renders byte-identically."""
-    return ExperimentResult(
-        experiment=str(doc["experiment"]),
-        headers=list(doc["headers"]),
-        rows=[list(row) for row in doc["rows"]],
-        notes=str(doc.get("notes", "")),
-    )
+def interrupt_line(
+    metrics: "RunMetrics", total: int, run_dir: Optional[str]
+) -> str:
+    """What a drained run prints: experiments done, and how to resume."""
+    done = len(metrics.completed) + metrics.resumed_skips
+    resume = f"; resume with --resume {run_dir}" if run_dir else ""
+    return f"[interrupted: {done}/{total} experiments completed{resume}]"
 
 
 def _record_failure(
@@ -515,11 +536,14 @@ class RunMetrics:
     wall_seconds: float = 0.0
     prewarm_tasks: int = 0
     prewarm_seconds: float = 0.0
+    #: Experiment-stage tasks completed this run (a cell is one task).
+    experiment_tasks: int = 0
     #: Wall time of each runner phase (phase-1 prewarm, phase-2
     #: experiments), also observed into the metrics registry's
     #: ``runner.phase_seconds`` histogram.
     prewarm_wall_seconds: float = 0.0
     experiments_wall_seconds: float = 0.0
+    #: One entry per experiment; a celled experiment's sums its cells.
     timings: List[ExperimentTiming] = field(default_factory=list)
     cache: CacheStats = field(default_factory=CacheStats)
     #: Resilience accounting (mirrored into the metrics registry as
@@ -600,6 +624,7 @@ class RunMetrics:
             "wall_seconds": self.wall_seconds,
             "prewarm_tasks": self.prewarm_tasks,
             "prewarm_seconds": self.prewarm_seconds,
+            "experiment_tasks": self.experiment_tasks,
             "prewarm_wall_seconds": self.prewarm_wall_seconds,
             "experiments_wall_seconds": self.experiments_wall_seconds,
             "busy_seconds": self.busy_seconds,
@@ -663,6 +688,28 @@ def _write_run_artifacts(run_dir: str, metrics: RunMetrics) -> None:
             handle.write("\n")
 
 
+def _sweeps(
+    keys: Sequence[str],
+    workloads: Optional[Tuple[str, ...]],
+    cells: Optional[Mapping[str, Sequence[Cell]]],
+) -> Dict[str, List[Optional[Cell]]]:
+    """Each experiment's tasks in sweep order: a celled one's cells (given,
+    or its own sweep), and one ``None`` cell for any other."""
+    cells = dict(cells or {})
+    unknown = sorted(set(cells) - set(CELLED))
+    if unknown:
+        raise ConfigurationError(
+            f"{unknown} do not run as cells; celled: {sorted(CELLED)}"
+        )
+    sweeps: Dict[str, List[Optional[Cell]]] = {key: [None] for key in keys}
+    for key in [key for key in keys if key in CELLED]:
+        sweeps[key] = list(cells.get(key) or CELLED[key].cells(workloads))
+        ids = [cell["id"] for cell in sweeps[key]]
+        if len(set(ids)) < len(ids):
+            raise ConfigurationError(f"{key} repeats cells: {ids}")
+    return sweeps
+
+
 def run_all(
     trace_length: int = 200_000,
     jobs: int = 1,
@@ -673,6 +720,7 @@ def run_all(
     resilience: Optional[ResilienceConfig] = None,
     profile: bool = False,
     engine: str = "scalar",
+    cells: Optional[Mapping[str, Sequence[Cell]]] = None,
 ) -> Dict[str, ExperimentResult]:
     """Regenerate every table and figure; returns results keyed by id.
 
@@ -700,14 +748,20 @@ def run_all(
     ``batch``); the choice is re-applied inside every worker process and
     restored in this process when the run finishes.  Batch replay is
     exact, so results are identical either way.
+
+    ``cells`` maps a :data:`CELLED` experiment to the cells to run in
+    place of its own sweep.  Each cell is one task and one journal entry
+    (a resume recomputes only missing cells), and the result carries the
+    cell records in sweep order (``ExperimentResult.records``).
     """
     keys = select_experiments(only)
+    workloads = tuple(workloads) if workloads else None
+    sweeps = _sweeps(keys, workloads, cells)
     cfg = resilience if resilience is not None else ResilienceConfig()
     metrics = metrics if metrics is not None else RunMetrics()
     metrics.jobs = max(1, jobs)
     metrics.cache_dir = str(cache_dir) if cache_dir else None
     metrics.profiled = bool(profile)
-    workloads = tuple(workloads) if workloads else None
     previous_engine = common.active_engine()
     previous_cache = common.stream_cache()
     metrics.engine = common.configure_engine(engine)
@@ -740,7 +794,9 @@ def run_all(
     try:
         common.configure_stream_cache(cache_dir)
         journal: Optional[RunJournal] = None
-        resumed: Dict[str, ExperimentResult] = {}
+        # Experiment → {task label: result, or a cell's record} of its
+        # finished tasks, journaled or fresh.
+        records: Dict[str, Dict[str, object]] = {key: {} for key in keys}
         if cfg.run_dir:
             journal = RunJournal(cfg.run_dir)
             journal.ensure_header(
@@ -752,15 +808,23 @@ def run_all(
             )
             if cfg.resume:
                 state = journal.load()
-                registry = get_registry()
                 for key in keys:
-                    doc = state.result_for(
-                        key, task_digest(key, trace_length, workloads)
-                    )
-                    if doc is not None:
-                        resumed[key] = _result_from_dict(doc)
-                        metrics.resumed_skips += 1
-                        registry.inc("runner.resumed_skips", experiment=key)
+                    for cell in sweeps[key]:
+                        label = _cell_label(key, cell)
+                        doc = state.result_for(label, task_digest(
+                            key, trace_length, workloads, cell
+                        ))
+                        if doc is not None:
+                            records[key][label] = (
+                                ExperimentResult.from_dict(doc)
+                                if cell is None else doc
+                            )
+        resumed = [
+            key for key in keys if len(records[key]) == len(sweeps[key])
+        ]
+        for key in resumed:
+            metrics.resumed_skips += 1
+            get_registry().inc("runner.resumed_skips", experiment=key)
         pending = tuple(key for key in keys if key not in resumed)
 
         # Heartbeat progress (progress.json) for `repro watch`: only when
@@ -778,10 +842,11 @@ def run_all(
         )
         try:
             with fault_scope:
-                fresh = _run_stages(
-                    pending, trace_length, cache_dir, workloads, metrics,
-                    cfg, journal, tracker,
-                ) if pending else {}
+                if pending:
+                    _run_stages(
+                        pending, trace_length, cache_dir, workloads,
+                        metrics, cfg, journal, tracker, sweeps, records,
+                    )
         except RunInterrupted:
             if tracker is not None:
                 tracker.finish(interrupted=True)
@@ -790,11 +855,15 @@ def run_all(
             if tracker is not None:
                 tracker.abandon(f"{type(exc).__name__}: {exc}")
             raise
-        results = {
-            key: resumed[key] if key in resumed else fresh[key]
-            for key in keys
-            if key in resumed or key in fresh
-        }
+        # Merge in sweep order: a celled experiment from its records,
+        # any other is its one task's result.
+        results = {}
+        for key in keys:
+            done = [records[key].get(_cell_label(key, c)) for c in sweeps[key]]
+            if None not in done:
+                results[key] = (
+                    CELLED[key].merge(done) if key in CELLED else done[0]
+                )
         # The tracker's final fsync'd write is part of the run, so it
         # happens before wall_seconds is read.
         if tracker is not None:
@@ -1017,17 +1086,21 @@ def _run_stages(
     metrics: RunMetrics,
     cfg: ResilienceConfig,
     journal: Optional[RunJournal],
-    tracker: Optional[ProgressTracker] = None,
-) -> Dict[str, ExperimentResult]:
+    tracker: Optional[ProgressTracker],
+    sweeps: Dict[str, List[Optional[Cell]]],
+    records: Dict[str, Dict[str, object]],
+) -> None:
     """Run the prewarm stage (with a stream cache) and then the experiments.
 
     Every task of both stages goes through :func:`_drain` on one
     executor — :class:`_InlineExecutor` at ``--jobs 1``, a process pool
     otherwise — and lands through one success handler, so metrics,
     registry, journal and progress are fed the same way at every
-    ``--jobs``.  Each stage runs under a ``phase:<name>`` span and is
-    observed into ``runner.phase_seconds{phase}``, even when it is
-    interrupted.
+    ``--jobs``.  An experiment contributes one task per cell of its
+    sweep not yet in ``records`` (resumed cells), and completes when its
+    last task lands there.  Each stage runs under a ``phase:<name>``
+    span and is observed into ``runner.phase_seconds{phase}``, even when
+    it is interrupted.
     """
     def executor_factory() -> Executor:
         if metrics.jobs == 1:
@@ -1054,12 +1127,18 @@ def _run_stages(
             )
             for task in stream_prewarm_plan(keys, workloads)
         ]))
-    # Stage 2: the experiments themselves.
+    # Stage 2: the experiments themselves, celled ones cell by cell.
+    labelled = [
+        (key, cell, _cell_label(key, cell))
+        for key in keys for cell in sweeps[key]
+    ]
     stages.append(("experiments", [
-        _Task("experiment", key, key, task_rng(cfg.retry, key))
-        for key in keys
+        _Task("experiment", (key, cell), label, task_rng(cfg.retry, label))
+        for key, cell, label in labelled
+        if label not in records[key]
     ]))
-    results: Dict[str, ExperimentResult] = {}
+    # An experiment's timing sums its tasks until the last one lands.
+    timings: Dict[str, ExperimentTiming] = {}
 
     def submit(pool: Executor, task: _Task) -> Future:
         return pool.submit(
@@ -1073,20 +1152,30 @@ def _run_stages(
         if telemetry is not None:
             _absorb_telemetry(metrics, telemetry)
         registry.observe("runner.task_seconds", elapsed, stage=task.stage)
+        done: Optional[str] = None  # the experiment this task completes
         if task.stage == "prewarm":
             metrics.prewarm_tasks += 1
             metrics.prewarm_seconds += elapsed
         else:
-            results[task.key] = result
-            metrics.timings.append(ExperimentTiming(task.key, elapsed, delta))
-            metrics.completed.append(task.key)
+            metrics.experiment_tasks += 1
+            key, cell = task.key
             if journal is not None:
                 journal.append_result(
-                    task.key, task_digest(task.key, trace_length, workloads),
-                    _result_to_dict(result), elapsed, task.attempts,
+                    task.label,
+                    task_digest(key, trace_length, workloads, cell),
+                    result.as_dict() if cell is None else result,
+                    elapsed, task.attempts,
                 )
+            records[key][task.label] = result
+            timing = timings.setdefault(key, ExperimentTiming(key, 0.0))
+            timing.seconds += elapsed
+            timing.cache.merge(delta)
+            if len(records[key]) == len(sweeps[key]):
+                metrics.timings.append(timing)
+                metrics.completed.append(key)
+                done = key
         if tracker is not None:
-            tracker.task_done(task.label, elapsed)
+            tracker.task_done(done, elapsed)
 
     pool_ref: Dict[str, object] = {
         "pool": executor_factory(), "factory": executor_factory,
@@ -1121,7 +1210,6 @@ def _run_stages(
     # Deterministic merge: paper order, not completion order.
     order = {key: index for index, key in enumerate(EXPERIMENT_ORDER)}
     metrics.timings.sort(key=lambda t: order.get(t.key, len(order)))
-    return results
 
 
 def run_all_with_metrics(

@@ -19,14 +19,19 @@ operator cares about and what a mean hides.
 The hash-bucket count scales with the arena population (§6.1's ~4
 entries/bucket sizing), so the sweep measures organisational structure,
 not a misconfigured hash size.
+
+The sweep is ordered :func:`cells`; :func:`measure` turns one into a
+JSON-safe record and :func:`merge` turns the records into the table.
+The runner runs each cell as its own task; :func:`run` maps serially.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import make_table
+from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentResult
 from repro.os.physmem import FrameAllocator
 from repro.tenancy.arena import SharedArena
@@ -126,60 +131,115 @@ def run_config(
     return scheduler.run(), scheduler
 
 
+def _numbers(result: TenancyResult) -> Dict[str, object]:
+    """One run's unrounded percentiles and counters, as records keep them."""
+    counts = (
+        "misses", "faults", "cache_lines", "refault_misses", "arrivals",
+        "departures", "reclaims", "evicted_ptes", "shootdown_entries",
+    )
+    return {
+        "p50_cycles": result.population.p50,
+        "p95_cycles": result.population.p95,
+        "p99_cycles": result.population.p99,
+        "worst_tenant_p99": result.worst_tenant_p99,
+        "mean_cycles": result.mean_cycles,
+        **{name: getattr(result, name) for name in counts},
+    }
+
+
+def config_label(record: Dict[str, object], table: Dict[str, object]) -> str:
+    """``table/tenants/churn``: one table's row label within a record."""
+    return f"{table['table']}/{record['tenants']}t/{record['churn']}"
+
+
+def lines_per_miss(table: Dict[str, object]) -> float:
+    """Cache lines per resolved (non-faulting) miss of one table."""
+    resolved = table["misses"] - table["faults"]
+    return table["cache_lines"] / resolved if resolved else 0.0
+
+
+def _row(record: Dict[str, object], table: Dict[str, object]) -> List:
+    return [
+        config_label(record, table),
+        *(round(table[name], 1) for name in (
+            "p50_cycles", "p95_cycles", "p99_cycles", "worst_tenant_p99",
+            "mean_cycles",
+        )),
+        round(lines_per_miss(table), 3),
+        round(1000.0 * table["refault_misses"] / table["misses"], 2),
+        table["evicted_ptes"],
+    ]
+
+
 def config_row(
     table_name: str,
     tenants: int,
     churn_fraction: float,
     result: TenancyResult,
 ) -> List:
-    resolved = result.misses - result.faults
-    lines_per_miss = result.cache_lines / resolved if resolved else 0.0
-    refaults_per_k = 1000.0 * result.refault_misses / result.misses
-    return [
-        f"{table_name}/{tenants}t/{churn_tag(churn_fraction)}",
-        round(result.population.p50, 1),
-        round(result.population.p95, 1),
-        round(result.population.p99, 1),
-        round(result.worst_tenant_p99, 1),
-        round(result.mean_cycles, 1),
-        round(lines_per_miss, 3),
-        round(refaults_per_k, 2),
-        result.evicted_ptes,
-    ]
+    """The sweep's row for one :func:`run_config` result."""
+    record = {"tenants": tenants, "churn": churn_tag(churn_fraction)}
+    return _row(record, {"table": table_name, **_numbers(result)})
 
 
-def run(
-    trace_length: int = 200_000,
+def cells(
     workloads: Optional[Sequence[str]] = None,
     tenants: Optional[Sequence[int]] = None,
     tables: Optional[Sequence[str]] = None,
     churn_modes: Optional[Sequence[float]] = None,
-    seed: int = SEED,
-    footprint: int = FOOTPRINT,
-) -> ExperimentResult:
-    """The tenancy sweep as an :class:`ExperimentResult`.
-
-    ``workloads`` is accepted for runner uniformity and ignored —
-    tenant workloads are synthetic (seeded Zipf draws), not the paper's
-    calibrated traces.
-    """
-    del workloads
+) -> List[Dict[str, object]]:
+    """The sweep's cells in order, one per (tenants, churn) pair; a cell's
+    tables replay one cached tenant bundle.  ``workloads`` is ignored
+    (tenant workloads are synthetic Zipf draws)."""
     tenant_counts = tuple(tenants or DEFAULT_TENANTS)
-    table_names = tuple(tables or DEFAULT_TABLES)
-    churn_fractions = tuple(
-        DEFAULT_CHURN if churn_modes is None else churn_modes
-    )
-    rows: List[List] = []
-    for count in tenant_counts:
-        for churn_fraction in churn_fractions:
-            for table_name in table_names:
-                result, _ = run_config(
-                    table_name, count, churn_fraction, trace_length,
-                    seed=seed, footprint=footprint,
-                )
-                rows.append(
-                    config_row(table_name, count, churn_fraction, result)
-                )
+    table_names = list(tables or DEFAULT_TABLES)
+    bad = [n for n in tenant_counts if not isinstance(n, int) or n < 1]
+    if bad:
+        raise ConfigurationError(
+            f"tenant populations must be positive integers, got {bad}"
+        )
+    for name in table_names:
+        make_table(name)  # an unknown name raises ConfigurationError
+    return [
+        {
+            "id": f"{count}t/{churn_tag(churn_fraction)}",
+            "tenants": count,
+            "churn": churn_fraction,
+            "tables": table_names,
+        }
+        for count in tenant_counts
+        for churn_fraction in (
+            DEFAULT_CHURN if churn_modes is None else churn_modes
+        )
+    ]
+
+
+def measure(cell: Dict[str, object], trace_length: int) -> Dict[str, object]:
+    """One cell's JSON-safe record: each table's unrounded numbers."""
+    count, churn_fraction = cell["tenants"], cell["churn"]
+    tables = []
+    for table_name in cell["tables"]:
+        result, scheduler = run_config(
+            table_name, count, churn_fraction, trace_length
+        )
+        stats = scheduler.arena.stats
+        tables.append({
+            "table": table_name,
+            **_numbers(result),
+            "refaulted_ptes": stats.refaulted_ptes,
+            "pte_inserts": stats.pte_inserts,
+            "pte_removes": stats.pte_removes,
+            "table_bytes_created": stats.bytes_created,
+        })
+    return {
+        "tenants": count,
+        "churn": churn_tag(churn_fraction),
+        "tables": tables,
+    }
+
+
+def merge(records: Sequence[Dict[str, object]]) -> ExperimentResult:
+    """The sweep's records, in sweep order, as an :class:`ExperimentResult`."""
     return ExperimentResult(
         experiment=(
             "Tenancy: per-tenant walk-cycle percentiles over one shared "
@@ -190,7 +250,8 @@ def run(
             "worst-tenant p99", "mean cyc", "lines/miss", "refaults/1k",
             "evicted PTEs",
         ],
-        rows=rows,
+        rows=[_row(record, table) for record in records
+              for table in record["tables"]],
         notes=(
             "Walk cycles = cache lines x 90 (the NUMA model's local "
             "latency); refaulting misses additionally pay the 720-cycle "
@@ -203,7 +264,20 @@ def run(
             "watermark reclaim and refaults are part of the measured "
             "workload."
         ),
+        records=list(records),
     )
+
+
+def run(
+    trace_length: int = 200_000,
+    workloads: Optional[Sequence[str]] = None,
+    tenants: Optional[Sequence[int]] = None,
+    tables: Optional[Sequence[str]] = None,
+    churn_modes: Optional[Sequence[float]] = None,
+) -> ExperimentResult:
+    """The tenancy sweep as an :class:`ExperimentResult`."""
+    sweep = cells(workloads, tenants, tables, churn_modes)
+    return merge([measure(cell, trace_length) for cell in sweep])
 
 
 def parse_churn(text: str) -> Tuple[float, ...]:

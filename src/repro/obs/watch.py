@@ -108,15 +108,20 @@ class ProgressTracker:
         self._write(force=True)
 
     def task_done(
-        self, key: str, seconds: float = 0.0, phase: Optional[str] = None
+        self, key: Optional[str], seconds: float = 0.0,
+        phase: Optional[str] = None,
     ) -> None:
-        """Record one completed task; experiments land in ``completed``."""
+        """Record one completed task; experiments land in ``completed``
+        (``key`` is ``None`` for a task that completes none)."""
         name = phase or self._phase
         if name is not None:
             stats = self._phases.setdefault(name, _PhaseStats())
             stats.done += 1
             stats.seconds += max(0.0, float(seconds))
-            if name == "experiments" and key not in self._completed:
+            if (
+                name == "experiments" and key is not None
+                and key not in self._completed
+            ):
                 self._completed.append(key)
         self._write()
 
@@ -279,9 +284,10 @@ def snapshot(
     if journal_state is not None:
         snap.failures = len(journal_state.failures)
         # The journal is authoritative for completions: a heartbeat may
-        # lag one task behind the last fsync'd entry.
+        # lag one task behind the last fsync'd entry.  Only planned
+        # experiments count; one cell's entry completes none.
         for key in journal_state.entries:
-            if key not in snap.completed:
+            if key not in snap.completed and (not plan or key in plan):
                 snap.completed.append(key)
         if not plan:
             plan = list(journal_state.entries)

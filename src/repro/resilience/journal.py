@@ -1,16 +1,19 @@
 """Append-only run journal: checkpoint/resume for experiment runs.
 
 One ``journal.jsonl`` per run directory.  The first line is a header
-record describing the run configuration; every completed experiment then
+record describing the run configuration; every completed task then
 appends one ``entry`` record and every permanently failed one (under
-``--keep-going``) one ``failure`` record.  Appends are single-``write``
-fsync'd lines (:func:`repro.util.atomic_io.append_line_fsync`), so a
-SIGKILL mid-append can tear at most the final line — which the loader
-detects and discards.
+``--keep-going``) one ``failure`` record.  A task is one experiment, or
+one cell of a celled experiment (tenancy, modern), whose entry is keyed
+``<experiment>/<cell id>`` and holds the cell's record.  Appends are
+single-``write`` fsync'd lines
+(:func:`repro.util.atomic_io.append_line_fsync`), so a SIGKILL
+mid-append can tear at most the final line — which the loader detects
+and discards.
 
 Entries are keyed by a **content digest** over everything that
-determines an experiment's output — the experiment id, the trace
-length, the workload subset, and the stream cache's
+determines a task's output — the task key, the trace length, the
+workload subset, a cell's whole content, and the stream cache's
 :data:`~repro.cache.stream_cache.SCHEMA_VERSION` (the same version that
 invalidates on-disk stream artefacts when simulation semantics change).
 ``--resume`` only trusts a journal entry whose digest matches the
@@ -63,11 +66,14 @@ def task_digest(
     key: str,
     trace_length: int,
     workloads: Optional[Sequence[str]] = None,
+    cell: Optional[Dict[str, object]] = None,
 ) -> str:
     """Content digest of one experiment task's inputs.
 
-    Folds in the stream cache's schema version so journals written under
-    older simulation semantics can never satisfy a resume.
+    ``cell`` is a celled experiment's whole cell, so a cell whose inputs
+    changed (its table list, say) never satisfies a resume.  Folds in
+    the stream cache's schema version so journals written under older
+    simulation semantics can never satisfy one either.
     """
     from repro.cache.stream_cache import SCHEMA_VERSION
 
@@ -78,6 +84,7 @@ def task_digest(
             "workloads": sorted(workloads) if workloads else None,
             "schema": SCHEMA_VERSION,
             "journal": JOURNAL_VERSION,
+            **({} if cell is None else {"cell": cell}),
         },
         sort_keys=True,
     )

@@ -3,8 +3,7 @@
 The suite's credibility rests on calibration (DESIGN.md §2).  This module
 turns the calibration targets into a checkable report so any change to
 the generators that drifts a workload away from the paper is caught by
-`tests/test_workloads.py` and visible via
-``python -m repro.workloads.validation``:
+`tests/test_workloads.py` and visible via ``repro validate``:
 
 - **footprint** — mapped pages vs the hashed-page-table KB of Table 1;
 - **miss intensity** — simulated TLB miss ratio vs the ratio implied by
@@ -220,16 +219,3 @@ def report(checks: Dict[str, CalibrationCheck]) -> ExperimentResult:
         f"±{int(100 * FOOTPRINT_TOLERANCE)}% footprint, "
         f"{MISS_RATIO_BAND[0]}-{MISS_RATIO_BAND[1]}x miss intensity.",
     )
-
-
-def main() -> None:
-    """Print the audit table; non-zero exit when any workload drifted."""
-    import sys
-
-    checks = audit()
-    print(report(checks).render(precision=2))
-    sys.exit(0 if all(check.ok for check in checks.values()) else 1)
-
-
-if __name__ == "__main__":
-    main()

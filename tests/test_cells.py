@@ -1,0 +1,236 @@
+"""Celled experiments on the runner's scheduler, and the sweep benches.
+
+tenancy and modern declare their sweeps as ordered cells.  The runner
+runs each cell as its own task, journals it under a digest of the whole
+cell, and merges the experiment in sweep order when its last cell
+lands.  ``benchmarks/bench_tenancy.py`` and ``bench_modern.py`` run
+their sweeps through that scheduler and only build documents.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main as cli_main
+from repro.errors import ConfigurationError
+from repro.experiments import modern, tenancy
+from repro.experiments.runner import (
+    ResilienceConfig,
+    RunMetrics,
+    run_all,
+)
+from repro.obs.watch import PROGRESS_NAME, snapshot
+from repro.resilience.journal import METRICS_NAME, RunJournal
+
+BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
+
+
+def _bench(name):
+    return pytest.importorskip(
+        f"benchmarks.{name}",
+        reason="benchmarks/ requires the repository root on sys.path",
+    )
+
+
+def _run_tenancy(tmp_path, tables, resume=False, jobs=1):
+    metrics = RunMetrics()
+    results = run_all(
+        2_000, jobs=jobs, only=("tenancy",), metrics=metrics,
+        cells={"tenancy": tenancy.cells(tenants=(6,), tables=tables)},
+        resilience=ResilienceConfig(run_dir=str(tmp_path), resume=resume),
+    )
+    return results["tenancy"], metrics
+
+
+def _interrupt_after(monkeypatch, module, cells_done):
+    """Make ``module.measure`` raise KeyboardInterrupt after N cells."""
+    real = module.measure
+    calls = []
+
+    def measure(cell, trace_length):
+        if len(calls) == cells_done:
+            raise KeyboardInterrupt
+        calls.append(cell["id"])
+        return real(cell, trace_length)
+
+    monkeypatch.setattr(module, "measure", measure)
+    return calls
+
+
+def _count_cells(monkeypatch, module):
+    real = module.measure
+    calls = []
+
+    def measure(cell, trace_length):
+        calls.append(cell["id"])
+        return real(cell, trace_length)
+
+    monkeypatch.setattr(module, "measure", measure)
+    return calls
+
+
+class TestSweepCells:
+    def test_runner_cells_merge_to_the_serial_run(self, tmp_path):
+        result, metrics = _run_tenancy(tmp_path, ("hashed",))
+        serial = tenancy.run(2_000, tenants=(6,), tables=("hashed",))
+        assert result.rows == serial.rows
+        assert result.records == serial.records
+        assert metrics.experiment_tasks == 2
+        assert metrics.completed == ["tenancy"]
+
+    @pytest.mark.parametrize("build", [
+        lambda: tenancy.cells(tenants=(0,)),
+        lambda: tenancy.cells(tables=("bogus",)),
+        lambda: modern.cells(footprints=(float("nan"),)),
+        lambda: modern.cells(footprints=(-4,)),
+        lambda: modern.cells(tables=("hashed", "bogus")),
+        lambda: run_all(2_000, only=("tenancy",), cells={
+            "tenancy": tenancy.cells(tenants=(10,)) * 2,
+        }),
+    ], ids=[
+        "tenants-0", "tables-bogus", "footprint-nan", "footprint-negative",
+        "tables-partly-bogus", "repeated-cells",
+    ])
+    def test_bad_restrictions_are_configuration_errors(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
+    def test_cells_for_an_uncelled_experiment_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="do not run as cells"):
+            run_all(2_000, only=("fig9",), cells={"fig9": [{"id": "x"}]})
+
+
+class TestCellJournal:
+    def test_one_entry_per_cell_and_progress_counts_cells(self, tmp_path):
+        _run_tenancy(tmp_path, ("hashed",))
+        entries = RunJournal(tmp_path).load().entries
+        assert list(entries) == ["tenancy/6t/static", "tenancy/6t/churn"]
+        progress = json.loads((tmp_path / PROGRESS_NAME).read_text())
+        assert progress["phases"]["experiments"]["total"] == 2
+        assert progress["phases"]["experiments"]["done"] == 2
+        assert progress["completed"] == ["tenancy"]
+        snap = snapshot(tmp_path)
+        assert (snap.state, snap.done, snap.total) == ("finished", 1, 1)
+
+    def test_a_changed_table_list_recomputes_the_cell(self, tmp_path):
+        fresh, _ = _run_tenancy(tmp_path, ("hashed",))
+        resumed, same = _run_tenancy(tmp_path, ("hashed",), resume=True)
+        assert (same.experiment_tasks, same.resumed_skips) == (0, 1)
+        assert resumed == fresh
+        changed, metrics = _run_tenancy(
+            tmp_path, ("hashed", "clustered"), resume=True
+        )
+        assert metrics.experiment_tasks == 2
+        assert metrics.resumed_skips == 0
+        assert [t["table"] for t in changed.records[0]["tables"]] == [
+            "hashed", "clustered",
+        ]
+
+    def test_a_partial_resume_runs_only_the_missing_cells(
+        self, tmp_path, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            _interrupt_after(patch, tenancy, 1)
+            with pytest.raises(KeyboardInterrupt):
+                _run_tenancy(tmp_path, ("hashed",))
+        assert list(RunJournal(tmp_path).load().entries) == [
+            "tenancy/6t/static",
+        ]
+        calls = _count_cells(monkeypatch, tenancy)
+        resumed, metrics = _run_tenancy(tmp_path, ("hashed",), resume=True)
+        assert calls == ["6t/churn"]
+        assert metrics.completed == ["tenancy"]
+        assert resumed.rows == tenancy.run(
+            2_000, tenants=(6,), tables=("hashed",)
+        ).rows
+
+
+class TestBenchCommandLine:
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
+        bench = _bench("bench_modern")
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["--fast", "--jobs", "0",
+                        "--out", str(tmp_path / "out.json")])
+        assert exc.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_resume_and_run_dir_must_agree(self, tmp_path, capsys):
+        bench = _bench("bench_tenancy")
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["--fast", "--resume", str(tmp_path / "a"),
+                        "--run-dir", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert "must agree" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_interrupted_bench_exits_130_with_the_interrupt_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        bench = _bench("bench_modern")
+        _interrupt_after(monkeypatch, modern, 1)
+        out = tmp_path / "BENCH_modern.json"
+        run_dir = tmp_path / "run"
+        code = bench.main(["--fast", "--run-dir", str(run_dir),
+                           "--out", str(out)])
+        assert code == 130
+        assert (
+            f"[interrupted: 0/1 experiments completed; resume with "
+            f"--resume {run_dir}]"
+        ) in capsys.readouterr().out
+        assert not out.exists()
+        assert snapshot(run_dir).state == "interrupted"
+
+    @pytest.mark.parametrize("name, module, stop, total", [
+        ("modern", modern, 3, 8),
+        ("tenancy", tenancy, 1, 2),
+    ], ids=["modern", "tenancy"])
+    def test_resumed_fast_sweep_matches_the_baseline(
+        self, name, module, stop, total, tmp_path, monkeypatch, capsys
+    ):
+        bench = _bench(f"bench_{name}")
+        out = tmp_path / f"BENCH_{name}.json"
+        run_dir = str(tmp_path / "run")
+        with monkeypatch.context() as patch:
+            _interrupt_after(patch, module, stop)
+            assert bench.main(["--fast", "--run-dir", run_dir,
+                               "--out", str(out)]) == 130
+        calls = _count_cells(monkeypatch, module)
+        capsys.readouterr()
+        assert bench.main(["--fast", "--resume", run_dir,
+                           "--out", str(out)]) == 0
+        assert (
+            f"[{total - stop} cells computed, {stop} resumed"
+        ) in capsys.readouterr().out
+        assert len(calls) == total - stop
+        baseline = BASELINES / f"BENCH_{name}.json"
+        assert out.read_bytes() == baseline.read_bytes()
+
+    def test_finished_bench_run_dir_is_a_finished_run(self, tmp_path, capsys):
+        bench = _bench("bench_modern")
+        run_dir = tmp_path / "run"
+        bench.collect(trace_length=2_000, footprints=(2,),
+                      run_dir=str(run_dir))
+        assert cli_main(["watch", str(run_dir), "--once"]) == 0
+        assert "state=finished" in capsys.readouterr().out
+        assert (run_dir / METRICS_NAME).exists()
+        assert cli_main(["report", str(run_dir)]) == 0
+        assert f"No `{METRICS_NAME}`" not in capsys.readouterr().out
+
+    def test_journaled_elapsed_is_each_cells_own_time(self, tmp_path):
+        """Under --jobs 2, at most two cells run at once, so their own
+        times sum to at most twice the sweep's wall time.  Times since
+        the sweep began would sum to far more."""
+        bench = _bench("bench_modern")
+        run_dir = tmp_path / "run"
+        started = time.perf_counter()
+        bench.collect(trace_length=2_000, footprints=(2, 3), jobs=2,
+                      run_dir=str(run_dir))
+        wall = time.perf_counter() - started
+        entries = RunJournal(run_dir).load().entries.values()
+        assert len(entries) == 8
+        assert sum(entry["elapsed"] for entry in entries) <= 2 * wall

@@ -87,6 +87,32 @@ class TestExperimentFlags:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("exp_id, flag, value", [
+        ("tenancy", "--tables", "bogus"),
+        ("tenancy", "--tenants", "0"),
+        ("tenancy", "--tenants", "abc"),
+        ("tenancy", "--churn", "bogus"),
+        ("modern", "--footprint", "0"),
+        ("modern", "--footprint", "nan"),
+        ("modern", "--footprint", "x"),
+        ("numa", "--topology", "nowhere"),
+        ("numa", "--replication", "bogus"),
+    ])
+    def test_bad_restriction_value_is_a_usage_error(
+        self, exp_id, flag, value, monkeypatch, capsys
+    ):
+        from repro.experiments import modern, numa, tenancy
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a sweep ran before its flags were checked")
+
+        for module in (modern, numa, tenancy):
+            monkeypatch.setattr(module, "run", ran)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", exp_id, flag, value])
+        assert exc.value.code == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+
     def test_a_single_id_reads_workloads(self, capsys):
         assert main(["experiment", "table1", "--trace-length", "2000",
                      "--workloads", "mp3d,gcc"]) == 0

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis.compare import diff_results, main, render_diff
+from repro.analysis.compare import diff_results, render_diff
 from repro.analysis.export import write_json
+from repro.cli import main
 from repro.experiments.common import ExperimentResult
 
 
@@ -68,13 +69,13 @@ class TestCLI:
     def test_clean_exit_zero(self, tmp_path, capsys):
         a = self.write(tmp_path, "a.json", 0.38)
         b = self.write(tmp_path, "b.json", 0.38)
-        assert main([a, b]) == 0
+        assert main(["compare", a, b]) == 0
         assert "no drift" in capsys.readouterr().out
 
     def test_drift_exit_one(self, tmp_path, capsys):
         a = self.write(tmp_path, "a.json", 0.38)
         b = self.write(tmp_path, "b.json", 0.55)
-        assert main([a, b]) == 1
+        assert main(["compare", a, b]) == 1
         out = capsys.readouterr().out
         assert "clustered" in out and "drifted" in out
 
