@@ -3,13 +3,14 @@
 Every bench family — numa, batch, tenancy, modern — is gated with
 ``--family FAMILY=FILE`` against *noise bands* derived from the
 cross-run ledger (``--ledger``, :mod:`repro.obs.ledger`): median ± k·MAD
-over the last N comparable entries per (config, metric).  Deterministic
-metrics collapse to near-exact bands; wall-clock ones widen to their
-measured noise.  While a key's history is thinner than
-``--min-history`` entries (or there is no ledger), the gate falls back
-to the committed single baseline in ``--baseline-dir`` with the flat
-``--threshold``.  A baseline recorded at another trace length is not
-comparable: a metric that would fall back to it makes the gate exit 2.
+over the last N comparable entries per (config, metric), at the
+ledger's defaults (k=4, N=20).  Deterministic metrics collapse to
+near-exact bands; wall-clock ones widen to their measured noise.  While
+a key's history is thinner than three entries (or there is no ledger),
+the gate falls back to the committed single baseline in
+``--baseline-dir`` with the flat :data:`THRESHOLD`.  A baseline
+recorded at another trace length is not comparable: a metric that would
+fall back to it makes the gate exit 2.
 ``--record`` appends the fresh document's rows to the ledger after a
 passing gate, so green runs grow the very history that tightens future
 gates.  The NUMA sweep is deterministic, so its gated ``... cyc/miss``
@@ -30,7 +31,7 @@ fails the lane just like a cycles/miss regression.
 It further gates the batch replay engine (``BENCH_batch.json``, via
 ``--family batch=...``): the aggregate speedup over the Figure 11
 configurations — total scalar replay time over total batch replay time
-— must stay at or above ``--speedup-floor`` (default 10x).
+— must stay at or above :data:`SPEEDUP_FLOOR` (10x).
 The aggregate is gated rather than the per-config minimum because the
 batch engine's fixed kernel-compilation cost dominates tiny miss
 streams; any config where batch is *slower* than scalar is still
@@ -40,9 +41,8 @@ Usage::
 
     python benchmarks/bench_gate.py \
         --family numa=BENCH_numa.json --family batch=BENCH_batch.json \
-        [--ledger ledger.jsonl --record] [--band-k 4.0] [--band-window 20] \
-        [--min-history 3] [--baseline-dir benchmarks/baselines] \
-        [--threshold 0.10] [--speedup-floor 10.0] \
+        [--ledger ledger.jsonl --record] \
+        [--baseline-dir benchmarks/baselines] \
         [--report-sidecar run-dir/report.json]
 """
 
@@ -57,7 +57,8 @@ from typing import Dict, List, Optional, Tuple
 _BASELINE_DIR = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "baselines"
 )
-DEFAULT_THRESHOLD = 0.10
+#: Relative regression tolerance against a committed baseline.
+THRESHOLD = 0.10
 
 
 def _obs_ledger():
@@ -137,11 +138,11 @@ def validate_report_sidecar(document: object) -> List[str]:
     return problems
 
 
-#: Minimum aggregate batch-over-scalar speedup (``--speedup-floor``).
-DEFAULT_SPEEDUP_FLOOR = 10.0
+#: Minimum aggregate batch-over-scalar speedup of a batch document.
+SPEEDUP_FLOOR = 10.0
 
 
-def _gate_speedup(path: str, floor: float) -> int:
+def _gate_speedup(path: str) -> int:
     """Gate one BENCH_batch.json; prints findings, returns an exit code."""
     if not os.path.exists(path):
         print(f"[bench gate] FAIL: speedup report {path} does not exist")
@@ -164,12 +165,12 @@ def _gate_speedup(path: str, floor: float) -> int:
                 f"{record.get('workload')}/{record.get('tlb')}/"
                 f"{record.get('table')} ({record.get('speedup')}x)"
             )
-    if aggregate < floor:
+    if aggregate < SPEEDUP_FLOOR:
         print(f"[bench gate] FAIL: aggregate batch speedup {aggregate}x "
-              f"below the {floor}x floor ({len(configs)} configs)")
+              f"below the {SPEEDUP_FLOOR}x floor ({len(configs)} configs)")
         return 1
     print(f"[bench gate] batch speedup OK: {aggregate}x aggregate over "
-          f"{len(configs)} configs (floor {floor}x)")
+          f"{len(configs)} configs (floor {SPEEDUP_FLOOR}x)")
     return 0
 
 
@@ -229,16 +230,7 @@ def _baseline_values(
 
 
 def _gate_family(
-    family: str,
-    path: str,
-    ledger,
-    obs,
-    threshold: float,
-    band_k: float,
-    band_window: int,
-    min_history: int,
-    baseline_dir: str,
-    speedup_floor: float,
+    family: str, path: str, ledger, obs, baseline_dir: str
 ) -> Tuple[int, list, list]:
     """Gate one family document; returns (exit_code, rows, improvements)."""
     if not os.path.exists(path):
@@ -277,8 +269,7 @@ def _gate_family(
         if state is not None:
             band = state.band_for(
                 family, row.config, row.metric,
-                last=band_window, trace_length=row.trace_length,
-                min_history=min_history, k=band_k,
+                trace_length=row.trace_length,
             )
         if band is not None:
             by_band += 1
@@ -303,18 +294,18 @@ def _gate_family(
         change = (row.value - base) / abs(base)
         if direction == "higher":
             change = -change
-        if change > threshold:
+        if change > THRESHOLD:
             regressions.append(
                 f"{family} {row.config} {row.metric}: {base:.4g} -> "
                 f"{row.value:.4g} (worse by {100 * abs(change):.1f}% > "
-                f"{100 * threshold:.0f}%)"
+                f"{100 * THRESHOLD:.0f}%)"
             )
-        elif change < -threshold:
+        elif change < -THRESHOLD:
             improvements.append((row, base, "baseline"))
 
     floor_status = 0
     if family == "batch":
-        floor_status = _gate_speedup(path, speedup_floor)
+        floor_status = _gate_speedup(path)
 
     for row, old, basis in improvements:
         print(
@@ -359,19 +350,9 @@ def main(argv=None) -> int:
         "sidecar is missing or malformed."
     )
     parser.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD, metavar="FRAC",
-        help="relative regression tolerance (default 0.10 = 10%%)",
-    )
-    parser.add_argument(
         "--report-sidecar", metavar="FILE", default=None,
         help="run-report sidecar (report.json) to schema-validate; "
         "missing or malformed fails the gate",
-    )
-    parser.add_argument(
-        "--speedup-floor", type=float, default=DEFAULT_SPEEDUP_FLOOR,
-        metavar="X",
-        help="minimum aggregate batch-over-scalar speedup of a "
-        f"--family batch= document (default {DEFAULT_SPEEDUP_FLOOR})",
     )
     parser.add_argument(
         "--family", metavar="FAMILY=FILE", action="append", default=[],
@@ -387,19 +368,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--record", action="store_true",
         help="append the fresh rows of passing --family gates to --ledger",
-    )
-    parser.add_argument(
-        "--band-k", type=float, default=None, metavar="K",
-        help="noise-band half-width in MADs (default 4.0)",
-    )
-    parser.add_argument(
-        "--band-window", type=int, default=None, metavar="N",
-        help="ledger entries per key feeding a band (default 20)",
-    )
-    parser.add_argument(
-        "--min-history", type=int, default=None, metavar="N",
-        help="entries required before bands replace the baseline "
-        "fallback (default 3)",
     )
     parser.add_argument(
         "--baseline-dir", metavar="DIR", default=_BASELINE_DIR,
@@ -419,15 +387,6 @@ def main(argv=None) -> int:
         return status
     obs = _obs_ledger()
     ledger = obs.BenchLedger(args.ledger) if args.ledger is not None else None
-    band_k = obs.DEFAULT_BAND_K if args.band_k is None else args.band_k
-    band_window = (
-        obs.DEFAULT_BAND_WINDOW if args.band_window is None
-        else args.band_window
-    )
-    min_history = (
-        obs.DEFAULT_MIN_HISTORY if args.min_history is None
-        else args.min_history
-    )
     for spec in args.family:
         family, _, path = spec.partition("=")
         if not path:
@@ -438,8 +397,7 @@ def main(argv=None) -> int:
                 f"known: {', '.join(sorted(obs.GATED_METRICS))}"
             )
         family_status, rows, improvements = _gate_family(
-            family, path, ledger, obs, args.threshold, band_k,
-            band_window, min_history, args.baseline_dir, args.speedup_floor,
+            family, path, ledger, obs, args.baseline_dir
         )
         if ledger is not None and improvements:
             _record_improvements(ledger, obs, family, improvements)

@@ -1,10 +1,10 @@
 """The shared sweep runner and command line of the cell-sweep benches.
 
-``bench_tenancy.py`` and ``bench_modern.py`` only build documents from
-one celled experiment's records.  :func:`run_cells` runs the cells
-through the runner's scheduler under the batch engine, with its
-retries, interrupt drain and heartbeat; :func:`main` is both benches'
-command line and writes the document atomically.
+``bench_numa.py``, ``bench_tenancy.py`` and ``bench_modern.py`` only
+build documents from one celled experiment's records.  :func:`run_cells`
+runs the cells through the runner's scheduler under the batch engine,
+with its retries, interrupt drain and heartbeat; :func:`main` is the
+benches' command line and writes the document atomically.
 
 A bench ``--run-dir DIR`` is a runner run directory: ``journal.jsonl``
 (one digest-checked entry per cell, so ``--resume DIR`` recomputes only
@@ -109,5 +109,5 @@ def main(
     atomic_write_text(
         args.out, json.dumps(document, indent=2, sort_keys=True) + "\n"
     )
-    print(f"[{len(document['configs'])} cells -> {args.out}]")
+    print(f"[{len(document['configs'])} configs -> {args.out}]")
     return 0

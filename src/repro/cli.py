@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 from typing import List, Optional, Tuple
 
 from repro.analysis.metrics import make_table, normalised_sizes, table_sizes
@@ -188,9 +187,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 0 if all(claim.holds for claim in verdicts) else 1
     restrictions = _restrictions(args)
     with _tracing(args.trace_out) as tracer:
-        if restrictions or args.id in runner.CELLED:
-            module = import_module(f"repro.experiments.{args.id}")
-            results = [module.run(
+        if args.id in runner.CELLED:
+            results = [runner.CELLED[args.id].run(
                 trace_length=trace_length, workloads=workloads,
                 **restrictions,
             )]
@@ -339,32 +337,23 @@ def _run_all(
 
 def _restrictions(args: argparse.Namespace) -> dict:
     """The id's restriction flags as keywords of its ``run``.  Each is
-    checked alone (tenancy and modern: through ``cells``), so a bad value
-    is a usage error naming its flag, raised before anything runs."""
+    checked alone through the id's ``cells``, so a bad value is a usage
+    error naming its flag, raised before anything runs."""
     from repro.errors import ConfigurationError
     from repro.experiments import modern, tenancy
-    from repro.numa.policy import POLICY_NAMES
-    from repro.numa.topology import get_topology
+    from repro.experiments.runner import CELLED
 
-    def policies(text: str) -> Tuple[str, ...]:
-        names = tuple(text.split(","))
-        unknown = sorted(set(names) - set(POLICY_NAMES))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown replication policies {unknown}; "
-                f"known: {POLICY_NAMES}"
-            )
-        return names
+    def names(text: str) -> Tuple[str, ...]:
+        return tuple(text.split(","))
 
     parsers = {  # dest → (the keyword of run, parser of the flag's text)
-        "topology": ("topologies", lambda text: (get_topology(text),)),
-        "replication": ("policies", policies),
+        "topology": ("topologies", lambda text: (text,)),
+        "replication": ("policies", names),
         "tenants": ("tenants", lambda text: tuple(map(int, text.split(",")))),
         "churn": ("churn_modes", tenancy.parse_churn),
         "footprint": ("footprints", modern.parse_footprints),
-        "tables": ("tables", lambda text: tuple(text.split(","))),
+        "tables": ("tables", names),
     }
-    cells = {"tenancy": tenancy.cells, "modern": modern.cells}.get(args.id)
     restrictions: dict = {}
     for dest, (keyword, parse) in parsers.items():
         text = getattr(args, dest)
@@ -372,8 +361,7 @@ def _restrictions(args: argparse.Namespace) -> dict:
             continue
         try:
             restrictions[keyword] = parse(text)
-            if cells is not None:
-                cells(**{keyword: restrictions[keyword]})
+            CELLED[args.id].cells(**{keyword: restrictions[keyword]})
         except (ValueError, ConfigurationError) as exc:
             args.usage_error(f"--{dest}: {exc}")
     return restrictions

@@ -260,7 +260,6 @@ class ClusteredPageTable(PageTable):
         probes = 0
         if not chain:
             self.stats.record_walk(1, 1, fault=True)
-            self._charge_numa(1)
             self._trace_block(vpbn, 1, 1, fault=True)
             return BlockLookupResult(vpbn, tuple(mappings), 1, 1)
         block_base = self.layout.vpn_of_block(vpbn)
@@ -277,7 +276,6 @@ class ClusteredPageTable(PageTable):
                     mappings[boff] = node.mapping_for(block_base + boff, self.layout)
         fault = not found
         self.stats.record_walk(lines, probes, fault)
-        self._charge_numa(lines)
         self._trace_block(vpbn, lines, probes, fault)
         return BlockLookupResult(vpbn, tuple(mappings), lines, probes)
 

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_table
 from repro.cache.stream_cache import CacheStats, StreamCache, stream_cache_key
+from repro.obs.metrics import get_registry
 from repro.obs.spans import record_span
 from repro.mmu.simulate import MissStream, collect_misses
 from repro.workloads.trace import Trace
@@ -171,27 +172,42 @@ def active_engine() -> str:
     return _ENGINE
 
 
-def replay(stream: MissStream, table, complete_subblock: bool = False):
-    """Phase 2 through the active engine.
+def engine_replay(
+    batch: Callable, scalar: Callable, stream, table, **kwargs
+):
+    """One phase-2 replay of ``stream`` against ``table``, through the
+    active engine.
 
-    The batch engine is exact for every standard table; anything it
-    cannot compile (:class:`~repro.mmu.batch_kernels.BatchUnsupportedError`
-    — raised before any stats are touched) silently falls back to the
-    scalar replay, so ``--engine batch`` never changes results, only
-    speed.
+    Under the batch engine ``batch(stream, table, **kwargs)`` runs.  An
+    input it cannot reproduce exactly raises
+    :class:`~repro.mmu.batch_kernels.BatchUnsupportedError` before any
+    stats are touched; the refusal is counted in
+    ``engine.fallback{table,reason}`` and ``scalar(stream, table,
+    **kwargs)`` takes over, so ``--engine batch`` changes speed, never
+    results.  :func:`replay`, :func:`replay_many` and the NUMA sweep
+    share this step.
     """
-    from repro.mmu.simulate import replay_misses
-
     if _ENGINE == "batch":
-        from repro.mmu.batch import BatchUnsupportedError, replay_misses_batch
+        from repro.mmu.batch_kernels import BatchUnsupportedError
 
         try:
-            return replay_misses_batch(
-                stream, table, complete_subblock=complete_subblock
+            return batch(stream, table, **kwargs)
+        except BatchUnsupportedError as refused:
+            get_registry().inc(
+                "engine.fallback", table=table.name, reason=str(refused)
             )
-        except BatchUnsupportedError:
-            pass
-    return replay_misses(stream, table, complete_subblock=complete_subblock)
+    return scalar(stream, table, **kwargs)
+
+
+def replay(stream: MissStream, table, complete_subblock: bool = False):
+    """Phase 2 through the active engine (see :func:`engine_replay`)."""
+    from repro.mmu.batch import replay_misses_batch
+    from repro.mmu.simulate import replay_misses
+
+    return engine_replay(
+        replay_misses_batch, replay_misses, stream, table,
+        complete_subblock=complete_subblock,
+    )
 
 
 def replay_many(
@@ -205,20 +221,20 @@ def replay_many(
     × table entries) and O(table entries) of Python when the tenancy
     scheduler replays thousands of per-tenant slices per slot.
     """
+    from repro.mmu.batch import replay_misses_batch_many
+
+    return engine_replay(
+        replay_misses_batch_many, _replay_each, streams, table,
+        complete_subblock=complete_subblock,
+    )
+
+
+def _replay_each(
+    streams: Sequence[MissStream], table, complete_subblock: bool
+) -> List:
+    """The scalar replay of each stream in turn."""
     from repro.mmu.simulate import replay_misses
 
-    if _ENGINE == "batch":
-        from repro.mmu.batch import (
-            BatchUnsupportedError,
-            replay_misses_batch_many,
-        )
-
-        try:
-            return replay_misses_batch_many(
-                streams, table, complete_subblock=complete_subblock
-            )
-        except BatchUnsupportedError:
-            pass
     return [
         replay_misses(stream, table, complete_subblock=complete_subblock)
         for stream in streams

@@ -22,23 +22,34 @@ Reported per (workload, table, topology): the flat ``lines/miss`` metric
 the migration count.  On a single node every policy degenerates to the
 same all-local cost, which the differential test pins against the flat
 replay exactly: ``cycles == cache_lines x 90``.
+
+The sweep is ordered :func:`cells`, one per workload over every
+(table, topology, policy); :func:`measure` turns one into a JSON-safe
+record and :func:`merge` turns the records into the table.  The runner
+runs each cell as its own task; :func:`run` maps serially.  Every
+replay starts from a freshly populated table and a fresh policy, so a
+cell's record depends only on the cell, the stateful ``migrate`` policy
+included.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import json
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import make_table
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
-    active_engine,
+    engine_replay,
     get_miss_stream,
     get_translation_map,
     get_workload,
 )
-from repro.numa.replay import NumaReplayResult, replay_misses_numa
-from repro.numa.topology import PRESETS, get_topology
+from repro.numa.batch import replay_misses_numa_batch
+from repro.numa.policy import POLICY_NAMES
+from repro.numa.replay import replay_misses_numa
+from repro.numa.topology import NumaTopology, get_topology
 
 #: Single-stream workloads chosen to span density regimes (Table 1).
 DEFAULT_WORKLOADS = ("coral", "mp3d", "gcc")
@@ -66,22 +77,134 @@ def _fresh_table(name: str, workload, num_buckets: int):
     return table
 
 
-def _replay_numa(stream, table, **kwargs) -> NumaReplayResult:
-    """NUMA phase 2 through the active engine (batch when it applies).
+def cells(
+    workloads: Optional[Sequence[str]] = None,
+    tables: Sequence[str] = DEFAULT_TABLES,
+    topologies: Sequence = DEFAULT_TOPOLOGIES,
+    policies: Sequence[str] = DEFAULT_POLICIES,
+    access_pattern: str = "block-affine",
+    miss_limit: Optional[int] = DEFAULT_MISS_LIMIT,
+    num_buckets: int = 4096,
+) -> List[Dict[str, object]]:
+    """The sweep's cells in order, one per workload, each over every
+    (table, topology, policy).  A topology (preset name, JSON file or
+    instance) is carried as its JSON document, so a cell names the
+    machine it measures, not where it was read from."""
+    if not policies or not set(policies) <= set(POLICY_NAMES):
+        raise ConfigurationError(
+            "replication policies must be a non-empty subset of "
+            f"{POLICY_NAMES}, got {list(policies)}"
+        )
+    machines = [
+        json.loads(get_topology(topology).to_json())
+        for topology in topologies
+    ]
+    return [
+        {
+            "id": name,
+            "workload": name,
+            "tables": list(tables),
+            "topologies": machines,
+            "policies": list(policies),
+            "access_pattern": access_pattern,
+            "miss_limit": miss_limit,
+            "num_buckets": num_buckets,
+        }
+        for name in workloads or DEFAULT_WORKLOADS
+    ]
 
-    The stateful ``migrate`` policy has no exact batch kernel; it raises
-    :class:`~repro.mmu.batch_kernels.BatchUnsupportedError` before any
-    stats are touched, and the scalar replay takes over.
-    """
-    if active_engine() == "batch":
-        from repro.mmu.batch_kernels import BatchUnsupportedError
-        from repro.numa.batch import replay_misses_numa_batch
 
-        try:
-            return replay_misses_numa_batch(stream, table, **kwargs)
-        except BatchUnsupportedError:
-            pass
-    return replay_misses_numa(stream, table, **kwargs)
+def measure(cell: Dict[str, object], trace_length: int) -> Dict[str, object]:
+    """One cell's JSON-safe record: per (table, topology), the unrounded
+    lines/miss, each policy's cycles/miss, the mitosis local fraction
+    and the migration count."""
+    workload = get_workload(cell["workload"], trace_length)
+    stream = get_miss_stream(workload, "single")
+    configs = []
+    for table_name in cell["tables"]:
+        for machine in cell["topologies"]:
+            topology = NumaTopology.from_json(machine)
+            results: dict = {}
+            for policy in cell["policies"]:
+                if topology.is_single_node() and results:
+                    # One node: every policy is the all-local
+                    # degenerate case; replay once and reuse.
+                    results[policy] = next(iter(results.values()))
+                    continue
+                results[policy] = engine_replay(
+                    replay_misses_numa_batch, replay_misses_numa, stream,
+                    _fresh_table(table_name, workload, cell["num_buckets"]),
+                    topology=topology,
+                    policy=policy,
+                    access_pattern=cell["access_pattern"],
+                    miss_limit=cell["miss_limit"],
+                )
+            mitosis = results.get("mitosis")
+            migrate = results.get("migrate")
+            configs.append({
+                "table": table_name,
+                "nodes": topology.num_nodes,
+                "lines_per_miss": next(iter(results.values())).lines_per_miss,
+                "cycles_per_miss": {
+                    policy: result.cycles_per_miss
+                    for policy, result in results.items()
+                },
+                "mitosis_local_fraction": (
+                    mitosis.numa.local_fraction if mitosis else None
+                ),
+                "migrations": (
+                    migrate.policy_stats.migrations if migrate else None
+                ),
+            })
+    return {
+        "workload": cell["workload"],
+        "access_pattern": cell["access_pattern"],
+        "configs": configs,
+    }
+
+
+def _row(record: Dict[str, object], config: Dict[str, object]) -> List:
+    cycles = config["cycles_per_miss"]
+    local = config["mitosis_local_fraction"]
+    return [
+        f"{record['workload']}/{config['table']}",
+        config["nodes"],
+        round(config["lines_per_miss"], 3),
+        *(
+            round(cycles[policy], 1) if policy in cycles else None
+            for policy in DEFAULT_POLICIES
+        ),
+        round(local, 3) if local is not None else None,
+        config["migrations"],
+    ]
+
+
+def merge(records: Sequence[Dict[str, object]]) -> ExperimentResult:
+    """The sweep's records, in sweep order, as an :class:`ExperimentResult`."""
+    return ExperimentResult(
+        experiment=(
+            "NUMA page-table placement: latency-weighted walk cost "
+            f"({records[0]['access_pattern']} misses, first-touch tables "
+            "on node 0)"
+        ),
+        headers=[
+            "workload/table", "nodes", "lines/miss",
+            "none cyc/miss", "mitosis cyc/miss", "migrate cyc/miss",
+            "mitosis local frac", "migrations",
+        ],
+        rows=[_row(record, config) for record in records
+              for config in record["configs"]],
+        notes=(
+            "lines/miss is the paper's location-blind §6.1 metric and is "
+            "invariant across nodes and policies; cycles/miss weighs each "
+            "line by the accessor-to-holder latency (90 local, 150 one "
+            "hop, 210 two hops per 256 B line).  'none' leaves the table "
+            "where it was first touched; 'mitosis' replicates it per node "
+            "(reads all-local, write fan-out charged separately); "
+            "'migrate' moves hot lines to their dominant accessor."
+        ),
+        records=list(records),
+    )
 
 
 def run(
@@ -95,68 +218,8 @@ def run(
     num_buckets: int = 4096,
 ) -> ExperimentResult:
     """Latency-weighted walk cost across machines, tables, and policies."""
-    if not policies:
-        raise ConfigurationError("need at least one replication policy")
-    rows: List[List] = []
-    for name in workloads or DEFAULT_WORKLOADS:
-        workload = get_workload(name, trace_length)
-        stream = get_miss_stream(workload, "single")
-        for table_name in tables:
-            for topo_name in topologies:
-                topology = get_topology(topo_name)
-                results: dict = {}
-                for policy in policies:
-                    if topology.is_single_node() and results:
-                        # One node: every policy is the all-local
-                        # degenerate case; replay once and reuse.
-                        results[policy] = next(iter(results.values()))
-                        continue
-                    results[policy] = _replay_numa(
-                        stream,
-                        _fresh_table(table_name, workload, num_buckets),
-                        topology=topology,
-                        policy=policy,
-                        access_pattern=access_pattern,
-                        miss_limit=miss_limit,
-                    )
-                first: NumaReplayResult = next(iter(results.values()))
-                row: List = [
-                    f"{name}/{table_name}",
-                    topology.num_nodes,
-                    round(first.lines_per_miss, 3),
-                ]
-                for policy in DEFAULT_POLICIES:
-                    result = results.get(policy)
-                    row.append(
-                        round(result.cycles_per_miss, 1) if result else None
-                    )
-                mitosis = results.get("mitosis")
-                migrate = results.get("migrate")
-                row.append(
-                    round(mitosis.numa.local_fraction, 3) if mitosis else None
-                )
-                row.append(
-                    migrate.policy_stats.migrations if migrate else None
-                )
-                rows.append(row)
-    return ExperimentResult(
-        experiment=(
-            "NUMA page-table placement: latency-weighted walk cost "
-            f"({access_pattern} misses, first-touch tables on node 0)"
-        ),
-        headers=[
-            "workload/table", "nodes", "lines/miss",
-            "none cyc/miss", "mitosis cyc/miss", "migrate cyc/miss",
-            "mitosis local frac", "migrations",
-        ],
-        rows=rows,
-        notes=(
-            "lines/miss is the paper's location-blind §6.1 metric and is "
-            "invariant across nodes and policies; cycles/miss weighs each "
-            "line by the accessor-to-holder latency (90 local, 150 one "
-            "hop, 210 two hops per 256 B line).  'none' leaves the table "
-            "where it was first touched; 'mitosis' replicates it per node "
-            "(reads all-local, write fan-out charged separately); "
-            "'migrate' moves hot lines to their dominant accessor."
-        ),
+    sweep = cells(
+        workloads, tables, topologies, policies, access_pattern,
+        miss_limit, num_buckets,
     )
+    return merge([measure(cell, trace_length) for cell in sweep])

@@ -11,8 +11,8 @@ small two-stage dependency graph:
 2. **Replays / report rows** — the experiments themselves, fanned out
    once their stream artefacts exist, each worker reading phase-1 results
    from the shared cache instead of re-simulating.  A *celled*
-   experiment (:data:`CELLED`) runs each cell of its sweep as one task,
-   labelled ``<key>/<cell id>``.
+   experiment (:data:`CELLED`: numa, tenancy, modern) runs each cell of
+   its sweep as one task, labelled ``<key>/<cell id>``.
 
 One scheduler runs both stages at every ``jobs`` setting.  ``jobs=N``
 submits the tasks to a pool of N worker processes; ``jobs=1`` submits
@@ -125,7 +125,7 @@ _SINGLE_STREAM_EXPERIMENTS = (
 #: Experiments that run as cells, one task each.  Each module provides
 #: ``cells(workloads)`` (its sweep), ``measure(cell, trace_length)``
 #: (one JSON-safe record) and ``merge(records)`` (the result).
-CELLED = {"tenancy": tenancy, "modern": modern}
+CELLED = {"numa": numa, "tenancy": tenancy, "modern": modern}
 
 #: One cell of a celled experiment: JSON-safe, with a unique ``id``.
 Cell = Dict[str, object]
@@ -170,7 +170,6 @@ def producers(
         "cachesim": lambda: cachesim.run(trace_length=trace_length, **w),
         "pressure": lambda: pressure.run(),
         "promotion_scan": lambda: promotion_scan.run(**w),
-        "numa": lambda: numa.run(trace_length=trace_length, **w),
     }
 
 

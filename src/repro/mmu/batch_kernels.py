@@ -54,8 +54,8 @@ class BatchUnsupportedError(Exception):
 
     Raised at kernel-compile time (unknown table type, non-default hash
     function, stateful structures like the non-ideal linear tables'
-    reserved TLB, attached NUMA costers).  Callers fall back to the
-    scalar replay, which supports everything.
+    reserved TLB).  Callers fall back to the scalar replay, which
+    supports everything.
     """
 
 
@@ -710,10 +710,6 @@ def compile_kernel(table):
     from repro.pagetables.linear import LinearPageTable
     from repro.pagetables.strategies import MultiplePageTables
 
-    if getattr(table, "_numa_coster", None) is not None:
-        raise BatchUnsupportedError(
-            "NUMA-costed tables replay through repro.numa.batch"
-        )
     table_type = type(table)
     if table_type is HashedPageTable:
         return HashedKernel(table)

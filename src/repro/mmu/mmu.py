@@ -49,11 +49,6 @@ class MMUStats:
     dirty_traps: int = 0
     protection_faults: int = 0
     misses_by_kind: Counter = field(default_factory=Counter)
-    #: Latency-weighted walk cost (zero unless the page table has a NUMA
-    #: coster attached via ``PageTable.attach_numa``).
-    numa_cycles: int = 0
-    #: Cache lines served per NUMA node holding the line.
-    lines_by_node: Counter = field(default_factory=Counter)
 
     @property
     def lines_per_miss(self) -> float:
@@ -61,13 +56,6 @@ class MMUStats:
         if self.tlb_misses == 0:
             return 0.0
         return self.cache_lines / self.tlb_misses
-
-    @property
-    def cycles_per_miss(self) -> float:
-        """Average latency-weighted cycles per TLB miss (NUMA costing)."""
-        if self.tlb_misses == 0:
-            return 0.0
-        return self.numa_cycles / self.tlb_misses
 
     @property
     def miss_ratio(self) -> float:
@@ -84,8 +72,6 @@ class MMUStats:
         self.dirty_traps = 0
         self.protection_faults = 0
         self.misses_by_kind = Counter()
-        self.numa_cycles = 0
-        self.lines_by_node = Counter()
 
 
 class MMU:
@@ -150,13 +136,7 @@ class MMU:
             ppn = entry.ppn_for(vpn)
         else:
             self.stats.tlb_misses += 1
-            snapshot = self._numa_snapshot()
-            try:
-                ppn = self._service_miss(vpn)
-            finally:
-                # Even a faulting walk touched page-table lines; keep the
-                # NUMA mirror in step with the cache_lines fault charging.
-                self._absorb_numa(snapshot)
+            ppn = self._service_miss(vpn)
             if self.maintain_rm_bits:
                 bits = ATTR_REFERENCED | (ATTR_MODIFIED if write else 0)
                 self.page_table.mark(vpn, set_bits=bits)
@@ -249,25 +229,6 @@ class MMU:
         base_vpn = self.page_table.layout.vpn_of_block(vpbn)
         tlb.fill(block_entry(tlb, base_vpn, block.mappings))
         return mapping.ppn
-
-    def _numa_snapshot(self):
-        """Snapshot the table's NUMA walk counters (None without a coster)."""
-        if getattr(self.page_table, "_numa_coster", None) is None:
-            return None
-        stats = self.page_table.stats
-        return (stats.numa_cycles, dict(stats.numa_lines_by_node))
-
-    def _absorb_numa(self, snapshot) -> None:
-        """Mirror the table's NUMA deltas since ``snapshot`` into MMUStats."""
-        if snapshot is None:
-            return
-        before_cycles, before_nodes = snapshot
-        stats = self.page_table.stats
-        self.stats.numa_cycles += stats.numa_cycles - before_cycles
-        for node, count in stats.numa_lines_by_node.items():
-            delta = count - before_nodes.get(node, 0)
-            if delta:
-                self.stats.lines_by_node[node] += delta
 
     def _walk_with_fault_handling(self, vpn: int):
         lines_before = self.page_table.stats.cache_lines

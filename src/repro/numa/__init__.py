@@ -20,9 +20,10 @@ organisation services a TLB miss cheapest? — under that modern condition:
   ``none``, ``mitosis`` (full per-node replicas; reads always local,
   writes fan out), or ``migrate`` (numaPTE-style migrate-on-threshold).
 - :mod:`repro.numa.costing` — per-node access counts and the
-  latency-weighted ``cycles_per_miss`` metric.
+  latency-weighted ``cycles_per_miss`` metric: the one NUMA cost model.
 - :mod:`repro.numa.replay` — phase-2 replay over byte-exact memory
-  images, attributing every line read to the node that holds it.
+  images, attributing every line read to the node that holds it
+  (:mod:`repro.numa.batch` is its exact batch twin).
 - :mod:`repro.numa.replication` — :class:`ReplicatedPageTable` (the
   object-model mitosis substrate) and :class:`NumaSMPSystem`, which fans
   PTE updates through the TLB-shootdown model so stale replicas die.

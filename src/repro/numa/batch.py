@@ -87,9 +87,7 @@ def replay_misses_numa_batch(
         policy = make_policy(policy, placement)
     policy_type = type(policy)
     if policy_type not in (NoReplicationPolicy, MitosisPolicy):
-        raise BatchUnsupportedError(
-            f"{policy_type.__name__} is stateful; use the scalar NUMA replay"
-        )
+        raise BatchUnsupportedError(f"{policy_type.__name__} is stateful")
     mitosis = policy_type is MitosisPolicy
     coster = WalkCoster(policy)
     reads_fn = walk_reads_fn(table, placement.line_size)

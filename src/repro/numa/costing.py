@@ -6,13 +6,9 @@ module weights each touched line by where it lives.  A
 policy; :meth:`WalkCoster.charge_reads` consumes the byte-level read
 list a :meth:`~repro.pagetables.memimage.MemoryImage.walk_reads` walk
 produces and returns both the distinct-line count (identical to the
-flat metric) and the latency-weighted cycle cost.
-
-For call sites without byte addresses (the integrated
-:class:`~repro.mmu.mmu.MMU` path, whose tables count lines abstractly),
-:meth:`WalkCoster.charge_lines` provides a coarse mode that treats the
-whole table as one placement unit — correct for first-touch placement,
-the documented approximation otherwise.
+flat metric) and the latency-weighted cycle cost.  The replays in
+:mod:`repro.numa.replay` and :mod:`repro.numa.batch` are its callers:
+every NUMA cycle cost is computed here, from byte-level walks.
 """
 
 from __future__ import annotations
@@ -103,25 +99,11 @@ class WalkCoster:
             first = address // line_size
             last = (address + nbytes - 1) // line_size
             touched.update(range(first, last + 1))
-        cycles = self._charge_lines(accessing_node, sorted(touched))
-        return len(touched), cycles
-
-    def charge_lines(self, accessing_node: int, nlines: int) -> int:
-        """Coarse mode: ``nlines`` touches of one table-granular unit.
-
-        Used by the integrated MMU path, which counts lines without byte
-        addresses; every line is attributed to placement unit 0 (exact
-        for first-touch placement, where all lines share one home).
-        Returns the cycle cost.
-        """
-        return self._charge_lines(accessing_node, [0] * nlines)
-
-    def _charge_lines(self, accessing_node: int, lines) -> int:
         cycles = 0
         stats = self.stats
         stats.walks += 1
         stats.walks_by_node[accessing_node] += 1
-        for line in lines:
+        for line in sorted(touched):
             holder = self.policy.holder_of(line, accessing_node)
             cost = self.topology.access_cycles(accessing_node, holder)
             cycles += cost
@@ -132,7 +114,7 @@ class WalkCoster:
             else:
                 stats.remote_lines += 1
         stats.cycles += cycles
-        return cycles
+        return len(touched), cycles
 
     # ------------------------------------------------------------------
     def total_cycles(self) -> int:

@@ -26,8 +26,7 @@ raising so every table records costs identically.
 from __future__ import annotations
 
 import abc
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.addr.layout import AddressLayout, DEFAULT_LAYOUT
@@ -110,12 +109,6 @@ class WalkStats:
     faults (a fault still walks the table).  ``op_*`` counters track the
     §3.1 maintenance costs: nodes visited and allocated by insert/remove
     traffic, and hash-bucket lock acquisitions for range operations.
-
-    The ``numa_*`` counters stay zero on the default single-node
-    machine; a table with an attached NUMA coster (see
-    :meth:`PageTable.attach_numa`) additionally reports latency-weighted
-    cycles and per-node line counts alongside the untouched
-    ``cache_lines`` metric.
     """
 
     lookups: int = 0
@@ -127,8 +120,6 @@ class WalkStats:
     op_nodes_visited: int = 0
     op_nodes_allocated: int = 0
     op_locks_acquired: int = 0
-    numa_cycles: int = 0
-    numa_lines_by_node: Counter = field(default_factory=Counter)
 
     def record_walk(self, cache_lines: int, probes: int, fault: bool) -> None:
         """Record one translation walk."""
@@ -137,18 +128,6 @@ class WalkStats:
         self.probes += probes
         if fault:
             self.faults += 1
-
-    def record_numa(self, cycles: int, by_node: "Counter") -> None:
-        """Record one walk's latency-weighted cost (NUMA costing only)."""
-        self.numa_cycles += cycles
-        self.numa_lines_by_node.update(by_node)
-
-    @property
-    def cycles_per_lookup(self) -> float:
-        """Latency-weighted cycles per walk (0 without NUMA costing)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.numa_cycles / self.lookups
 
     @property
     def lines_per_lookup(self) -> float:
@@ -175,8 +154,6 @@ class WalkStats:
         self.op_nodes_visited = 0
         self.op_nodes_allocated = 0
         self.op_locks_acquired = 0
-        self.numa_cycles = 0
-        self.numa_lines_by_node = Counter()
 
 
 #: Type of a raw walk: (result or None on fault, cache lines, probes).
@@ -197,43 +174,9 @@ class PageTable(abc.ABC):
         self.layout = layout
         self.cache = cache
         self.stats = WalkStats()
-        #: Optional NUMA coster + accessing node; see :meth:`attach_numa`.
-        self._numa_coster = None
+        #: The NUMA node this table's walks are issued from, as the walk
+        #: tracer labels them (a replica's node; 0 on a flat machine).
         self.numa_node = 0
-
-    # ------------------------------------------------------------------
-    # NUMA costing (opt-in; absent by default)
-    # ------------------------------------------------------------------
-    def attach_numa(self, coster, node: int = 0) -> "PageTable":
-        """Attach a :class:`~repro.numa.costing.WalkCoster` to this table.
-
-        Every subsequent walk is *additionally* charged latency-weighted
-        cycles into ``stats.numa_cycles``/``numa_lines_by_node`` as if
-        issued from NUMA node ``node`` (mutable via ``self.numa_node``).
-        The table is treated as one placement unit — exact for
-        first-touch placement; byte-granular attribution lives in
-        :mod:`repro.numa.replay`.  ``cache_lines`` is never affected.
-        Returns ``self`` for chaining.
-        """
-        self._numa_coster = coster
-        self.numa_node = node
-        return self
-
-    def _charge_numa(self, lines: int) -> None:
-        if self._numa_coster is None or lines <= 0:
-            return
-        coster_stats = self._numa_coster.stats
-        before_cycles = coster_stats.cycles
-        before_nodes = dict(coster_stats.lines_by_node)
-        self._numa_coster.charge_lines(self.numa_node, lines)
-        served = Counter(
-            {
-                node: count - before_nodes.get(node, 0)
-                for node, count in coster_stats.lines_by_node.items()
-                if count != before_nodes.get(node, 0)
-            }
-        )
-        self.stats.record_numa(coster_stats.cycles - before_cycles, served)
 
     # ------------------------------------------------------------------
     # Translation
@@ -251,7 +194,6 @@ class PageTable(abc.ABC):
         """Service one TLB miss; raise :class:`PageFaultError` on no mapping."""
         result, lines, probes = self._walk(vpn)
         self.stats.record_walk(lines, probes, fault=result is None)
-        self._charge_numa(lines)
         if _trace._ACTIVE is not None:
             _trace.emit(
                 self.name, "walk", vpn,
@@ -299,7 +241,6 @@ class PageTable(abc.ABC):
                 mappings.append(Mapping(result.ppn, result.attrs))
         fault = all(m is None for m in mappings)
         self.stats.record_walk(total_lines, total_probes, fault)
-        self._charge_numa(total_lines)
         self._trace_block(vpbn, total_lines, total_probes, fault)
         return BlockLookupResult(
             vpbn=vpbn,

@@ -168,7 +168,6 @@ class ForwardMappedPageTable(ReplicatedPTEMixin, PageTable):
                 mappings.append(Mapping(resolved.ppn, resolved.attrs))
         fault = all(m is None for m in mappings)
         self.stats.record_walk(lines, probes, fault)
-        self._charge_numa(lines)
         self._trace_block(vpbn, lines, probes, fault)
         return BlockLookupResult(vpbn, tuple(mappings), lines, probes)
 

@@ -225,7 +225,6 @@ class LinearPageTable(ReplicatedPTEMixin, PageTable):
                 mappings.append(Mapping(result.ppn, result.attrs))
         fault = all(m is None for m in mappings)
         self.stats.record_walk(lines, probes, fault)
-        self._charge_numa(lines)
         self._trace_block(vpbn, lines, probes, fault)
         return BlockLookupResult(vpbn, tuple(mappings), lines, probes)
 

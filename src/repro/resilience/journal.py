@@ -4,7 +4,7 @@ One ``journal.jsonl`` per run directory.  The first line is a header
 record describing the run configuration; every completed task then
 appends one ``entry`` record and every permanently failed one (under
 ``--keep-going``) one ``failure`` record.  A task is one experiment, or
-one cell of a celled experiment (tenancy, modern), whose entry is keyed
+one cell of a celled experiment (numa, tenancy, modern), whose entry is keyed
 ``<experiment>/<cell id>`` and holds the cell's record.  Appends are
 single-``write`` fsync'd lines
 (:func:`repro.util.atomic_io.append_line_fsync`), so a SIGKILL

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import make_table
-from repro.experiments import common
+from repro.experiments import common, fig11
 from repro.experiments.common import (
     get_miss_stream,
     get_translation_map,
@@ -28,6 +28,7 @@ from repro.mmu import batch as batch_module
 from repro.mmu.batch import replay_misses_batch
 from repro.mmu.batch_kernels import BatchUnsupportedError, compile_kernel
 from repro.mmu.simulate import replay_misses
+from repro.obs.metrics import get_registry, reset_registry
 from repro.obs.trace import WalkTracer, install_tracer, uninstall_tracer
 from repro.pagetables.guarded import GuardedPageTable
 
@@ -55,6 +56,10 @@ def fresh_table(name, workload, tlb_kind="single", base_pages_only=True):
         table, base_pages_only=base_pages_only
     )
     return table
+
+
+def engine_fallbacks():
+    return get_registry().values("engine.fallback")
 
 
 def assert_replays_equal(scalar, batch):
@@ -207,7 +212,8 @@ def test_engine_dispatch_replays_batch(workload, monkeypatch):
 def test_engine_dispatch_falls_back_for_unsupported_table(
     workload, monkeypatch
 ):
-    """SoftwareTLBTable has no kernel: batch engine must defer to scalar."""
+    """SoftwareTLBTable has no kernel: batch engine must defer to scalar,
+    and count each refused replay in ``engine.fallback``."""
     from repro.pagetables.software_tlb import SoftwareTLBTable
 
     def fronted():
@@ -223,10 +229,28 @@ def test_engine_dispatch_falls_back_for_unsupported_table(
     stream = get_miss_stream(workload, "single")
     with pytest.raises(BatchUnsupportedError):
         compile_kernel(fronted())
+    reset_registry()
     scalar = common.replay(stream, fronted())
+    scalar_many = common.replay_many([stream, stream], fronted())
+    assert engine_fallbacks() == {}
     monkeypatch.setattr(common, "_ENGINE", "batch")
     fallback = common.replay(stream, fronted())
     assert_replays_equal(scalar, fallback)
+    assert common.replay_many([stream, stream], fronted()) == scalar_many
+    assert engine_fallbacks() == {
+        "engine.fallback{reason=no batch kernel for SoftwareTLBTable,"
+        "table=software-tlb}": 2
+    }
+
+
+@pytest.mark.parametrize("figure", sorted(fig11.SUBFIGURES))
+def test_figure11_under_batch_records_no_engine_fallback(
+    figure, monkeypatch
+):
+    monkeypatch.setattr(common, "_ENGINE", "batch")
+    reset_registry()
+    fig11.run_subfigure(figure, workloads=("mp3d",), trace_length=5_000)
+    assert engine_fallbacks() == {}
 
 
 def test_configure_engine_rejects_unknown():

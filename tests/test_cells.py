@@ -1,10 +1,11 @@
 """Celled experiments on the runner's scheduler, and the sweep benches.
 
-tenancy and modern declare their sweeps as ordered cells.  The runner
-runs each cell as its own task, journals it under a digest of the whole
-cell, and merges the experiment in sweep order when its last cell
-lands.  ``benchmarks/bench_tenancy.py`` and ``bench_modern.py`` run
-their sweeps through that scheduler and only build documents.
+numa, tenancy and modern declare their sweeps as ordered cells.  The
+runner runs each cell as its own task, journals it under a digest of
+the whole cell, and merges the experiment in sweep order when its last
+cell lands.  ``benchmarks/bench_numa.py``, ``bench_tenancy.py`` and
+``bench_modern.py`` run their sweeps through that scheduler and only
+build documents.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
-from repro.experiments import modern, tenancy
+from repro.experiments import modern, numa, tenancy
 from repro.experiments.runner import (
     ResilienceConfig,
     RunMetrics,
@@ -44,6 +45,20 @@ def _run_tenancy(tmp_path, tables, resume=False, jobs=1):
         resilience=ResilienceConfig(run_dir=str(tmp_path), resume=resume),
     )
     return results["tenancy"], metrics
+
+
+#: A small numa sweep: two workload cells, each over the default tables.
+NUMA_SWEEP = dict(topologies=("1-node", "2-node"), miss_limit=500)
+
+
+def _run_numa(tmp_path, resume=False, **change):
+    metrics = RunMetrics()
+    cells = numa.cells(("mp3d", "gcc"), **{**NUMA_SWEEP, **change})
+    results = run_all(
+        2_000, only=("numa",), metrics=metrics, cells={"numa": cells},
+        resilience=ResilienceConfig(run_dir=str(tmp_path), resume=resume),
+    )
+    return results["numa"], metrics
 
 
 def _interrupt_after(monkeypatch, module, cells_done):
@@ -82,7 +97,18 @@ class TestSweepCells:
         assert metrics.experiment_tasks == 2
         assert metrics.completed == ["tenancy"]
 
+    def test_numa_cells_merge_to_the_serial_run(self, tmp_path):
+        result, metrics = _run_numa(tmp_path)
+        serial = numa.run(("mp3d", "gcc"), 2_000, **NUMA_SWEEP)
+        assert result.rows == serial.rows
+        assert result.records == serial.records
+        assert metrics.experiment_tasks == 2
+        assert metrics.completed == ["numa"]
+
     @pytest.mark.parametrize("build", [
+        lambda: numa.cells(topologies=("nowhere",)),
+        lambda: numa.cells(policies=("none", "bogus")),
+        lambda: numa.cells(policies=()),
         lambda: tenancy.cells(tenants=(0,)),
         lambda: tenancy.cells(tables=("bogus",)),
         lambda: modern.cells(footprints=(float("nan"),)),
@@ -92,6 +118,7 @@ class TestSweepCells:
             "tenancy": tenancy.cells(tenants=(10,)) * 2,
         }),
     ], ids=[
+        "topology-nowhere", "policy-bogus", "policies-empty",
         "tenants-0", "tables-bogus", "footprint-nan", "footprint-negative",
         "tables-partly-bogus", "repeated-cells",
     ])
@@ -129,6 +156,24 @@ class TestCellJournal:
         assert [t["table"] for t in changed.records[0]["tables"]] == [
             "hashed", "clustered",
         ]
+
+    @pytest.mark.parametrize("change", [
+        {"miss_limit": 400},
+        {"topologies": ("1-node", "4-node")},
+    ], ids=["miss-limit", "topologies"])
+    def test_a_changed_numa_input_recomputes_the_cells(
+        self, tmp_path, change
+    ):
+        _run_numa(tmp_path)
+        entries = RunJournal(tmp_path).load().entries
+        assert list(entries) == ["numa/mp3d", "numa/gcc"]
+        _, same = _run_numa(tmp_path, resume=True)
+        assert (same.experiment_tasks, same.resumed_skips) == (0, 1)
+        changed, metrics = _run_numa(tmp_path, resume=True, **change)
+        assert (metrics.experiment_tasks, metrics.resumed_skips) == (2, 0)
+        assert changed.rows == numa.run(
+            ("mp3d", "gcc"), 2_000, **{**NUMA_SWEEP, **change}
+        ).rows
 
     def test_a_partial_resume_runs_only_the_missing_cells(
         self, tmp_path, monkeypatch
@@ -209,6 +254,36 @@ class TestBenchCommandLine:
         assert len(calls) == total - stop
         baseline = BASELINES / f"BENCH_{name}.json"
         assert out.read_bytes() == baseline.read_bytes()
+
+    def test_resumed_fast_numa_sweep_matches_a_fresh_one(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The committed baseline's gcc rows differ from a fresh
+        document (within the gate's 10%), so the resumed document is
+        held to a fresh one byte for byte and to the baseline through
+        the gate."""
+        bench, gate = _bench("bench_numa"), _bench("bench_gate")
+        fresh = tmp_path / "fresh.json"
+        assert bench.main(["--fast", "--out", str(fresh)]) == 0
+        out = tmp_path / "BENCH_numa.json"
+        run_dir = str(tmp_path / "run")
+        with monkeypatch.context() as patch:
+            _interrupt_after(patch, numa, 1)
+            assert bench.main(["--fast", "--run-dir", run_dir,
+                               "--out", str(out)]) == 130
+        calls = _count_cells(monkeypatch, numa)
+        capsys.readouterr()
+        assert bench.main(["--fast", "--resume", run_dir,
+                           "--out", str(out)]) == 0
+        assert "[1 cells computed, 1 resumed" in capsys.readouterr().out
+        assert calls == ["gcc"]
+        assert out.read_bytes() == fresh.read_bytes()
+        document = json.loads(out.read_text())
+        baseline = json.loads((BASELINES / "BENCH_numa.json").read_text())
+        for key in ("benchmark", "trace_length", "workloads", "topologies"):
+            assert document[key] == baseline[key]
+        assert "wall_seconds" not in document
+        assert gate.main(["--family", f"numa={out}"]) == 0
 
     def test_finished_bench_run_dir_is_a_finished_run(self, tmp_path, capsys):
         bench = _bench("bench_modern")

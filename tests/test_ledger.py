@@ -501,7 +501,6 @@ class TestGateSabotage:
         rc = gate.main([
             "--family", f"batch={fresh}",
             "--baseline-dir", str(no_baselines),
-            "--speedup-floor", "10",
         ])
         out = capsys.readouterr().out
         assert rc == expected

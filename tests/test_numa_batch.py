@@ -8,15 +8,15 @@ the policy's serve counters, and the ``numa.walk_lines`` /
 ``numa.walk_cycles`` registry histograms — must equal the scalar
 replay's exactly.  The stateful ``migrate`` policy is order-dependent
 and must be *refused* (before any stats are touched), with the engine
-dispatch falling back to the scalar replay.
+seam falling back to the scalar replay.
 """
 
 import pytest
 
 from repro.analysis.metrics import make_table
-from repro.experiments import numa as numa_experiment
 from repro.experiments.common import (
     configure_engine,
+    engine_replay,
     get_miss_stream,
     get_translation_map,
     get_workload,
@@ -144,17 +144,28 @@ def test_migrate_policy_is_refused(workload, stream):
 
 
 def test_experiment_dispatch_falls_back_for_migrate(workload, stream):
-    scalar = numa_experiment._replay_numa(
-        stream, fresh_table("hashed", workload),
-        topology=PRESETS["4-node"], policy="migrate", miss_limit=2_000,
-    )
-    configure_engine("batch")
-    try:
-        batch = numa_experiment._replay_numa(
-            stream, fresh_table("hashed", workload),
+    """The engine seam the sweep replays through defers migrate to the
+    scalar replay, counting one ``engine.fallback`` per refused replay
+    under batch and none under scalar."""
+    def replay():
+        return engine_replay(
+            replay_misses_numa_batch, replay_misses_numa, stream,
+            fresh_table("hashed", workload),
             topology=PRESETS["4-node"], policy="migrate", miss_limit=2_000,
         )
+
+    reset_registry()
+    scalar = replay()
+    assert get_registry().values("engine.fallback") == {}
+    configure_engine("batch")
+    try:
+        batch = replay()
+        replay()
     finally:
         configure_engine("scalar")
     assert_numa_equal(scalar, batch)
     assert batch.policy_name == "migrate"
+    assert get_registry().values("engine.fallback") == {
+        "engine.fallback{reason=MigrateOnThresholdPolicy is stateful,"
+        "table=hashed}": 2
+    }

@@ -18,12 +18,8 @@ from repro.experiments.common import (
     get_workload,
     single_page_tlb,
 )
-from repro.mmu.mmu import MMU
 from repro.mmu.simulate import replay_misses
-from repro.mmu.tlb import FullyAssociativeTLB
-from repro.numa.costing import WalkCoster
-from repro.numa.placement import FirstTouchPlacement
-from repro.numa.policy import POLICY_NAMES, make_policy
+from repro.numa.policy import POLICY_NAMES
 from repro.numa.replay import replay_misses_numa
 from repro.numa.topology import LOCAL_CYCLES, PRESETS, SINGLE_NODE
 
@@ -87,34 +83,6 @@ def test_single_node_policies_all_degenerate(workload, stream):
         for policy in POLICY_NAMES
     }
     assert len(set(costs.values())) == 1
-
-
-# ---------------------------------------------------------------------------
-# Integrated MMU path
-# ---------------------------------------------------------------------------
-def test_mmu_with_single_node_coster_keeps_stats_identical(workload):
-    trace = workload.trace.vpns[:5000]
-
-    def run(attach):
-        table = fresh_table("hashed", workload)
-        if attach:
-            placement = FirstTouchPlacement(SINGLE_NODE, node=0)
-            table.attach_numa(WalkCoster(make_policy("none", placement)))
-        mmu = MMU(FullyAssociativeTLB(64), table)
-        for vpn in trace:
-            mmu.translate(int(vpn))
-        return mmu.stats
-
-    plain, attached = run(False), run(True)
-    assert attached.cache_lines == plain.cache_lines
-    assert attached.tlb_misses == plain.tlb_misses
-    assert attached.tlb_hits == plain.tlb_hits
-    assert plain.numa_cycles == 0 and not plain.lines_by_node
-    assert attached.numa_cycles == attached.cache_lines * LOCAL_CYCLES
-    assert dict(attached.lines_by_node) == {0: attached.cache_lines}
-    assert attached.cycles_per_miss == pytest.approx(
-        attached.lines_per_miss * LOCAL_CYCLES
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 
 from repro.experiments import numa
 from repro.experiments.runner import (
+    CELLED,
     EXPERIMENT_ORDER,
     _SINGLE_STREAM_EXPERIMENTS,
-    producers,
     select_experiments,
     stream_prewarm_plan,
 )
@@ -85,7 +85,7 @@ def test_remote_penalty_grows_with_machine_size(result):
 def test_runner_knows_the_numa_experiment():
     assert "numa" in EXPERIMENT_ORDER
     assert "numa" in _SINGLE_STREAM_EXPERIMENTS
-    assert "numa" in producers(TRACE_LENGTH)
+    assert CELLED["numa"] is numa
     assert select_experiments(["numa"]) == ("numa",)
     plan = stream_prewarm_plan(("numa",), workloads=("mp3d",))
     assert ("mp3d", "single", 64) in plan

@@ -140,29 +140,6 @@ def test_memory_image_attribution():
     assert image.numa_node_of(line + 3) == 1
 
 
-def test_mmu_coarse_mode_charges_remote_first_touch():
-    """A node-2 walker over a node-0 first-touch table pays one hop."""
-    from repro.mmu.mmu import MMU
-    from repro.mmu.tlb import FullyAssociativeTLB
-    from repro.numa.costing import WalkCoster
-    from repro.numa.policy import make_policy
-    from repro.pagetables.hashed import HashedPageTable
-
-    topo = PRESETS["4-node"]
-    table = HashedPageTable(num_buckets=16)
-    for vpn in range(64):
-        table.insert(vpn, vpn + 100)
-    coster = WalkCoster(make_policy("none", FirstTouchPlacement(topo, node=0)))
-    assert table.attach_numa(coster, node=2) is table
-    mmu = MMU(FullyAssociativeTLB(8), table)
-    for vpn in [v % 64 for v in range(0, 600, 7)]:
-        mmu.translate(vpn)
-    stats = mmu.stats
-    assert stats.numa_cycles == stats.cache_lines * ONE_HOP_CYCLES
-    assert dict(stats.lines_by_node) == {0: stats.cache_lines}
-    assert table.stats.numa_cycles == stats.numa_cycles
-
-
 # ---------------------------------------------------------------------------
 # Node-aware frame allocation
 # ---------------------------------------------------------------------------
