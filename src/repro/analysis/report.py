@@ -405,6 +405,17 @@ def render_run_report(
             f"{run.get('resumed_skips', 0)} resumed",
         ]
         lines.append(f"- resilience: {', '.join(resilience_bits)}")
+        # engine.replays{engine,table} per engine; engine.fallback has no
+        # engine label and is totalled as "fallback".
+        replays: Dict[str, int] = {"batch": 0, "scalar": 0, "fallback": 0}
+        for name, labels, value in registry_state.get("counters", []):
+            if name in ("engine.replays", "engine.fallback"):
+                engine = labels.get("engine", "fallback")
+                replays[engine] += int(value)
+        lines.append(
+            "- replays: {batch} batch, {scalar} scalar ({fallback} batch "
+            "fallbacks)".format(**replays)
+        )
     lines.append("")
 
     # -- experiments -------------------------------------------------------

@@ -13,13 +13,20 @@ Commands
     ``fig10``, ``fig11a``–``fig11d``, ``table2``, ``sensitivity``,
     ``softtlb``, ``multisize``, ``multiprog``, ``guarded``, ``sasos``,
     ``cachesim``, ``pressure``, ``promotion-scan``, ``numa``,
-    ``tenancy``, ``modern``, ``claims``, or ``all``.  Each id produces
-    through the runner's own producer table.  The ``numa`` study accepts
-    ``--topology`` (preset name or topology JSON file) and
-    ``--replication`` (policy subset); ``tenancy`` accepts ``--tenants``
-    (comma-separated populations, e.g. ``100,1000,10000``) and
-    ``--churn`` (mode subset from ``static,churn``); ``modern`` accepts
-    ``--footprint`` (MB list); both of the last two accept ``--tables``.
+    ``tenancy``, ``modern``, ``claims``, or ``all``.  Each id runs its
+    :func:`runner_keys` through :func:`repro.experiments.runner.run_all`
+    in this process (no persistent cache unless ``--cache-dir``);
+    ``claims`` judges the paper's claims on those results.  The
+    ``numa`` study accepts ``--topology`` (preset name or topology JSON
+    file) and ``--replication`` (policy subset); ``tenancy`` accepts
+    ``--tenants`` (comma-separated populations, e.g.
+    ``100,1000,10000``) and ``--churn`` (mode subset from
+    ``static,churn``); ``modern`` accepts ``--footprint`` (MB list);
+    both of the last two accept ``--tables``.  These restriction flags
+    become the id's ``run_all`` cells.  ``--workloads`` takes known
+    names only, must name a modern model for ``modern``, and is refused
+    by the studies that pick their own; ``claims`` and ``all`` refuse
+    ``--chart``.
     ``--trace-out FILE`` records one structured event per page-table
     walk and exports the trace as JSON Lines.
 ``experiment all [--jobs N] [--only IDS] [--json FILE] [--csv DIR]
@@ -75,6 +82,7 @@ from typing import List, Optional, Tuple
 
 from repro.analysis.metrics import make_table, normalised_sizes, table_sizes
 from repro.analysis.report import render_table
+from repro.experiments.claims import KEYS as CLAIM_KEYS
 from repro.workloads.suite import PAPER_WORKLOADS, load_workload
 
 #: Experiment ids accepted by the ``experiment`` command, in paper order.
@@ -85,14 +93,16 @@ EXPERIMENT_IDS = (
     "numa", "tenancy", "modern", "claims", "all",
 )
 
-#: The ids that are not exactly one runner key.  ``claims`` is a CLI-only
-#: study, and ``all`` runs every key (or the ``--only`` subset).
+#: The ids that are not exactly one runner key: ``claims`` evaluates the
+#: paper's claims over its keys' results, and ``all`` runs every key (or
+#: the ``--only`` subset).
 _ID_KEYS = {
     "promotion-scan": ("promotion_scan",),
     "sensitivity": (
         "sens_cacheline", "sens_subblock", "sens_buckets",
         "sens_tlb_geometry", "sens_hash_quality", "sens_shared_private",
     ),
+    "claims": CLAIM_KEYS,
 }
 
 #: ``experiment`` flags that only some ids read: dest → those ids.  Any
@@ -110,6 +120,12 @@ _FLAG_READERS = {
     "churn": ("tenancy",),
     "tables": ("tenancy", "modern"),
     "footprint": ("modern",),
+    # Synthetic-space and analytic studies pick their own workloads, and
+    # the claims name theirs.
+    "workloads": tuple(i for i in EXPERIMENT_IDS if i not in (
+        "sensitivity", "multisize", "sasos", "pressure", "tenancy", "claims",
+    )),
+    "chart": tuple(i for i in EXPERIMENT_IDS if i not in ("claims", "all")),
 }
 
 
@@ -160,7 +176,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if value is not None and value is not False and args.id not in readers:
             args.usage_error(
                 f"--{dest.replace('_', '-')} is not read by '{args.id}' "
-                f"(only by {' and '.join(repr(r) for r in readers)})"
+                f"(only by {', '.join(repr(r) for r in readers)})"
             )
     if args.trace_length is not None:
         trace_length = args.trace_length
@@ -168,34 +184,29 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         trace_length = 30_000 if args.fast else 60_000
     else:
         trace_length = 50_000 if args.fast else 200_000
-    workloads = (
-        [part.strip() for part in args.workloads.split(",")]
-        if args.workloads else None
-    )
+    workloads = _workloads(args)
     if args.id == "all":
         return _run_all(args, trace_length, workloads)
-    from repro.experiments import common, runner
+    from repro.experiments import runner
 
-    if args.cache_dir and not args.no_cache:
-        common.configure_stream_cache(args.cache_dir)
-    common.configure_engine(args.engine)
-    if args.id == "claims":
-        from repro.experiments import claims as claims_module
-
-        verdicts = claims_module.verify(trace_length=trace_length)
-        print(claims_module.report(verdicts).render())
-        return 0 if all(claim.holds for claim in verdicts) else 1
-    restrictions = _restrictions(args)
+    cells = _cells(args, workloads)
     with _tracing(args.trace_out) as tracer:
-        if args.id in runner.CELLED:
-            results = [runner.CELLED[args.id].run(
-                trace_length=trace_length, workloads=workloads,
-                **restrictions,
-            )]
-        else:
-            table = runner.producers(trace_length, workloads)
-            results = [table[key]() for key in runner_keys(args.id)]
-    for index, result in enumerate(results):
+        results = runner.run_all(
+            trace_length,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            workloads=workloads,
+            only=runner_keys(args.id),
+            engine=args.engine,
+            cells=cells,
+        )
+    holds = True
+    if args.id == "claims":
+        from repro.experiments import claims
+
+        verdicts = claims.verify(results)
+        holds = all(claim.holds for claim in verdicts)
+        results = {"claims": claims.report(verdicts)}
+    for index, result in enumerate(results.values()):
         if index:
             print()
         if args.chart:
@@ -206,7 +217,31 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else:
             print(result.render(precision=3))
     _print_trace(tracer, args.trace_out)
-    return 0
+    return 0 if holds else 1
+
+
+def _workloads(args: argparse.Namespace) -> Optional[List[str]]:
+    """``--workloads`` as a list of names, each one a known workload, and
+    for ``modern`` at least one modern model."""
+    if not args.workloads:
+        return None
+    from repro.workloads.modern import MODERN_WORKLOADS
+
+    workloads = [part.strip() for part in args.workloads.split(",")]
+    known = sorted(PAPER_WORKLOADS) + sorted(MODERN_WORKLOADS)
+    unknown = [name for name in workloads if name not in known]
+    if unknown:
+        args.usage_error(
+            f"--workloads: unknown workload(s) {', '.join(unknown)}; "
+            f"known: {', '.join(known)}"
+        )
+    if args.id == "modern" and not set(workloads) & set(MODERN_WORKLOADS):
+        args.usage_error(
+            f"--workloads: 'modern' sweeps only the modern models "
+            f"({', '.join(MODERN_WORKLOADS)}), and {args.workloads} "
+            "names none of them"
+        )
+    return workloads
 
 
 def _tracing(trace_out: Optional[str]):
@@ -335,18 +370,24 @@ def _run_all(
     return 0
 
 
-def _restrictions(args: argparse.Namespace) -> dict:
-    """The id's restriction flags as keywords of its ``run``.  Each is
-    checked alone through the id's ``cells``, so a bad value is a usage
-    error naming its flag, raised before anything runs."""
+def _cells(
+    args: argparse.Namespace, workloads: Optional[List[str]]
+) -> Optional[dict]:
+    """A celled id's sweep as ``run_all`` cells, with its restriction
+    flags applied.  Each flag is checked alone through the id's
+    ``cells``, so a bad value is a usage error naming its flag, raised
+    before anything runs."""
     from repro.errors import ConfigurationError
     from repro.experiments import modern, tenancy
     from repro.experiments.runner import CELLED
 
+    if args.id not in CELLED:
+        return None
+
     def names(text: str) -> Tuple[str, ...]:
         return tuple(text.split(","))
 
-    parsers = {  # dest → (the keyword of run, parser of the flag's text)
+    parsers = {  # dest → (the keyword of cells, parser of the flag's text)
         "topology": ("topologies", lambda text: (text,)),
         "replication": ("policies", names),
         "tenants": ("tenants", lambda text: tuple(map(int, text.split(",")))),
@@ -364,7 +405,7 @@ def _restrictions(args: argparse.Namespace) -> dict:
             CELLED[args.id].cells(**{keyword: restrictions[keyword]})
         except (ValueError, ConfigurationError) as exc:
             args.usage_error(f"--{dest}: {exc}")
-    return restrictions
+    return {args.id: CELLED[args.id].cells(workloads, **restrictions)}
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
@@ -487,18 +528,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return _cmd_compare_exports(args)
     if os.path.isdir(args.workload) or getattr(args, "run_b", None):
         return _cmd_compare_runs(args)
-    from repro.mmu.simulate import collect_misses, replay_misses
-    from repro.mmu.tlb import FullyAssociativeTLB
-    from repro.os.translation_map import TranslationMap
+    from repro.experiments import common
 
-    workload = load_workload(args.workload, trace_length=60_000)
-    tmap = TranslationMap.from_space(workload.union_space())
-    stream = collect_misses(workload.trace, FullyAssociativeTLB(64), tmap)
+    workload = common.get_workload(args.workload, trace_length=60_000)
+    tmap = common.get_translation_map(workload, "single")
+    stream = common.get_miss_stream(workload, "single")
     rows = []
     for name in ("linear-1lvl", "forward-mapped", "hashed", "clustered"):
         table = make_table(name)
         tmap.populate(table, base_pages_only=True)
-        replay = replay_misses(stream, table)
+        replay = common.replay(stream, table)
         rows.append(
             [name, table.size_bytes(), round(replay.lines_per_miss, 3)]
         )

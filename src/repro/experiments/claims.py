@@ -1,23 +1,25 @@
 """Claims verifier: every headline claim of the paper, checked in one run.
 
 EXPERIMENTS.md narrates the reproduction; this module *executes* it.  Each
-claim is a predicate over freshly regenerated experiment data; the output
-is a claim-by-claim verdict table, and ``python -m repro experiment claims``
-exits non-zero if any reproducible claim fails — the reproduction's
-end-to-end acceptance gate.
+claim is a predicate over experiment results that the runner regenerates
+(``runner.run_all`` over :data:`KEYS`); the output is a claim-by-claim
+verdict table, and ``python -m repro experiment claims`` exits non-zero if
+any reproducible claim fails — the reproduction's end-to-end acceptance
+gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Mapping, Sequence
 
-from repro.experiments import fig9, fig10, fig11, table1, table2
 from repro.experiments.common import ExperimentResult
 
-#: Trace length for the verification pass (a compromise between runtime
-#: and statistical stability; the shapes are robust well below this).
-VERIFY_TRACE_LENGTH = 60_000
+#: The runner keys whose results the claims read, in paper order.
+KEYS = (
+    "table1", "fig9", "fig10", "fig11a", "fig11b", "fig11c", "fig11d",
+    "table2",
+)
 
 
 @dataclass
@@ -30,20 +32,15 @@ class Claim:
     holds: bool
 
 
-def _series(result: ExperimentResult, row_label: str) -> Dict[str, object]:
-    row = result.by_label()[row_label]
-    return dict(zip(result.headers[1:], row))
-
-
-def verify(trace_length: int = VERIFY_TRACE_LENGTH) -> List[Claim]:
-    """Regenerate the core experiments and evaluate every claim."""
+def verify(results: Mapping[str, ExperimentResult]) -> List[Claim]:
+    """Evaluate every claim over the results of :data:`KEYS`."""
     claims: List[Claim] = []
 
     def record(source: str, statement: str, measured: str, holds: bool):
         claims.append(Claim(source, statement, measured, holds))
 
     # ------------------------------------------------------------- Fig 9
-    fig9_result = fig9.run()
+    fig9_result = results["fig9"]
     minima = []
     for row in fig9_result.rows:
         values = dict(zip(fig9_result.headers[1:], row[1:]))
@@ -65,7 +62,7 @@ def verify(trace_length: int = VERIFY_TRACE_LENGTH) -> List[Claim]:
     )
 
     # ------------------------------------------------------------ Fig 10
-    fig10_result = fig10.run()
+    fig10_result = results["fig10"]
     sp_savings = []
     psb_savings = []
     for row in fig10_result.rows:
@@ -86,10 +83,7 @@ def verify(trace_length: int = VERIFY_TRACE_LENGTH) -> List[Claim]:
     )
 
     # --------------------------------------------------------- Fig 11a-d
-    sub11 = {
-        figure: fig11.run_subfigure(figure, trace_length=trace_length)
-        for figure in ("11a", "11b", "11c", "11d")
-    }
+    sub11 = {key[3:]: results[key] for key in KEYS if key.startswith("fig11")}
     fwd = [
         value
         for figure in sub11.values()
@@ -131,7 +125,7 @@ def verify(trace_length: int = VERIFY_TRACE_LENGTH) -> List[Claim]:
     )
 
     # ------------------------------------------------------------ Table 2
-    table2_result = table2.run()
+    table2_result = results["table2"]
     size_exact = all(
         row[4] == 1.0 for row in table2_result.rows if row[1] == "size B"
     )
@@ -148,7 +142,7 @@ def verify(trace_length: int = VERIFY_TRACE_LENGTH) -> List[Claim]:
     )
 
     # ------------------------------------------------------------ Table 1
-    table1_result = table1.run(trace_length=trace_length)
+    table1_result = results["table1"]
     footprints_ok = all(
         row[6] is None or abs(row[6] / row[7] - 1.0) < 0.15
         for row in table1_result.rows

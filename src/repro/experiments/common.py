@@ -10,6 +10,13 @@ once.  A persistent on-disk layer
 :func:`configure_stream_cache`) extends that across processes and runs:
 parallel workers share artefacts, and repeat invocations skip phase 1
 entirely.
+
+Phase 2 has one door: every walk an experiment measures is a
+:func:`replay` or :func:`replay_many` of a miss stream (a TLB's, or a
+probe stream with no TLB phase from
+:meth:`~repro.mmu.simulate.MissStream.all_misses`), and both run the
+active engine through :func:`engine_replay`, which counts each replay
+in ``engine.replays`` and each batch refusal in ``engine.fallback``.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.addr.space import AddressSpace
 from repro.analysis.report import render_table
 from repro.cache.stream_cache import CacheStats, StreamCache, stream_cache_key
 from repro.obs.metrics import get_registry
@@ -184,19 +194,38 @@ def engine_replay(
     stats are touched; the refusal is counted in
     ``engine.fallback{table,reason}`` and ``scalar(stream, table,
     **kwargs)`` takes over, so ``--engine batch`` changes speed, never
-    results.  :func:`replay`, :func:`replay_many` and the NUMA sweep
-    share this step.
+    results.  Each call is counted once in ``engine.replays{engine,
+    table}`` under the engine that produced its result.  :func:`replay`,
+    :func:`replay_many` and the NUMA sweep share this step, and every
+    walk an experiment measures passes through one of them.
     """
-    if _ENGINE == "batch":
+    engine = _ENGINE
+    if engine == "batch":
         from repro.mmu.batch_kernels import BatchUnsupportedError
 
         try:
-            return batch(stream, table, **kwargs)
+            result = batch(stream, table, **kwargs)
         except BatchUnsupportedError as refused:
             get_registry().inc(
                 "engine.fallback", table=table.name, reason=str(refused)
             )
-    return scalar(stream, table, **kwargs)
+            engine = "scalar"
+    if engine == "scalar":
+        result = scalar(stream, table, **kwargs)
+    get_registry().inc("engine.replays", engine=engine, table=table.name)
+    return result
+
+
+def uniform_probes(
+    space: AddressSpace, rng: np.random.Generator, count: int
+) -> MissStream:
+    """``count`` uniform random probes over a space's mapped pages, drawn
+    from the numpy ``rng``: a probe stream with no TLB phase."""
+    mapped = np.asarray(space.vpns(), dtype=np.int64)
+    return MissStream.all_misses(
+        rng.choice(mapped, size=count), f"{space.name}-uniform",
+        "uniform probes over mapped pages (no TLB phase)",
+    )
 
 
 def replay(stream: MissStream, table, complete_subblock: bool = False):

@@ -126,13 +126,3 @@ def run_subfigure(
         "the 64-entry TLB miss count.",
     )
 
-
-def run_all(
-    workloads: Optional[Sequence[str]] = None,
-    trace_length: int = 200_000,
-) -> Dict[str, ExperimentResult]:
-    """Regenerate every sub-figure."""
-    return {
-        figure: run_subfigure(figure, workloads, trace_length)
-        for figure in SUBFIGURES
-    }

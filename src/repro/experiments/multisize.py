@@ -11,7 +11,7 @@ average walk cost over a probe mix proportional to each size's pages.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from repro.core.multisize import (
     R4000_PAGE_SIZES,
     conventional_multisize,
 )
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, replay
+from repro.mmu.simulate import MissStream
 
 #: Object mix: (page size in base pages, object count).  Weighted toward
 #: small sizes, as real address spaces are.  Size-1 entries are *runs* of
@@ -86,24 +87,23 @@ def run(
     """Compare the §7 configurations on size and walk cost."""
     clustered, hashed, probe_vpns = build_tables(mix=mix, seed=seed)
     rng = np.random.default_rng(seed)
-    probes = rng.permutation(
-        np.repeat(np.asarray(probe_vpns, dtype=np.int64), probe_rounds)
+    vpns = np.repeat(np.asarray(probe_vpns, dtype=np.int64), probe_rounds)
+    probes = MissStream.all_misses(
+        rng.permutation(vpns), "multi-size-mix",
+        "probes by page population (no TLB phase)",
     )
-    for vpn in probes.tolist():
-        clustered.lookup(int(vpn))
-        hashed.lookup(int(vpn))
     rows = [
         [
             "two-clustered (§7)",
             2,
             clustered.size_bytes(),
-            round(clustered.stats.lines_per_lookup, 3),
+            round(replay(probes, clustered).lines_per_miss, 3),
         ],
         [
             "five-hashed (per size)",
             len(R4000_PAGE_SIZES),
             hashed.size_bytes(),
-            round(hashed.stats.lines_per_lookup, 3),
+            round(replay(probes, hashed).lines_per_miss, 3),
         ],
     ]
     return ExperimentResult(

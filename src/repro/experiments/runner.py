@@ -139,8 +139,9 @@ def producers(
 
     ``workloads`` restricts every experiment that accepts a workload
     subset; the rest (synthetic-space and analytic studies) ignore it.
-    Runner tasks and ``repro experiment ID`` both produce through this
-    table; the :data:`CELLED` experiments produce cell by cell instead.
+    Every runner task produces through this table, whether the run is
+    ``repro experiment all`` or a single id; the :data:`CELLED`
+    experiments produce cell by cell instead.
     """
     w = {"workloads": tuple(workloads)} if workloads else {}
     return {

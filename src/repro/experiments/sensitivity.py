@@ -9,21 +9,36 @@ Three sweeps, each an ablation of a design choice DESIGN.md calls out:
   for s ∈ {2, 4, 8, 16, 32}.
 - **Hash bucket count** (§7): load factor α vs empty-bucket memory for
   hashed and clustered tables.
+
+Three more cover TLB geometry, hash quality and shared versus
+per-process tables.  Every walk a sweep measures is a
+:func:`~repro.experiments.common.replay` of a miss stream: the uniform
+probes of the cache-line and bucket sweeps form a stream with no TLB
+phase (:meth:`~repro.mmu.simulate.MissStream.all_misses`), and the
+private tables replay each process's share of the shared TLB stream.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.addr.layout import AddressLayout
 from repro.core.clustered import ClusteredPageTable
-from repro.experiments.common import ExperimentResult, get_workload
+from repro.experiments.common import (
+    ExperimentResult,
+    collect_misses_cached,
+    get_workload,
+    replay,
+    uniform_probes,
+)
 from repro.mmu.cache_model import CacheModel
+from repro.mmu.simulate import MissStream
+from repro.mmu.tlb import FullyAssociativeTLB, SetAssociativeTLB
 from repro.os.translation_map import TranslationMap
-from repro.pagetables.hashed import HashedPageTable
-from repro.workloads.suite import load_workload
+from repro.pagetables.hashed import HashedPageTable, multiplicative_hash
+from repro.workloads.suite import PROCESS_VA_STRIDE, load_workload
 
 
 def cache_line_sweep(
@@ -48,15 +63,12 @@ def cache_line_sweep(
         workload = load_workload(workload_name, layout=layout, with_trace=False)
         space = workload.union_space()
         tmap = TranslationMap.from_space(space)
-        mapped = np.asarray(space.vpns(), dtype=np.int64)
-        probes = rng.choice(mapped, size=probe_count)
+        stream = uniform_probes(space, rng, probe_count)
         row: List = [f"s={s}"]
         for line in line_sizes:
             table = ClusteredPageTable(layout, CacheModel(line))
             tmap.populate(table, base_pages_only=True)
-            for vpn in probes.tolist():
-                table.lookup(int(vpn))
-            row.append(round(table.stats.lines_per_lookup, 3))
+            row.append(round(replay(stream, table).lines_per_miss, 3))
         rows.append(row)
     return ExperimentResult(
         experiment=(
@@ -130,25 +142,17 @@ def bucket_count_sweep(
     workload = get_workload(workload_name)
     space = workload.union_space()
     tmap = TranslationMap.from_space(space)
-    mapped = np.asarray(space.vpns(), dtype=np.int64)
-    probes = rng.choice(mapped, size=probe_count)
+    stream = uniform_probes(space, rng, probe_count)
     for buckets in bucket_counts:
-        hashed = HashedPageTable(space.layout, num_buckets=buckets)
-        clustered = ClusteredPageTable(space.layout, num_buckets=buckets)
-        tmap.populate(hashed, base_pages_only=True)
-        tmap.populate(clustered, base_pages_only=True)
-        for vpn in probes.tolist():
-            hashed.lookup(int(vpn))
-            clustered.lookup(int(vpn))
-        rows.append(
-            [
-                str(buckets),
-                round(hashed.load_factor(), 3),
-                round(hashed.stats.lines_per_lookup, 3),
-                round(clustered.load_factor(), 3),
-                round(clustered.stats.lines_per_lookup, 3),
-            ]
-        )
+        row: List = [str(buckets)]
+        for table in (
+            HashedPageTable(space.layout, num_buckets=buckets),
+            ClusteredPageTable(space.layout, num_buckets=buckets),
+        ):
+            tmap.populate(table, base_pages_only=True)
+            row.append(round(table.load_factor(), 3))
+            row.append(round(replay(stream, table).lines_per_miss, 3))
+        rows.append(row)
     return ExperimentResult(
         experiment=f"Sensitivity: hash bucket count ({workload_name})",
         headers=[
@@ -180,9 +184,6 @@ def tlb_geometry_sweep(
     designs of equal capacity miss more through conflicts, and capacity
     dominates once the working set exceeds reach.
     """
-    from repro.experiments.common import collect_misses_cached
-    from repro.mmu.tlb import FullyAssociativeTLB, SetAssociativeTLB
-
     workload = load_workload(workload_name, trace_length=trace_length)
     tmap = TranslationMap.from_space(workload.union_space())
     rows: List[List] = []
@@ -217,10 +218,6 @@ def hash_quality_sweep(
     functions and reports mean and worst chain lengths — the worst chain
     bounds the worst-case TLB miss.
     """
-    from repro.core.clustered import ClusteredPageTable
-    from repro.os.translation_map import TranslationMap
-    from repro.pagetables.hashed import HashedPageTable, multiplicative_hash
-
     def modulo_hash(tag: int, buckets: int) -> int:
         return tag % buckets
 
@@ -287,17 +284,21 @@ def shared_vs_private_tables(
     measured: shared tables pay higher load factors and cross-process
     chain interference; private tables pay one bucket array per process.
     """
-    from repro.core.clustered import ClusteredPageTable
-    from repro.experiments.common import collect_misses_cached
-    from repro.mmu.simulate import replay_misses
-    from repro.mmu.tlb import FullyAssociativeTLB
-    from repro.pagetables.hashed import HashedPageTable
-
     workload = load_workload(workload_name, trace_length=trace_length)
     union_map = TranslationMap.from_space(workload.union_space())
     stream = collect_misses_cached(
         workload.trace, FullyAssociativeTLB(64), union_map
     )
+    # Each miss walks its owner's private table, whose contents (disjoint
+    # VAs) it would find identically: one sub-stream per owner.
+    owners = stream.vpns // PROCESS_VA_STRIDE
+    owned = [
+        MissStream.all_misses(
+            stream.vpns[owners == owner], f"{stream.trace_name}/p{owner}",
+            stream.tlb_description,
+        )
+        for owner in range(len(workload.spaces))
+    ]
 
     rows: List[List] = []
     for label, factory in (
@@ -311,27 +312,18 @@ def shared_vs_private_tables(
         # Shared: one table holds every process's PTEs.
         shared = factory()
         union_map.populate(shared, base_pages_only=True)
-        shared_lines = replay_misses(stream, shared).lines_per_miss
+        shared_lines = replay(stream, shared).lines_per_miss
 
-        # Private: one table per process; each miss walks its owner's
-        # table, whose contents (disjoint VAs) it would find identically,
-        # so the replay uses per-process tables selected by VA slice.
-        private_tables = []
+        # Private: one table per process, each replaying its owner's misses.
+        private_lines_total = 0
         private_bytes = 0
-        for space in workload.spaces:
+        for space, misses in zip(workload.spaces, owned):
             table = factory()
             TranslationMap.from_space(space).populate(
                 table, base_pages_only=True
             )
-            private_tables.append(table)
             private_bytes += table.size_bytes()
-        from repro.workloads.suite import PROCESS_VA_STRIDE
-
-        private_lines_total = 0
-        for vpn in stream.vpns.tolist():
-            owner = int(vpn) // PROCESS_VA_STRIDE
-            result = private_tables[owner].lookup(int(vpn))
-            private_lines_total += result.cache_lines
+            private_lines_total += replay(misses, table).cache_lines
         private_lines = private_lines_total / max(1, stream.misses)
         rows.append(
             [

@@ -23,6 +23,8 @@ from repro.experiments.common import (
     ExperimentResult,
     SIZE_WORKLOADS,
     get_workload,
+    replay,
+    uniform_probes,
 )
 from repro.os.translation_map import TranslationMap
 from repro.pagetables.forward import DEFAULT_LEVEL_BITS
@@ -65,12 +67,9 @@ def run(
         ]
 
         # --- access lines under uniform random probes --------------------
-        mapped = np.asarray(space.vpns(), dtype=np.int64)
-        probes = rng.choice(mapped, size=probe_count)
-        for table in (hashed, clustered):
-            table.stats.reset()
-            for vpn in probes.tolist():
-                table.lookup(int(vpn))
+        probes = uniform_probes(space, rng, probe_count)
+        hashed_lines = replay(probes, hashed).lines_per_miss
+        clustered_lines = replay(probes, clustered).lines_per_miss
         predicted_hashed = formulae.hashed_access_lines(hashed.load_factor())
         predicted_clustered = formulae.clustered_access_lines(
             clustered.load_factor()
@@ -83,16 +82,14 @@ def run(
             )
         rows.append(
             [f"{name}/hashed", "lines/miss", round(predicted_hashed, 3),
-             round(hashed.stats.lines_per_lookup, 3),
-             round(hashed.stats.lines_per_lookup / predicted_hashed, 4)]
+             round(hashed_lines, 3),
+             round(hashed_lines / predicted_hashed, 4)]
         )
         rows.append(
             [f"{name}/clustered", "lines/miss",
              round(predicted_clustered, 3),
-             round(clustered.stats.lines_per_lookup, 3),
-             round(
-                 clustered.stats.lines_per_lookup / predicted_clustered, 4
-             )]
+             round(clustered_lines, 3),
+             round(clustered_lines / predicted_clustered, 4)]
         )
     return ExperimentResult(
         experiment="Table 2: appendix formulae vs simulation",

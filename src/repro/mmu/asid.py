@@ -16,7 +16,7 @@ without flushing.  Comparing it against the flush-on-switch baseline
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.mmu.tlb import BaseTLB, TLBEntry
@@ -98,10 +98,6 @@ class ASIDTaggedTLB(BaseTLB):
         for key in victims:
             del self._entries[key]
         return len(victims)
-
-    def entries_for(self, asid: int) -> int:
-        """How many entries one address space currently holds."""
-        return sum(1 for key in self._entries if key[0] == asid)
 
     def resident_asids(self) -> set:
         """ASIDs currently holding at least one entry."""

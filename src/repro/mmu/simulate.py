@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -63,6 +63,26 @@ class MissStream:
     def miss_ratio(self) -> float:
         """Misses per reference."""
         return self.misses / self.accesses if self.accesses else 0.0
+
+    @classmethod
+    def all_misses(
+        cls, vpns: np.ndarray, trace_name: str, tlb_description: str
+    ) -> "MissStream":
+        """A stream with no TLB phase (synthetic tenant streams, probe
+        streams): every reference is a base-page miss.  ``vpns`` is kept
+        as given, and the all-true ``block_miss`` allocates nothing."""
+        n = int(vpns.shape[0])
+        return cls(
+            trace_name=trace_name,
+            tlb_description=tlb_description,
+            vpns=vpns,
+            block_miss=np.broadcast_to(np.True_, vpns.shape),
+            accesses=n,
+            misses=n,
+            tlb_block_misses=n,
+            tlb_subblock_misses=0,
+            misses_by_kind=Counter({PTEKind.BASE: n}),
+        )
 
 
 def collect_misses(

@@ -316,30 +316,6 @@ class MetricsRegistry:
             if key[0] == name
         }
 
-    def histograms_grouped(
-        self, name: str, label: str
-    ) -> Dict[str, HistogramStats]:
-        """One name's series merged down to a single label dimension.
-
-        Series of ``name`` are grouped by their value of ``label``
-        (series lacking the label are ignored) and each group's
-        histograms are merged into one — e.g. per-tenant walk-cycle
-        series labelled ``(table, tenant)`` collapse to one exact
-        histogram per table, from which population percentiles over
-        every tenant's misses are read directly.  Merging is exact:
-        bucketed counts add, min/max take extrema.
-        """
-        grouped: Dict[str, HistogramStats] = {}
-        for key, histogram in sorted(self._histograms.items()):
-            if key[0] != name:
-                continue
-            value = dict(key[1]).get(label)
-            if value is None:
-                continue
-            merged = grouped.setdefault(str(value), HistogramStats())
-            merged.merge(histogram)
-        return grouped
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

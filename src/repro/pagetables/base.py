@@ -136,13 +136,6 @@ class WalkStats:
             return 0.0
         return self.cache_lines / self.lookups
 
-    @property
-    def probes_per_lookup(self) -> float:
-        """Average nodes examined per walk."""
-        if self.lookups == 0:
-            return 0.0
-        return self.probes / self.lookups
-
     def reset(self) -> None:
         """Zero every counter."""
         self.lookups = 0

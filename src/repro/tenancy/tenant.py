@@ -15,22 +15,23 @@ ten calibrated workloads model one big process each).  Streams are
 deterministic functions of ``(seed, tenant_id, footprint, length)`` and
 are persisted through the shared on-disk stream cache as one
 concatenated bundle per run configuration, so repeat runs skip
-synthesis exactly like trace-driven experiments skip phase 1.
+synthesis exactly like trace-driven experiments skip phase 1.  The
+bundle and its per-tenant slices are streams with no TLB phase
+(:meth:`~repro.mmu.simulate.MissStream.all_misses`); a slice is a view
+of the bundle, never a copy.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.addr.layout import AddressLayout, DEFAULT_LAYOUT
 from repro.cache.stream_cache import StreamCache
 from repro.mmu.simulate import MissStream
-from repro.pagetables.pte import PTEKind
 
 #: VPN distance between consecutive tenant regions (in pages).  At 52
 #: VPN bits this admits 2^24 tenants, far beyond any sweep.
@@ -133,14 +134,6 @@ def tenant_bundle_key(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _synthesise_bundle(
-    tenants: Iterable[Tenant], misses_per_tenant: int
-) -> np.ndarray:
-    return np.concatenate(
-        [tenant.sample_misses(misses_per_tenant) for tenant in tenants]
-    )
-
-
 def build_tenant_streams(
     tenants: Sequence[Tenant],
     misses_per_tenant: int,
@@ -165,17 +158,11 @@ def build_tenant_streams(
     )
     bundle: Optional[MissStream] = cache.get(key) if cache is not None else None
     if bundle is None or bundle.misses != len(ids) * misses_per_tenant:
-        vpns = _synthesise_bundle(tenants, misses_per_tenant)
-        bundle = MissStream(
-            trace_name=f"tenancy-bundle[{len(ids)}x{misses_per_tenant}]",
-            tlb_description="synthetic tenant workload (no TLB phase)",
-            vpns=vpns,
-            block_miss=np.ones(vpns.shape[0], dtype=bool),
-            accesses=int(vpns.shape[0]),
-            misses=int(vpns.shape[0]),
-            tlb_block_misses=int(vpns.shape[0]),
-            tlb_subblock_misses=0,
-            misses_by_kind=Counter({PTEKind.BASE: int(vpns.shape[0])}),
+        bundle = MissStream.all_misses(
+            np.concatenate([t.sample_misses(misses_per_tenant)
+                            for t in tenants]),
+            f"tenancy-bundle[{len(ids)}x{misses_per_tenant}]",
+            "synthetic tenant workload (no TLB phase)",
         )
         if cache is not None:
             cache.put(key, bundle)
@@ -193,31 +180,15 @@ def slice_stream(
     stream: MissStream, lo: int, hi: int, name: Optional[str] = None
 ) -> MissStream:
     """A zero-copy sub-stream over ``[lo, hi)`` of one miss stream."""
-    vpns = stream.vpns[lo:hi]
-    return MissStream(
-        trace_name=name or f"{stream.trace_name}[{lo}:{hi}]",
-        tlb_description=stream.tlb_description,
-        vpns=vpns,
-        block_miss=stream.block_miss[lo:hi],
-        accesses=int(vpns.shape[0]),
-        misses=int(vpns.shape[0]),
-        tlb_block_misses=int(vpns.shape[0]),
-        tlb_subblock_misses=0,
-        misses_by_kind=Counter({PTEKind.BASE: int(vpns.shape[0])}),
+    return MissStream.all_misses(
+        stream.vpns[lo:hi],
+        name or f"{stream.trace_name}[{lo}:{hi}]",
+        stream.tlb_description,
     )
 
 
 def subset_stream(stream: MissStream, mask: np.ndarray, name: str) -> MissStream:
     """The sub-stream of one stream selected by a boolean mask."""
-    vpns = stream.vpns[mask]
-    return MissStream(
-        trace_name=name,
-        tlb_description=stream.tlb_description,
-        vpns=vpns,
-        block_miss=stream.block_miss[mask],
-        accesses=int(vpns.shape[0]),
-        misses=int(vpns.shape[0]),
-        tlb_block_misses=int(vpns.shape[0]),
-        tlb_subblock_misses=0,
-        misses_by_kind=Counter({PTEKind.BASE: int(vpns.shape[0])}),
+    return MissStream.all_misses(
+        stream.vpns[mask], name, stream.tlb_description
     )

@@ -255,10 +255,6 @@ def _kernel_regions(seed: int) -> List[RegionSpec]:
 # ---------------------------------------------------------------------------
 # Trace recipes
 # ---------------------------------------------------------------------------
-def _sweep_style(workload: Workload, length: int, seed: int) -> Trace:
-    return sweep_trace(workload.spaces[0], length, name=workload.name)
-
-
 def _stride_style(stride: int, repeat: int = 1):
     def build(workload: Workload, length: int, seed: int) -> Trace:
         return stride_trace(
@@ -470,18 +466,3 @@ def load_workload(
         workload.trace = spec.trace_builder(workload, trace_length, seed)
     return workload
 
-
-def load_suite(
-    layout: AddressLayout = DEFAULT_LAYOUT,
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    names: Optional[Sequence[str]] = None,
-    with_traces: bool = True,
-) -> Dict[str, Workload]:
-    """Build every (or the named) paper workload."""
-    selected = names or list(PAPER_WORKLOADS)
-    return {
-        name: load_workload(
-            name, layout, trace_length, with_trace=with_traces
-        )
-        for name in selected
-    }

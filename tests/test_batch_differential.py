@@ -201,12 +201,21 @@ def test_tracer_and_profile_parity(workload, complete):
 # ---------------------------------------------------------------------------
 # Engine dispatch and fallback
 # ---------------------------------------------------------------------------
+def engine_replays():
+    return get_registry().values("engine.replays")
+
+
 def test_engine_dispatch_replays_batch(workload, monkeypatch):
     stream = get_miss_stream(workload, "single")
+    reset_registry()
     scalar = common.replay(stream, fresh_table("hashed", workload))
     monkeypatch.setattr(common, "_ENGINE", "batch")
     batch = common.replay(stream, fresh_table("hashed", workload))
     assert_replays_equal(scalar, batch)
+    assert engine_replays() == {
+        "engine.replays{engine=batch,table=hashed}": 1,
+        "engine.replays{engine=scalar,table=hashed}": 1,
+    }
 
 
 def test_engine_dispatch_falls_back_for_unsupported_table(
@@ -241,6 +250,10 @@ def test_engine_dispatch_falls_back_for_unsupported_table(
         "engine.fallback{reason=no batch kernel for SoftwareTLBTable,"
         "table=software-tlb}": 2
     }
+    # Each replay call is counted once, under the engine that ran it.
+    assert engine_replays() == {
+        "engine.replays{engine=scalar,table=software-tlb}": 4
+    }
 
 
 @pytest.mark.parametrize("figure", sorted(fig11.SUBFIGURES))
@@ -251,6 +264,64 @@ def test_figure11_under_batch_records_no_engine_fallback(
     reset_registry()
     fig11.run_subfigure(figure, workloads=("mp3d",), trace_length=5_000)
     assert engine_fallbacks() == {}
+
+
+@pytest.fixture
+def batch_replays(monkeypatch):
+    """The batch engine on, a fresh registry, and a count of the calls
+    that reach ``replay_misses_batch``."""
+    calls = []
+
+    def counted(stream, table, **kwargs):
+        calls.append(table.name)
+        return replay_misses_batch(stream, table, **kwargs)
+
+    monkeypatch.setattr(batch_module, "replay_misses_batch", counted)
+    monkeypatch.setattr(common, "_ENGINE", "batch")
+    reset_registry()
+    return calls
+
+
+@pytest.mark.parametrize("experiment", [
+    "sens_cacheline", "sens_buckets", "sens_shared_private", "table2",
+    "compare",
+])
+def test_measured_walks_replay_through_the_batch_engine(
+    experiment, batch_replays, capsys
+):
+    from repro.cli import main
+    from repro.experiments import sensitivity, table2
+
+    run = {
+        "sens_cacheline": lambda: sensitivity.cache_line_sweep(
+            "mp3d", line_sizes=(64, 256), subblock_factors=(16,),
+            probe_count=500,
+        ),
+        "sens_buckets": lambda: sensitivity.bucket_count_sweep(
+            "mp3d", bucket_counts=(1024,), probe_count=500,
+        ),
+        "sens_shared_private": lambda: sensitivity.shared_vs_private_tables(
+            "gcc", trace_length=5_000,
+        ),
+        "table2": lambda: table2.run(workloads=("mp3d",), probe_count=500),
+        "compare": lambda: main(["compare", "mp3d"]),
+    }
+    run[experiment]()
+    assert batch_replays
+    assert engine_fallbacks() == {}
+
+
+def test_multisize_falls_back_only_for_the_two_clustered_tables(
+    batch_replays,
+):
+    from repro.experiments import multisize
+
+    multisize.run()
+    assert batch_replays == ["two-clustered", "five-hashed"]
+    assert engine_fallbacks() == {
+        "engine.fallback{reason=no batch kernel for "
+        "MultiSizeClusteredPageTables,table=two-clustered}": 1
+    }
 
 
 def test_configure_engine_rejects_unknown():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXPERIMENT_IDS, build_parser, main
 
 
 class TestParser:
@@ -101,17 +101,71 @@ class TestExperimentFlags:
     def test_bad_restriction_value_is_a_usage_error(
         self, exp_id, flag, value, monkeypatch, capsys
     ):
-        from repro.experiments import modern, numa, tenancy
+        from repro.experiments import runner
 
         def ran(*args, **kwargs):
             raise AssertionError("a sweep ran before its flags were checked")
 
-        for module in (modern, numa, tenancy):
-            monkeypatch.setattr(module, "run", ran)
+        monkeypatch.setattr(runner, "run_all", ran)
         with pytest.raises(SystemExit) as exc:
             main(["experiment", exp_id, flag, value])
         assert exc.value.code == 2
         assert f"error: {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exp_id", [
+        "sensitivity", "multisize", "sasos", "pressure", "tenancy", "claims",
+    ])
+    def test_workloads_with_an_id_that_picks_its_own_is_a_usage_error(
+        self, exp_id, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", exp_id, "--trace-length", "1000",
+                  "--workloads", "mp3d"])
+        assert exc.value.code == 2
+        assert f"--workloads is not read by '{exp_id}'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("exp_id", ["fig11a", "all"])
+    def test_an_unknown_workload_is_a_usage_error(self, exp_id, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", exp_id, "--trace-length", "1000",
+                  "--no-cache", "--workloads", "mp3d,nonexistent"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown workload(s) nonexistent; known: " in err
+        assert "coral" in err and "kv-store" in err
+
+    def test_modern_without_a_modern_model_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "modern", "--trace-length", "1000",
+                  "--footprint", "4", "--workloads", "mp3d"])
+        assert exc.value.code == 2
+        assert "names none of them" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exp_id", ["claims", "all"])
+    def test_chart_with_claims_or_all_is_a_usage_error(self, exp_id, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", exp_id, "--trace-length", "1000",
+                  "--no-cache", "--chart"])
+        assert exc.value.code == 2
+        assert f"--chart is not read by '{exp_id}'" in (
+            capsys.readouterr().err
+        )
+
+    def test_claims_writes_its_trace(self, tmp_path, monkeypatch, capsys):
+        from repro import cli
+        from repro.experiments import claims
+
+        # One cheap key stands in for the eight: the trace plumbing is
+        # what is under test, not the claims.
+        monkeypatch.setitem(cli._ID_KEYS, "claims", ("fig11a",))
+        monkeypatch.setattr(claims, "verify", lambda *args, **kwargs: [])
+        trace = tmp_path / "claims.jsonl"
+        assert main(["experiment", "claims", "--trace-length", "1000",
+                     "--trace-out", str(trace)]) == 0
+        assert f"[trace written to {trace}]" in capsys.readouterr().out
+        assert trace.read_text().startswith('{"trace_header"')
 
     def test_a_single_id_reads_workloads(self, capsys):
         assert main(["experiment", "table1", "--trace-length", "2000",
@@ -147,6 +201,35 @@ class TestOneCommandLine:
         assert main(["experiment", "all", "--only", key, "--no-cache"]) == 0
         whole = capsys.readouterr().out
         assert single + "\n" == whole.split("Run metrics")[0]
+
+    @pytest.mark.parametrize("exp_id", [
+        exp_id for exp_id in EXPERIMENT_IDS if exp_id != "all"
+    ])
+    def test_a_single_id_runs_its_keys_through_run_all(
+        self, exp_id, monkeypatch
+    ):
+        from repro.cli import runner_keys
+        from repro.experiments import runner
+
+        class Reached(Exception):
+            pass
+
+        seen = {}
+
+        def run_all(trace_length, **kwargs):
+            seen.update(kwargs)
+            raise Reached
+
+        def bypassed(*args, **kwargs):
+            raise AssertionError(f"{exp_id} produced outside run_all")
+
+        monkeypatch.setattr(runner, "run_all", run_all)
+        monkeypatch.setattr(runner, "producers", bypassed)
+        with pytest.raises(Reached):
+            main(["experiment", exp_id, "--trace-length", "1000"])
+        assert seen["only"] == runner_keys(exp_id)
+        if exp_id in runner.CELLED:
+            assert [exp_id] == list(seen["cells"])
 
     @pytest.mark.parametrize("exp_id", ["promotion-scan", "sensitivity"])
     def test_metrics_takes_the_experiment_ids(self, exp_id, capsys):

@@ -384,7 +384,10 @@ def test_figure11_sweep_records_no_fallback(monkeypatch):
     monkeypatch.setattr(common, "_STREAM_CACHE", None)
     common.clear_caches()
     try:
-        fig11.run_all(workloads=TIER1_WORKLOADS, trace_length=5_000)
+        for figure in fig11.SUBFIGURES:
+            fig11.run_subfigure(
+                figure, workloads=TIER1_WORKLOADS, trace_length=5_000
+            )
     finally:
         common.clear_caches()
     assert fallbacks() == {}

@@ -180,6 +180,20 @@ class TestReportCli:
         assert sidecar["failures"] == []
         assert sidecar["walk_profile"], "sidecar dropped the walk profile"
 
+    def test_run_summary_counts_replays_by_engine(self, profiled_run):
+        from repro.analysis.report import render_run_report
+
+        markdown, sidecar = render_run_report(profiled_run.run_dir)
+        scalar = sum(
+            value for name, labels, value in sidecar["metrics"]["counters"]
+            if name == "engine.replays" and labels["engine"] == "scalar"
+        )
+        # fig11d replays four tables for its one workload.
+        assert scalar >= 4
+        assert f"- replays: 0 batch, {scalar} scalar (0 batch fallbacks)" in (
+            markdown
+        )
+
     def test_report_percentiles_match_profile_artifact(self, profiled_run):
         markdown, sidecar = __import__(
             "repro.analysis.report", fromlist=["render_run_report"]

@@ -27,7 +27,11 @@ from repro.obs.profile import WalkProfile
 from repro.obs.trace import WalkTracer, install_tracer, uninstall_tracer
 from repro.os.physmem import FrameAllocator
 from repro.tenancy import ChurnSchedule, SharedArena, Tenant
-from repro.tenancy.tenant import build_tenant_streams
+from repro.tenancy.tenant import (
+    build_tenant_streams,
+    slice_stream,
+    subset_stream,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +67,26 @@ class TestTenant:
         second = build_tenant_streams(tenants, 100, seed=9)
         for tid in (0, 1):
             assert np.array_equal(first[tid].vpns, second[tid].vpns)
+
+    def test_sub_streams_share_the_bundle(self):
+        tenants = [Tenant(tid, seed=4, footprint=16) for tid in range(3)]
+        streams = build_tenant_streams(tenants, 100, seed=4)
+        bundle = streams[0].vpns.base
+        assert bundle is not None and bundle.shape == (300,)
+        for tid in (1, 2):
+            assert streams[tid].vpns.base is bundle
+        window = slice_stream(streams[1], 10, 40, name="window")
+        assert np.shares_memory(window.vpns, bundle)
+        assert np.array_equal(window.vpns, bundle[110:140])
+        # A mask selection copies its VPNs (numpy's rule for boolean
+        # indexing), but no sub-stream allocates its all-miss block mask.
+        mask = streams[2].vpns == streams[2].vpns[0]
+        hot = subset_stream(streams[2], mask, "hot")
+        assert np.array_equal(hot.vpns, streams[2].vpns[mask])
+        for stream in (streams[0], window, hot):
+            assert stream.block_miss.strides == (0,)
+            assert stream.block_miss.all()
+            assert stream.misses == stream.tlb_block_misses == len(stream.vpns)
 
 
 # ---------------------------------------------------------------------------
