@@ -8,37 +8,35 @@ Commands
     Layout, density, and page-table sizes for one workload.
 ``experiment ID [--fast | --trace-length N] [--engine scalar|batch]
 [--cache-dir DIR | --no-cache] [--workloads NAMES] [--chart]
-[--trace-out FILE]``
+[--trace-out FILE] [run options]``
     Regenerate one table/figure or extension study: ``table1``, ``fig9``,
     ``fig10``, ``fig11a``–``fig11d``, ``table2``, ``sensitivity``,
     ``softtlb``, ``multisize``, ``multiprog``, ``guarded``, ``sasos``,
     ``cachesim``, ``pressure``, ``promotion-scan``, ``numa``,
-    ``tenancy``, ``modern``, ``claims``, or ``all``.  Each id runs its
-    :func:`runner_keys` through :func:`repro.experiments.runner.run_all`
-    in this process (no persistent cache unless ``--cache-dir``);
-    ``claims`` judges the paper's claims on those results.  The
-    ``numa`` study accepts ``--topology`` (preset name or topology JSON
-    file) and ``--replication`` (policy subset); ``tenancy`` accepts
+    ``tenancy``, ``modern``, ``claims``, or ``all`` (the whole suite in
+    paper order).  Every id runs its :func:`runner_keys` through
+    :func:`repro.experiments.runner.run_all`; ``claims`` judges the
+    paper's claims on those results.  The ``numa`` study accepts
+    ``--topology`` (preset name or topology JSON file) and
+    ``--replication`` (policy subset); ``tenancy`` accepts
     ``--tenants`` (comma-separated populations, e.g.
     ``100,1000,10000``) and ``--churn`` (mode subset from
     ``static,churn``); ``modern`` accepts ``--footprint`` (MB list);
     both of the last two accept ``--tables``.  These restriction flags
-    become the id's ``run_all`` cells.  ``--workloads`` takes known
-    names only, must name a modern model for ``modern``, and is refused
-    by the studies that pick their own; ``claims`` and ``all`` refuse
-    ``--chart``.
+    become the id's ``run_all`` cells, and any other id given one exits
+    2.  ``--workloads`` takes known names only, must name a modern model
+    for ``modern``, and is refused by the studies that pick their own;
+    ``claims`` and ``all`` refuse ``--chart``.
     ``--trace-out FILE`` records one structured event per page-table
     walk and exports the trace as JSON Lines.
-``experiment all [--jobs N] [--only IDS] [--json FILE] [--csv DIR]
-[--metrics] [--profile-out FILE] [--max-retries N] [--task-timeout S]
-[--keep-going] [--run-dir DIR] [--resume DIR] [--fault-plan FILE]``
-    The whole suite in paper order, through the runner's resilient
-    scheduler (:func:`repro.experiments.runner.run_all`), with the
-    persistent stream cache in the user cache directory by default.
-    Only ``all`` reads these run options (``--profile-out`` profiles the
-    run and exports a Chrome trace-event timeline for Perfetto), and
-    only the studies named above read their restriction flags: any
-    other id given one exits 2.
+    The run options ``--jobs N --json FILE --csv DIR --metrics
+    --profile-out FILE --max-retries N --task-timeout S --keep-going
+    --run-dir DIR --resume DIR --fault-plan FILE`` set how the runner's
+    resilient scheduler runs any id (``--profile-out`` profiles the run
+    and exports a Chrome trace-event timeline for Perfetto).  Only
+    ``all`` reads ``--only IDS`` (runner keys), uses the persistent
+    stream cache in the user cache directory by default (a single id
+    has none unless ``--cache-dir``), and prints the run-metrics footer.
 ``topology [NAME|FILE] [--validate FILE]``
     NUMA machine models: list the presets, print one preset's (or a JSON
     file's) latency matrix, or validate a topology JSON file.
@@ -56,12 +54,9 @@ Commands
     Tail a run directory's heartbeat + journal: progress bar, phase,
     ETA (from ledger history when available), and loud stall detection.
     Exit codes: 0 finished, 1 interrupted/failed, 2 missing, 3 stalled.
-``metrics [ID] [--fast] [--json] [--from DIR]``
-    Dump a metrics registry: either run one experiment id (default
-    ``table1``; any ``experiment`` id but ``claims``) and dump the live
-    process-wide registry, or — with ``--from DIR`` — load a finished
-    run's persisted ``metrics.json`` from its run directory and dump
-    that instead.
+``metrics RUN_DIR [--json]``
+    Dump a finished run's persisted ``metrics.json`` registry from its
+    run directory; ``experiment ID --metrics`` prints a run's live one.
 ``report RUN_DIR [--ledger FILE]``
     Render one self-contained markdown report for a run directory
     (metrics block, phase/span summary, walk-cost percentiles per table,
@@ -108,12 +103,7 @@ _ID_KEYS = {
 #: ``experiment`` flags that only some ids read: dest → those ids.  Any
 #: other id given one is a usage error rather than silently ignoring it.
 _FLAG_READERS = {
-    **dict.fromkeys(
-        ("jobs", "only", "profile_out", "json", "csv", "metrics",
-         "max_retries", "task_timeout", "keep_going", "run_dir", "resume",
-         "fault_plan"),
-        ("all",),
-    ),
+    "only": ("all",),
     "topology": ("numa",),
     "replication": ("numa",),
     "tenants": ("tenancy",),
@@ -170,56 +160,6 @@ def runner_keys(exp_id: str) -> Tuple[str, ...]:
     return _ID_KEYS.get(exp_id, (exp_id,))
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    for dest, readers in _FLAG_READERS.items():
-        value = getattr(args, dest)
-        if value is not None and value is not False and args.id not in readers:
-            args.usage_error(
-                f"--{dest.replace('_', '-')} is not read by '{args.id}' "
-                f"(only by {', '.join(repr(r) for r in readers)})"
-            )
-    if args.trace_length is not None:
-        trace_length = args.trace_length
-    elif args.id == "claims":
-        trace_length = 30_000 if args.fast else 60_000
-    else:
-        trace_length = 50_000 if args.fast else 200_000
-    workloads = _workloads(args)
-    if args.id == "all":
-        return _run_all(args, trace_length, workloads)
-    from repro.experiments import runner
-
-    cells = _cells(args, workloads)
-    with _tracing(args.trace_out) as tracer:
-        results = runner.run_all(
-            trace_length,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            workloads=workloads,
-            only=runner_keys(args.id),
-            engine=args.engine,
-            cells=cells,
-        )
-    holds = True
-    if args.id == "claims":
-        from repro.experiments import claims
-
-        verdicts = claims.verify(results)
-        holds = all(claim.holds for claim in verdicts)
-        results = {"claims": claims.report(verdicts)}
-    for index, result in enumerate(results.values()):
-        if index:
-            print()
-        if args.chart:
-            from repro.analysis.plot import chart_result
-
-            clip = 5.0 if args.id in ("fig9", "fig10") else None
-            print(chart_result(result, clip=clip))
-        else:
-            print(result.render(precision=3))
-    _print_trace(tracer, args.trace_out)
-    return 0 if holds else 1
-
-
 def _workloads(args: argparse.Namespace) -> Optional[List[str]]:
     """``--workloads`` as a list of names, each one a known workload, and
     for ``modern`` at least one modern model."""
@@ -261,12 +201,12 @@ def _print_trace(tracer, trace_out: Optional[str]) -> None:
         print(f"[trace written to {path}]")
 
 
-def _run_all(
-    args: argparse.Namespace,
-    trace_length: int,
-    workloads: Optional[List[str]],
-) -> int:
-    """``experiment all``: every selected experiment, through ``run_all``."""
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Run one id, or ``all``, through ``run_all`` and print the results.
+
+    Every id reads the run options.  ``all`` alone reads ``--only``,
+    defaults to the user cache directory, and ends with the run-metrics
+    footer."""
     from pathlib import Path
 
     from repro.analysis.report import (
@@ -274,19 +214,28 @@ def _run_all(
         render_run_metrics,
     )
     from repro.cache.stream_cache import default_cache_dir
-    from repro.experiments.runner import (
-        ResilienceConfig,
-        RunInterrupted,
-        RunMetrics,
-        interrupt_line,
-        run_all,
-        select_experiments,
-        sigterm_drains,
-    )
+    from repro.experiments import runner
     from repro.obs.metrics import get_registry
     from repro.resilience.faults import FaultPlan
     from repro.resilience.retry import RetryPolicy
 
+    for dest, readers in _FLAG_READERS.items():
+        value = getattr(args, dest)
+        if value is not None and value is not False and args.id not in readers:
+            args.usage_error(
+                f"--{dest.replace('_', '-')} is not read by '{args.id}' "
+                f"(only by {', '.join(repr(r) for r in readers)})"
+            )
+    everything = args.id == "all"
+    if args.trace_length is not None:
+        trace_length = args.trace_length
+    elif args.id == "claims":
+        trace_length = 30_000 if args.fast else 60_000
+    else:
+        trace_length = 50_000 if args.fast else 200_000
+    workloads = _workloads(args)
+    cells = _cells(args, workloads)
+    only = _only(args)
     jobs = 1 if args.jobs is None else args.jobs
     max_retries = 0 if args.max_retries is None else args.max_retries
     if jobs < 1:
@@ -302,11 +251,13 @@ def _run_all(
         args.usage_error("--resume DIR and --run-dir DIR must agree")
     cache_dir: Optional[str] = None
     if not args.no_cache:
-        cache_dir = args.cache_dir or str(default_cache_dir())
+        cache_dir = args.cache_dir
+        if everything and cache_dir is None:
+            cache_dir = str(default_cache_dir())
     fault_plan = None
     if args.fault_plan:
         fault_plan = FaultPlan.from_json(Path(args.fault_plan).read_text())
-    resilience = ResilienceConfig(
+    resilience = runner.ResilienceConfig(
         retry=RetryPolicy(max_retries=max_retries),
         task_timeout=args.task_timeout,
         keep_going=args.keep_going,
@@ -314,14 +265,13 @@ def _run_all(
         resume=bool(args.resume),
         fault_plan=fault_plan,
     )
-    only = args.only.split(",") if args.only else None
-    metrics = RunMetrics()
+    metrics = runner.RunMetrics()
     try:
-        with sigterm_drains(), _tracing(args.trace_out) as tracer:
+        with runner.sigterm_drains(), _tracing(args.trace_out) as tracer:
             # A run directory implies profiling: every run-dir then
             # carries the walk profile and percentile histograms that
             # `repro report` renders.
-            results = run_all(
+            results = runner.run_all(
                 trace_length,
                 jobs=jobs,
                 cache_dir=cache_dir,
@@ -331,14 +281,33 @@ def _run_all(
                 resilience=resilience,
                 profile=bool(args.profile_out or resilience.run_dir),
                 engine=args.engine,
+                cells=cells,
             )
-    except RunInterrupted:
-        total = len(select_experiments(only))
-        print(interrupt_line(metrics, total, resilience.run_dir))
+    except runner.RunInterrupted:
+        total = len(runner.select_experiments(only))
+        print(runner.interrupt_line(metrics, total, resilience.run_dir))
         return 130
-    for result in results.values():
-        print(result.render(precision=3))
-        print()
+    holds = True
+    if args.id == "claims":
+        from repro.experiments import claims
+
+        # A failed key leaves the claims unjudged: the manifest says why.
+        verdicts = None if metrics.failures else claims.verify(results)
+        holds = all(claim.holds for claim in verdicts or ())
+        results = {} if verdicts is None else {
+            "claims": claims.report(verdicts)
+        }
+    if args.chart:
+        from repro.analysis.plot import chart_result
+
+        clip = 5.0 if args.id in ("fig9", "fig10") else None
+        blocks = [
+            chart_result(result, clip=clip) for result in results.values()
+        ]
+    else:
+        blocks = [result.render(precision=3) for result in results.values()]
+    if blocks:
+        print("\n\n".join(blocks), end="\n\n" if everything else "\n")
     if args.json:
         from repro.analysis.export import write_json
 
@@ -348,8 +317,9 @@ def _run_all(
 
         paths = write_csv(results, args.csv)
         print(f"[{len(paths)} CSV files written to {args.csv}/]")
-    print(render_run_metrics(metrics))
-    print(metrics.cache_summary())
+    if everything:
+        print(render_run_metrics(metrics))
+        print(metrics.cache_summary())
     _print_trace(tracer, args.trace_out)
     if args.profile_out:
         from repro.obs.spans import export_chrome_trace
@@ -359,15 +329,35 @@ def _run_all(
     if args.metrics:
         print()
         print(get_registry().render())
-    print(
-        f"[{len(results)} experiments regenerated in "
-        f"{metrics.wall_seconds:.1f}s with {metrics.jobs} job(s)]"
-    )
+    if everything:
+        print(
+            f"[{len(results)} experiments regenerated in "
+            f"{metrics.wall_seconds:.1f}s with {metrics.jobs} job(s)]"
+        )
     if metrics.failures:
         print()
         print(render_failure_manifest(metrics.failures))
         return 1
-    return 0
+    return 0 if holds else 1
+
+
+def _only(args: argparse.Namespace) -> Optional[Tuple[str, ...]]:
+    """The runner keys an id runs: its own, or for ``all`` the ``--only``
+    subset (every key when absent), each one a known key."""
+    from repro.experiments.runner import EXPERIMENT_ORDER
+
+    if args.id != "all":
+        return runner_keys(args.id)
+    if not args.only:
+        return None
+    only = tuple(args.only.split(","))
+    unknown = [key for key in only if key not in EXPERIMENT_ORDER]
+    if unknown:
+        args.usage_error(
+            f"--only: unknown experiment(s) {', '.join(unknown)}; "
+            f"known: {', '.join(EXPERIMENT_ORDER)}"
+        )
+    return only
 
 
 def _cells(
@@ -445,40 +435,24 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    """Dump a metrics registry: live (after a run) or from a run dir."""
-    from repro.obs.metrics import MetricsRegistry, get_registry
+    """Dump a finished run's persisted metrics registry."""
+    import json
+    from pathlib import Path
 
-    if getattr(args, "from_dir", None):
-        import json
-        from pathlib import Path
+    from repro.obs.metrics import MetricsRegistry
+    from repro.resilience.journal import METRICS_NAME
 
-        from repro.resilience.journal import METRICS_NAME
-
-        path = Path(args.from_dir) / METRICS_NAME
-        if not path.exists():
-            print(
-                f"no {METRICS_NAME} in {args.from_dir} — finish a "
-                "--run-dir run there first"
-            )
-            return 1
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        registry = MetricsRegistry()
-        registry.merge_state(doc.get("registry", {}))
-    else:
-        from repro.experiments.runner import run_all_with_metrics
-
-        trace_length = 50_000 if args.fast else 200_000
-        cache_dir = None
-        if args.cache_dir and not args.no_cache:
-            cache_dir = args.cache_dir
-        run_all_with_metrics(
-            trace_length, jobs=1, cache_dir=cache_dir,
-            only=None if args.id == "all" else runner_keys(args.id),
+    path = Path(args.run_dir) / METRICS_NAME
+    if not path.exists():
+        print(
+            f"no {METRICS_NAME} in {args.run_dir} — finish a "
+            "--run-dir run there first"
         )
-        registry = get_registry()
+        return 1
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    registry = MetricsRegistry()
+    registry.merge_state(doc.get("registry", {}))
     if args.json:
-        import json
-
         print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
     else:
         print(registry.render())
@@ -654,6 +628,15 @@ def _compare_target(value: str):
     )
 
 
+def _run_dir(value: str) -> str:
+    """A ``metrics`` positional: an existing run directory."""
+    import os
+
+    if not os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a run directory")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -702,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--trace-out", metavar="FILE", default=None,
         help="record one event per page-table walk and write the trace "
-        "as JSON Lines (with 'all', requires --jobs 1)",
+        "as JSON Lines (requires --jobs 1)",
     )
     experiment.add_argument(
         "--topology", metavar="NAME|FILE", default=None,
@@ -735,17 +718,17 @@ def build_parser() -> argparse.ArgumentParser:
         "subset",
     )
     run = experiment.add_argument_group(
-        "run options", "read only by 'all', the whole suite through the "
-        "runner's scheduler"
+        "run options", "how the runner's scheduler runs the id (--only is "
+        "read only by 'all')"
     )
     run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="fan experiments out over N worker processes (default 1)",
+        help="fan the run's tasks out over N worker processes (default 1)",
     )
     run.add_argument(
         "--only", metavar="IDS", default=None,
-        help="comma-separated runner experiment ids to run (paper order "
-        "kept)",
+        help="for 'all': comma-separated runner keys to run (paper "
+        "order kept)",
     )
     run.add_argument(
         "--json", metavar="FILE", default=None,
@@ -798,32 +781,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     metrics = sub.add_parser(
-        "metrics", help="dump the process-wide metrics registry"
+        "metrics", help="dump a finished run's metrics registry"
     )
     metrics.add_argument(
-        "id", nargs="?", default="table1",
-        choices=[exp_id for exp_id in EXPERIMENT_IDS if exp_id != "claims"],
-        help="experiment id to run before dumping (default table1; the "
-        "ids of 'experiment' except claims)",
+        "run_dir", metavar="RUN_DIR", type=_run_dir,
+        help="a --run-dir directory holding metrics.json",
     )
-    metrics.add_argument("--fast", action="store_true",
-                         help="shorter traces")
     metrics.add_argument(
         "--json", action="store_true",
         help="dump as JSON instead of aligned tables",
-    )
-    metrics.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="persistent miss-stream cache directory",
-    )
-    metrics.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent miss-stream cache",
-    )
-    metrics.add_argument(
-        "--from", metavar="DIR", default=None, dest="from_dir",
-        help="instead of running anything, load the persisted "
-        "metrics.json of a finished --run-dir run",
     )
 
     report = sub.add_parser(

@@ -1210,23 +1210,3 @@ def _run_stages(
     # Deterministic merge: paper order, not completion order.
     order = {key: index for index, key in enumerate(EXPERIMENT_ORDER)}
     metrics.timings.sort(key=lambda t: order.get(t.key, len(order)))
-
-
-def run_all_with_metrics(
-    trace_length: int = 200_000,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    workloads: Optional[Sequence[str]] = None,
-    only: Optional[Sequence[str]] = None,
-    resilience: Optional[ResilienceConfig] = None,
-    profile: bool = False,
-    engine: str = "scalar",
-) -> Tuple[Dict[str, ExperimentResult], RunMetrics]:
-    """:func:`run_all` plus its instrumentation."""
-    metrics = RunMetrics()
-    results = run_all(
-        trace_length, jobs=jobs, cache_dir=cache_dir,
-        workloads=workloads, only=only, metrics=metrics,
-        resilience=resilience, profile=profile, engine=engine,
-    )
-    return results, metrics

@@ -171,17 +171,6 @@ def _row(record: Dict[str, object], table: Dict[str, object]) -> List:
     ]
 
 
-def config_row(
-    table_name: str,
-    tenants: int,
-    churn_fraction: float,
-    result: TenancyResult,
-) -> List:
-    """The sweep's row for one :func:`run_config` result."""
-    record = {"tenants": tenants, "churn": churn_tag(churn_fraction)}
-    return _row(record, {"table": table_name, **_numbers(result)})
-
-
 def cells(
     workloads: Optional[Sequence[str]] = None,
     tenants: Optional[Sequence[int]] = None,

@@ -19,9 +19,23 @@ end of §6.3: with subblock factor sixteen a 144-byte clustered node adds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, Set, Tuple
 
 from repro.errors import ConfigurationError
+
+
+def distinct_lines(
+    reads: Iterable[Tuple[int, int]], line_size: int
+) -> Set[int]:
+    """The cache lines (address // ``line_size``) covered by the
+    ``(address, nbytes)`` reads of one walk; empty reads cover none."""
+    lines: Set[int] = set()
+    for address, nbytes in reads:
+        if nbytes > 0:
+            lines.update(range(
+                address // line_size, (address + nbytes - 1) // line_size + 1
+            ))
+    return lines
 
 
 @dataclass(frozen=True)
@@ -50,14 +64,7 @@ class CacheModel:
         ``reads`` is an iterable of ``(offset, nbytes)`` pairs, with offsets
         relative to the start of a line-aligned node.
         """
-        lines = set()
-        for offset, nbytes in reads:
-            if nbytes <= 0:
-                continue
-            first = offset // self.line_size
-            last = (offset + nbytes - 1) // self.line_size
-            lines.update(range(first, last + 1))
-        return len(lines)
+        return len(distinct_lines(reads, self.line_size))
 
     def lines_for_node(self, node_bytes: int) -> int:
         """Lines needed to read an entire line-aligned node of given size."""

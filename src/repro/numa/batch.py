@@ -30,6 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.mmu.batch_kernels import BatchUnsupportedError
+from repro.mmu.cache_model import distinct_lines
 from repro.mmu.simulate import MissStream
 from repro.numa.costing import WalkCoster
 from repro.numa.placement import FirstTouchPlacement, TablePlacement
@@ -49,18 +50,6 @@ from repro.numa.topology import NumaTopology, get_topology
 from repro.obs.metrics import get_registry
 
 __all__ = ["replay_misses_numa_batch"]
-
-
-def _distinct_lines(reads, line_size: int):
-    """Sorted distinct cache lines of one walk's read list."""
-    touched = set()
-    for address, nbytes in reads:
-        if nbytes <= 0:
-            continue
-        first = address // line_size
-        last = (address + nbytes - 1) // line_size
-        touched.update(range(first, last + 1))
-    return sorted(touched)
 
 
 def replay_misses_numa_batch(
@@ -134,7 +123,7 @@ def replay_misses_numa_batch(
         if translation is None:
             faults += count
             continue
-        lines = _distinct_lines(reads, placement.line_size)
+        lines = sorted(distinct_lines(reads, placement.line_size))
         nlines = len(lines)
         if counts_by_node is None:
             accessor_counts = ((node_of(vpn, 0), count),)

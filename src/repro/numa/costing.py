@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
+from repro.mmu.cache_model import distinct_lines
 from repro.numa.placement import TablePlacement
 from repro.numa.policy import ReplicationPolicy
 
@@ -91,14 +92,7 @@ class WalkCoster:
         uses the placement's line size and therefore equals the flat
         §6.1 metric for the same walk.
         """
-        line_size = self.placement.line_size
-        touched = set()
-        for address, nbytes in reads:
-            if nbytes <= 0:
-                continue
-            first = address // line_size
-            last = (address + nbytes - 1) // line_size
-            touched.update(range(first, last + 1))
+        touched = distinct_lines(reads, self.placement.line_size)
         cycles = 0
         stats = self.stats
         stats.walks += 1

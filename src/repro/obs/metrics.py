@@ -308,14 +308,6 @@ class MetricsRegistry:
             histogram = self._histograms[key] = HistogramStats()
         return histogram
 
-    def histograms_named(self, name: str) -> Dict[str, HistogramStats]:
-        """Every labelled histogram series of one name, rendered-key → stats."""
-        return {
-            _render_key(key): histogram
-            for key, histogram in self._histograms.items()
-            if key[0] == name
-        }
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -390,31 +382,6 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self._histograms[key] = HistogramStats()
             histogram.merge(payload)  # type: ignore[arg-type]
-
-    def merge_counters(
-        self,
-        counters: Union[Iterable[StateEntry], Mapping[str, int]],
-    ) -> None:
-        """Accumulate a structured counter dump (worker deltas).
-
-        Accepts the ``counters`` section of another registry's
-        :meth:`state`.  A plain ``{name: value}`` mapping is also
-        accepted for *unlabelled* series; rendered keys with embedded
-        label text are rejected — parsing labels back out of strings is
-        exactly the corruption bug this API replaces (a label value
-        containing ``,``, ``=``, or ``}`` is unparseable).
-        """
-        if isinstance(counters, Mapping):
-            for name, value in counters.items():
-                if "{" in name:
-                    raise ValueError(
-                        f"rendered counter key {name!r} cannot be merged "
-                        "safely; pass MetricsRegistry.state()['counters'] "
-                        "instead"
-                    )
-                self.inc(name, int(value))
-            return
-        self.merge_state({"counters": list(counters)})
 
     def render(self) -> str:
         """Aligned text tables of every non-empty section."""

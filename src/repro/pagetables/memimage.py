@@ -97,9 +97,6 @@ class MemoryImage:
         self.mapping_words = mapping_words
         self.block_tagged = block_tagged
         self.hash_fn = hash_fn or multiplicative_hash
-        #: Optional NUMA placement (repro.numa.placement.TablePlacement):
-        #: when attached, :meth:`numa_node_of` reports each byte's home.
-        self.numa_placement = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -302,27 +299,6 @@ class MemoryImage:
             next_offset = self._read_word(offset + 8)
             offset = next_offset if next_offset else None
         return None, reads
-
-    # ------------------------------------------------------------------
-    # NUMA placement
-    # ------------------------------------------------------------------
-    def attach_numa(self, placement) -> "MemoryImage":
-        """Attach a :class:`~repro.numa.placement.TablePlacement`.
-
-        After attachment every byte of the image has a home node,
-        queryable via :meth:`numa_node_of`; returns ``self`` for
-        chaining.
-        """
-        self.numa_placement = placement
-        return self
-
-    def numa_node_of(self, offset: int) -> int:
-        """The NUMA node holding the byte at ``offset`` (0 unattached)."""
-        if self.numa_placement is None:
-            return 0
-        return self.numa_placement.home_of(
-            self.numa_placement.line_of(offset)
-        )
 
     # ------------------------------------------------------------------
     # Accounting

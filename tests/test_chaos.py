@@ -61,7 +61,7 @@ PARALLEL_SEEDS = (0, 1, 2)
 def chaos_env(tmp_path_factory):
     """A shared cache directory plus the fault-free baseline renders."""
     cache_dir = str(tmp_path_factory.mktemp("chaos-cache"))
-    results, _ = runner.run_all_with_metrics(
+    results = runner.run_all(
         TRACE_LENGTH,
         jobs=1,
         cache_dir=cache_dir,
@@ -105,13 +105,15 @@ def test_serial_chaos_sweep(seed, chaos_env):
         keep_going=True,
         fault_plan=plan,
     )
-    results, metrics = runner.run_all_with_metrics(
+    metrics = runner.RunMetrics()
+    results = runner.run_all(
         TRACE_LENGTH,
         jobs=1,
         cache_dir=cache_dir,
         workloads=WORKLOADS,
         only=list(EXPERIMENTS),
         resilience=cfg,
+        metrics=metrics,
     )
     _assert_invariant(results, metrics, baseline)
 
@@ -135,13 +137,15 @@ def test_parallel_chaos_sweep(seed, chaos_env):
         fault_plan=plan,
     )
     started = time.monotonic()
-    results, metrics = runner.run_all_with_metrics(
+    metrics = runner.RunMetrics()
+    results = runner.run_all(
         TRACE_LENGTH,
         jobs=2,
         cache_dir=cache_dir,
         workloads=WORKLOADS,
         only=list(EXPERIMENTS),
         resilience=cfg,
+        metrics=metrics,
     )
     assert time.monotonic() - started < 120.0  # terminated, never hung
     _assert_invariant(results, metrics, baseline)

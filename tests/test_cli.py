@@ -1,5 +1,7 @@
 """Command-line interface smoke tests."""
 
+import json
+
 import pytest
 
 from repro.cli import EXPERIMENT_IDS, build_parser, main
@@ -45,19 +47,40 @@ class TestCommands:
         assert "two-clustered" in out
 
 
-#: Flags only ``experiment all`` reads, each with a value where it takes one.
-RUN_FLAGS = [
-    ["--jobs", "4"], ["--only", "fig9"], ["--profile-out", "trace.json"],
-    ["--json", "results.json"], ["--csv", "csv"], ["--metrics"],
-    ["--max-retries", "0"], ["--task-timeout", "5"], ["--keep-going"],
-    ["--run-dir", "run"], ["--resume", "run"], ["--fault-plan", "plan.json"],
+#: The run options every id reads, each with a value where it takes one,
+#: and what it leaves in the working directory.
+RUN_OPTIONS = [
+    (["--jobs", "2"], []), (["--profile-out", "trace.json"], ["trace.json"]),
+    (["--json", "results.json"], ["results.json"]), (["--csv", "csv"], ["csv"]),
+    (["--metrics"], []), (["--max-retries", "1"], []),
+    (["--task-timeout", "60"], []), (["--keep-going"], []),
+    (["--run-dir", "run"], ["run"]), (["--resume", "run"], ["run"]),
+    (["--fault-plan", "plan.json"], ["plan.json"]),
 ]
+
+
+#: A cheap single id.
+TABLE1 = ["experiment", "table1", "--trace-length", "2000", "--workloads", "mp3d"]
+
+
+@pytest.fixture(scope="module")
+def table1_output():
+    """What :data:`TABLE1` prints with no run option."""
+    import contextlib
+    import io
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(TABLE1) == 0
+    return out.getvalue()
 
 
 class TestExperimentFlags:
     """A flag the chosen id does not read is a usage error, not ignored."""
 
-    @pytest.mark.parametrize("flag", RUN_FLAGS, ids=lambda flag: flag[0])
+    @pytest.mark.parametrize(
+        "flag", [["--only", "fig9"]], ids=lambda flag: flag[0]
+    )
     def test_run_flag_with_a_single_id_is_a_usage_error(
         self, flag, tmp_path, monkeypatch, capsys
     ):
@@ -67,6 +90,29 @@ class TestExperimentFlags:
         assert exc.value.code == 2
         assert f"{flag[0]} is not read by 'fig9'" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, leaves", RUN_OPTIONS, ids=[flag[0] for flag, _ in RUN_OPTIONS]
+    )
+    def test_a_single_id_reads_the_run_option(
+        self, flag, leaves, table1_output, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plan.json").write_text('{"rules": []}')
+        assert main([*TABLE1, *flag]) == 0
+        assert capsys.readouterr().out.startswith(table1_output)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            {"plan.json", *leaves}
+        )
+
+    @pytest.mark.parametrize("name", ["promotion-scan", "sensitivity", "bogus"])
+    def test_an_unknown_only_name_is_a_usage_error(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "all", "--no-cache", "--only", f"fig9,{name}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--only: unknown experiment(s) {name}; known: " in err
+        assert "promotion_scan" in err and "sens_cacheline" in err
 
     @pytest.mark.parametrize("exp_id, flag", [
         ("all", ["--tenants", "100"]),
@@ -233,8 +279,79 @@ class TestOneCommandLine:
 
     @pytest.mark.parametrize("exp_id", ["promotion-scan", "sensitivity"])
     def test_metrics_takes_the_experiment_ids(self, exp_id, capsys):
-        assert main(["metrics", exp_id, "--fast"]) == 0
+        assert main(["experiment", exp_id, "--fast", "--metrics"]) == 0
         assert "runner.task_seconds" in capsys.readouterr().out
+
+    def test_a_celled_id_runs_in_parallel_journaled_and_resumable(
+        self, tmp_path, capsys
+    ):
+        tenancy = ["experiment", "tenancy", "--trace-length", "2000",
+                   "--tenants", "20"]
+        assert main(tenancy) == 0
+        serial = capsys.readouterr().out
+        run = tmp_path / "run"
+        assert main([*tenancy, "--jobs", "2", "--run-dir", str(run)]) == 0
+        assert capsys.readouterr().out == serial
+        assert {"journal.jsonl", "metrics.json", "progress.json"} <= {
+            path.name for path in run.iterdir()
+        }
+        assert main(["watch", str(run), "--once"]) == 0
+        assert "state=finished" in capsys.readouterr().out
+        journal = (run / "journal.jsonl").read_text()
+        assert main([*tenancy, "--resume", str(run)]) == 0
+        assert capsys.readouterr().out == serial
+        assert (run / "journal.jsonl").read_text() == journal  # no new cell
+
+    def test_a_single_id_exports_what_all_exports(self, tmp_path, capsys):
+        single, whole = tmp_path / "single.json", tmp_path / "all.json"
+        assert main([*TABLE1, "--json", str(single)]) == 0
+        assert main(["experiment", "all", "--only", "table1",
+                     *TABLE1[2:], "--no-cache", "--json", str(whole)]) == 0
+        assert single.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("exp_id", ["table1", "claims"])
+    def test_a_failed_task_prints_the_failure_manifest(
+        self, exp_id, tmp_path, monkeypatch, capsys
+    ):
+        from repro import cli
+        from repro.experiments import claims
+
+        monkeypatch.setitem(cli._ID_KEYS, "claims", ("table1",))
+
+        def verify(*args, **kwargs):
+            raise AssertionError("claims judged without their results")
+
+        monkeypatch.setattr(claims, "verify", verify)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"rules": [
+            {"site": "runner.experiment", "action": "raise-eio"},
+        ]}))
+        assert main([
+            "experiment", exp_id, "--trace-length", "2000", "--keep-going",
+            "--fault-plan", str(plan),
+        ]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("\nFailure manifest")
+        assert "table1" in out and "OSError" in out
+
+    def test_an_interrupted_single_id_prints_the_interrupt_line(
+        self, tmp_path, capsys
+    ):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"rules": [
+            {"site": "runner.experiment", "action": "sigint"},
+        ]}))
+        run = tmp_path / "run"
+        assert main([*TABLE1, "--fault-plan", str(plan),
+                     "--run-dir", str(run)]) == 130
+        assert capsys.readouterr().out == (
+            f"[interrupted: 0/1 experiments completed; resume with "
+            f"--resume {run}]\n"
+        )
+
+    def test_metrics_needs_a_finished_run_dir(self, tmp_path, capsys):
+        assert main(["metrics", str(tmp_path)]) == 1
+        assert f"no metrics.json in {tmp_path}" in capsys.readouterr().out
 
     def test_metrics_rejects_an_unknown_id(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -123,23 +123,6 @@ def test_interleaved_round_robins_lines():
     assert placement.home_of(placement.line_of(line + 7)) == homes[1]
 
 
-def test_memory_image_attribution():
-    from repro.pagetables.hashed import HashedPageTable
-    from repro.pagetables.memimage import MemoryImage
-
-    table = HashedPageTable(num_buckets=16)
-    for vpn in range(32):
-        table.insert(vpn, vpn + 100)
-    image = MemoryImage.of_hashed(table)
-    assert image.numa_node_of(0) == 0  # unattached: single-node
-
-    placement = InterleavedPlacement(PRESETS["4-node"])
-    assert image.attach_numa(placement) is image
-    line = DEFAULT_LINE_SIZE
-    assert [image.numa_node_of(k * line) for k in range(4)] == [0, 1, 2, 3]
-    assert image.numa_node_of(line + 3) == 1
-
-
 # ---------------------------------------------------------------------------
 # Node-aware frame allocation
 # ---------------------------------------------------------------------------

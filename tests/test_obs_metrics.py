@@ -45,16 +45,6 @@ class TestCounters:
         registry.inc("m", b="2", a="1")
         assert registry.counter("m", b="2", a="1") == 2
 
-    def test_merge_counters_round_trips_labels(self):
-        worker = MetricsRegistry()
-        worker.inc("cache.evictions", 3, reason="schema")
-        worker.inc("cache.hits", 7)
-        main = MetricsRegistry()
-        main.inc("cache.hits", 1)
-        main.merge_counters(worker.state()["counters"])
-        assert main.counter("cache.hits") == 8
-        assert main.counter("cache.evictions", reason="schema") == 3
-
     def test_merge_survives_hostile_label_values(self):
         # The regression the structured-state API exists for: rendered
         # keys like "m{reason=a=b,c}d}" are unparseable, so a merge
@@ -70,14 +60,6 @@ class TestCounters:
         again = MetricsRegistry()
         again.merge_state(state)
         assert again.state() == main.state()
-
-    def test_merge_counters_rejects_rendered_keys(self):
-        main = MetricsRegistry()
-        with pytest.raises(ValueError, match="rendered counter key"):
-            main.merge_counters({"cache.evictions{reason=schema}": 3})
-        # Unlabelled plain mappings remain accepted.
-        main.merge_counters({"cache.hits": 2})
-        assert main.counter("cache.hits") == 2
 
     def test_merge_state_covers_gauges_and_histograms(self):
         worker = MetricsRegistry()

@@ -1,6 +1,6 @@
 """End-to-end profiler pipeline: one profiled parallel run, then every
 consumer of its artefacts — trace nesting/coverage, the registry-vs-
-tracer differential, ``repro.cli report`` / ``metrics --from``, and the
+tracer differential, ``repro.cli report`` / ``metrics RUN_DIR``, and the
 bench-gate sidecar validator — asserted against the same run directory.
 """
 
@@ -43,11 +43,13 @@ def profiled_run(tmp_path_factory):
     common.clear_caches()
     reset_registry()
     try:
-        results, metrics = runner.run_all_with_metrics(
+        metrics = runner.RunMetrics()
+        results = runner.run_all(
             TRACE_LENGTH, jobs=2, cache_dir=str(root / "streams"),
             workloads=WORKLOADS, only=SUBSET,
             resilience=runner.ResilienceConfig(run_dir=str(run_dir)),
             profile=True,
+            metrics=metrics,
         )
         export_chrome_trace(metrics.spans, run_dir / TRACE_NAME)
         registry_state = json.loads(
@@ -77,7 +79,15 @@ class TestRunArtifacts:
         rebuilt.merge_state(doc["registry"])
         assert rebuilt.state() == profiled_run.registry_state
         assert doc["run"]["jobs"] == 2
-        assert doc["run"]["completed"] == list(SUBSET)
+        # Completion order: a permutation of the subset, in the order the
+        # journal recorded the results.
+        completed = doc["run"]["completed"]
+        assert sorted(completed) == sorted(SUBSET)
+        journal = (profiled_run.run_dir / JOURNAL_NAME).read_text()
+        assert completed == [
+            json.loads(line)["entry"]["experiment"]
+            for line in journal.splitlines() if '"entry"' in line
+        ]
 
     def test_walk_profile_totals_match_registry_histograms(self, profiled_run):
         """The differential ISSUE pins: per table, the registry's
@@ -144,13 +154,15 @@ class TestTraceTimeline:
         monkeypatch.setattr(ProgressTracker, "finish", slow_finish)
         common.clear_caches()
         try:
-            _, metrics = runner.run_all_with_metrics(
+            metrics = runner.RunMetrics()
+            runner.run_all(
                 TRACE_LENGTH, jobs=1, cache_dir=str(tmp_path / "streams"),
                 workloads=WORKLOADS, only=("table1",),
                 resilience=runner.ResilienceConfig(
                     run_dir=str(tmp_path / "run")
                 ),
                 profile=True,
+                metrics=metrics,
             )
         finally:
             common.clear_caches()
@@ -220,7 +232,7 @@ class TestReportCli:
 
     def test_metrics_from_run_dir(self, profiled_run, capsys):
         assert cli.main(
-            ["metrics", "--from", str(profiled_run.run_dir), "--json"]
+            ["metrics", str(profiled_run.run_dir), "--json"]
         ) == 0
         dumped = json.loads(capsys.readouterr().out)
         rebuilt = MetricsRegistry()

@@ -51,17 +51,21 @@ class TestRunnerParity:
     def test_parallel_matches_serial_and_warm_cache_is_pure(self, tmp_path):
         cache_dir = str(tmp_path / "streams")
 
-        serial, serial_metrics = runner.run_all_with_metrics(
+        serial_metrics = runner.RunMetrics()
+        serial = runner.run_all(
             TRACE_LENGTH, jobs=1, cache_dir=cache_dir,
             workloads=WORKLOADS, only=SUBSET,
+            metrics=serial_metrics,
         )
         assert list(serial) == list(SUBSET)
         assert serial_metrics.cache.misses > 0  # cold cache computed streams
 
         common.clear_caches()
-        parallel, parallel_metrics = runner.run_all_with_metrics(
+        parallel_metrics = runner.RunMetrics()
+        parallel = runner.run_all(
             TRACE_LENGTH, jobs=2, cache_dir=cache_dir,
             workloads=WORKLOADS, only=SUBSET,
+            metrics=parallel_metrics,
         )
         assert results_fingerprint(parallel) == results_fingerprint(serial)
         # Warm cache: the parallel run performed zero phase-1 simulations.
@@ -92,14 +96,18 @@ class TestRunnerParity:
         # Cold caches, separately per mode so both start empty.
         cold_serial_dir = str(tmp_path / "cold-serial")
         cold_parallel_dir = str(tmp_path / "cold-parallel")
-        _, serial_cold = runner.run_all_with_metrics(
+        serial_cold = runner.RunMetrics()
+        runner.run_all(
             TRACE_LENGTH, jobs=1, cache_dir=cold_serial_dir,
             workloads=names, only=subset,
+            metrics=serial_cold,
         )
         common.clear_caches()
-        _, parallel_cold = runner.run_all_with_metrics(
+        parallel_cold = runner.RunMetrics()
+        runner.run_all(
             TRACE_LENGTH, jobs=2, cache_dir=cold_parallel_dir,
             workloads=names, only=subset,
+            metrics=parallel_cold,
         )
         assert (
             serial_cold.cache_summary().replace(cold_serial_dir, "DIR")
@@ -109,14 +117,18 @@ class TestRunnerParity:
 
         # Warm cache: both modes over the *same* directory must agree too.
         common.clear_caches()
-        _, serial_warm = runner.run_all_with_metrics(
+        serial_warm = runner.RunMetrics()
+        runner.run_all(
             TRACE_LENGTH, jobs=1, cache_dir=cold_serial_dir,
             workloads=names, only=subset,
+            metrics=serial_warm,
         )
         common.clear_caches()
-        _, parallel_warm = runner.run_all_with_metrics(
+        parallel_warm = runner.RunMetrics()
+        runner.run_all(
             TRACE_LENGTH, jobs=2, cache_dir=cold_serial_dir,
             workloads=names, only=subset,
+            metrics=parallel_warm,
         )
         assert serial_warm.cache_summary() == parallel_warm.cache_summary()
         assert serial_warm.cache.misses == 0
@@ -124,14 +136,18 @@ class TestRunnerParity:
 
         # No cache: both report the disabled summary.
         common.clear_caches()
-        _, serial_off = runner.run_all_with_metrics(
+        serial_off = runner.RunMetrics()
+        runner.run_all(
             TRACE_LENGTH, jobs=1, cache_dir=None,
             workloads=names, only=subset,
+            metrics=serial_off,
         )
         common.clear_caches()
-        _, parallel_off = runner.run_all_with_metrics(
+        parallel_off = runner.RunMetrics()
+        runner.run_all(
             TRACE_LENGTH, jobs=2, cache_dir=None,
             workloads=names, only=subset,
+            metrics=parallel_off,
         )
         assert serial_off.cache_summary() == parallel_off.cache_summary()
         assert "disabled" in serial_off.cache_summary()
@@ -148,11 +164,13 @@ class TestRunnerParity:
         def profiled_run(jobs, cache_dir, run_dir):
             common.clear_caches()
             reset_registry()
-            _, metrics = runner.run_all_with_metrics(
+            metrics = runner.RunMetrics()
+            runner.run_all(
                 TRACE_LENGTH, jobs=jobs, cache_dir=cache_dir,
                 workloads=WORKLOADS, only=("table1", "fig11d"),
                 resilience=runner.ResilienceConfig(run_dir=run_dir),
                 profile=True,
+                metrics=metrics,
             )
             state = get_registry().state()
             reset_registry()
@@ -187,9 +205,11 @@ class TestRunnerParity:
                 == parallel_metrics.walk_profile.as_dict())
 
     def test_phase_wall_seconds_are_recorded(self, tmp_path):
-        _, metrics = runner.run_all_with_metrics(
+        metrics = runner.RunMetrics()
+        runner.run_all(
             TRACE_LENGTH, jobs=1, cache_dir=str(tmp_path / "s"),
             workloads=("mp3d",), only=("table1",),
+            metrics=metrics,
         )
         assert metrics.prewarm_wall_seconds > 0.0
         assert metrics.experiments_wall_seconds > 0.0
@@ -208,9 +228,11 @@ class TestRunnerParity:
             ).count
             for phase in phases
         }
-        _, metrics = runner.run_all_with_metrics(
+        metrics = runner.RunMetrics()
+        runner.run_all(
             TRACE_LENGTH, jobs=1, cache_dir=str(tmp_path / "s"),
             workloads=("mp3d",), only=("table1",), profile=True,
+            metrics=metrics,
         )
         # One runner.phase_seconds observation per phase per run, and a
         # phase:<name> span over each.

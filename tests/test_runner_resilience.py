@@ -25,14 +25,17 @@ WORKLOADS = ("mp3d",)
 
 
 def _run(tmp_path, only, *, jobs=1, resilience=None, cache="cache"):
-    return runner.run_all_with_metrics(
+    metrics = runner.RunMetrics()
+    results = runner.run_all(
         TRACE_LENGTH,
         jobs=jobs,
         cache_dir=str(tmp_path / cache),
         workloads=WORKLOADS,
         only=only,
         resilience=resilience,
+        metrics=metrics,
     )
+    return results, metrics
 
 
 def _renders(results):
@@ -225,13 +228,15 @@ class TestResume:
         cfg = runner.ResilienceConfig(run_dir=str(run_dir))
         _run(tmp_path, ["table1"], resilience=cfg)
         cfg2 = runner.ResilienceConfig(run_dir=str(run_dir), resume=True)
-        _, metrics = runner.run_all_with_metrics(
+        metrics = runner.RunMetrics()
+        runner.run_all(
             3_000,  # different trace length: journal entry must not satisfy
             jobs=1,
             cache_dir=str(tmp_path / "cache"),
             workloads=WORKLOADS,
             only=["table1"],
             resilience=cfg2,
+            metrics=metrics,
         )
         assert metrics.resumed_skips == 0
         assert len(metrics.timings) == 1
@@ -390,8 +395,9 @@ class TestGracefulInterrupt:
 
         def counts():
             return {
-                key: histogram.count for key, histogram in
-                get_registry().histograms_named("walk.cache_lines").items()
+                labels["table"]: payload["count"]
+                for name, labels, payload in get_registry().state()["histograms"]
+                if name == "walk.cache_lines"
             }
 
         before = counts()
@@ -405,8 +411,7 @@ class TestGracefulInterrupt:
         assert sum(table.walks for table in tables.values()) > 0
         after = counts()
         for name, table in tables.items():
-            key = f"walk.cache_lines{{table={name}}}"
-            assert after[key] - before.get(key, 0) == table.walks, name
+            assert after[name] - before.get(name, 0) == table.walks, name
 
     def test_interrupted_phase_is_still_observed(self, tmp_path):
         plan = FaultPlan(

@@ -220,7 +220,7 @@ class TestRunnerIntegration:
     def test_run_all_writes_finished_progress(self, tmp_path):
         common.clear_caches()
         try:
-            runner.run_all_with_metrics(
+            runner.run_all(
                 2_000, jobs=1, cache_dir=str(tmp_path / "cache"),
                 workloads=("mp3d",), only=["table1"],
                 resilience=runner.ResilienceConfig(
