@@ -54,7 +54,7 @@ def run_cells(
     except RunInterrupted:
         print(interrupt_line(metrics, 1, run_dir))
         raise
-    computed = metrics.experiment_tasks
+    computed = metrics.summary_dict()["experiment_tasks"]
     print(
         f"[{computed} cells computed, {len(cells) - computed} resumed "
         f"in {metrics.wall_seconds:.1f}s with {metrics.jobs} job(s)]"

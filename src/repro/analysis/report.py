@@ -71,10 +71,10 @@ def render_table(
 def render_run_metrics(metrics) -> str:
     """Render a runner's :class:`~repro.experiments.runner.RunMetrics`.
 
-    Duck-typed (any object with ``timings``/``cache``/``jobs``/…) so this
-    low-level module needs no import from the experiment layer.  Shows
-    per-experiment wall time and stream-cache traffic, then the pool
-    summary: jobs, prewarm stage, busy time, and worker utilisation.
+    Duck-typed (any object with ``timings``/``jobs``/…/``summary_dict``)
+    so this low-level module needs no import from the experiment layer.
+    Shows per-experiment wall time and stream-cache traffic, then the
+    pool summary: jobs, prewarm stage, busy time, and worker utilisation.
     """
     rows = [
         [t.key, t.seconds, t.cache.hits, t.cache.misses, t.cache.errors]
@@ -93,10 +93,11 @@ def render_run_metrics(metrics) -> str:
     ]
     # Resilience accounting, only when something actually happened — a
     # default fault-free run renders byte-identically to before.
-    retries = getattr(metrics, "task_retries", 0)
-    timeouts = getattr(metrics, "task_timeouts", 0)
-    resumed = getattr(metrics, "resumed_skips", 0)
-    failed = len(getattr(metrics, "failures", ()))
+    run = metrics.summary_dict()
+    retries = run["task_retries"]
+    timeouts = run["task_timeouts"]
+    resumed = run["resumed_skips"]
+    failed = len(metrics.failures)
     if retries or timeouts or resumed or failed:
         summary.append(
             f"resilience: {retries} retr{'y' if retries == 1 else 'ies'}, "

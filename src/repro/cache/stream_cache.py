@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.mmu.simulate import MissStream
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.resilience.faults import fault_point
 from repro.util.atomic_io import atomic_writer
 from repro.os.translation_map import TranslationMap
@@ -249,32 +249,20 @@ def load_stream(path: os.PathLike) -> MissStream:
 # ---------------------------------------------------------------------------
 @dataclass
 class CacheStats:
-    """Hit/miss accounting for one cache instance (one process)."""
+    """Stream-cache traffic: the ``stream_cache.*`` counters of a registry."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
     errors: int = 0
 
-    def snapshot(self) -> "CacheStats":
-        """An independent copy (workers report deltas from snapshots)."""
-        return CacheStats(self.hits, self.misses, self.stores, self.errors)
-
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate another instance's counts into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.errors += other.errors
-
-    def delta(self, since: "CacheStats") -> "CacheStats":
-        """Counts accumulated since an earlier :meth:`snapshot`."""
-        return CacheStats(
-            self.hits - since.hits,
-            self.misses - since.misses,
-            self.stores - since.stores,
-            self.errors - since.errors,
-        )
+    @classmethod
+    def of(cls, registry: MetricsRegistry) -> "CacheStats":
+        """The traffic ``registry`` counted."""
+        return cls(*(
+            registry.counter(f"stream_cache.{name}")
+            for name in ("hits", "misses", "stores", "errors")
+        ))
 
 
 class StreamCache:
@@ -283,12 +271,12 @@ class StreamCache:
     Safe for concurrent use by multiple processes: writes are atomic
     renames, reads that find a damaged file delete it and fall back to a
     miss, and identical keys always serialise identical content so racing
-    writers are harmless.
+    writers are harmless.  Its traffic is counted in the active metrics
+    registry, which :meth:`CacheStats.of` reads.
     """
 
     def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
-        self.stats = CacheStats()
 
     def path_for(self, key: str) -> Path:
         """Artefact path for one content hash (sharded by prefix)."""
@@ -304,14 +292,11 @@ class StreamCache:
         registry = get_registry()
         path = self.path_for(key)
         if not path.exists():
-            self.stats.misses += 1
             registry.inc("stream_cache.misses")
             return None
         try:
             stream = load_stream(path)
         except StreamCacheError as exc:
-            self.stats.errors += 1
-            self.stats.misses += 1
             registry.inc("stream_cache.errors")
             registry.inc("stream_cache.misses")
             registry.inc("stream_cache.evictions", reason=exc.reason)
@@ -320,19 +305,14 @@ class StreamCache:
             except OSError:
                 pass
             return None
-        self.stats.hits += 1
         registry.inc("stream_cache.hits")
         return stream
 
     def put(self, key: str, stream: MissStream) -> Path:
         """Persist one stream under ``key``."""
         path = save_stream(stream, self.path_for(key))
-        self.stats.stores += 1
         get_registry().inc("stream_cache.stores")
         return path
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*/*.npz"))
 
 
 def default_cache_dir() -> Path:

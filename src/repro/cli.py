@@ -215,7 +215,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     from repro.cache.stream_cache import default_cache_dir
     from repro.experiments import runner
-    from repro.obs.metrics import get_registry
     from repro.resilience.faults import FaultPlan
     from repro.resilience.retry import RetryPolicy
 
@@ -328,7 +327,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"[profile written to {path} ({len(metrics.spans)} spans)]")
     if args.metrics:
         print()
-        print(get_registry().render())
+        print(metrics.registry.render())
     if everything:
         print(
             f"[{len(results)} experiments regenerated in "
@@ -740,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--metrics", action="store_true",
-        help="additionally print the process-wide metrics registry",
+        help="additionally print the run's metrics registry",
     )
     run.add_argument(
         "--profile-out", metavar="FILE", default=None,

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.addr.space import AddressSpace
 from repro.analysis.report import render_table
-from repro.cache.stream_cache import CacheStats, StreamCache, stream_cache_key
+from repro.cache.stream_cache import StreamCache, stream_cache_key
 from repro.obs.metrics import get_registry
 from repro.obs.spans import record_span
 from repro.mmu.simulate import MissStream, collect_misses
@@ -281,7 +281,7 @@ _STREAM_CACHE: Optional[StreamCache] = None
 def configure_stream_cache(directory: Optional[str]) -> Optional[StreamCache]:
     """Enable (or, with None, disable) the persistent miss-stream cache.
 
-    Returns the active cache so callers can inspect its statistics.
+    Returns the active cache.
     """
     global _STREAM_CACHE
     _STREAM_CACHE = StreamCache(directory) if directory else None
@@ -301,11 +301,6 @@ def set_stream_cache(cache: Optional[StreamCache]) -> None:
     """
     global _STREAM_CACHE
     _STREAM_CACHE = cache
-
-
-def stream_cache_stats() -> CacheStats:
-    """This process's hit/miss counts (zeros when the cache is off)."""
-    return _STREAM_CACHE.stats.snapshot() if _STREAM_CACHE else CacheStats()
 
 
 def collect_misses_cached(
@@ -413,10 +408,11 @@ def clear_stream_memo() -> None:
     """Drop only the memoised miss streams, keeping workloads and maps.
 
     The runner calls this at the start of every task (serial and
-    parallel) when the persistent cache is active, so each task's
-    stream-cache traffic is a deterministic function of the task alone —
-    never of which other task happened to run in the same process first.
-    That determinism is what makes ``RunMetrics.cache_summary()``
+    parallel) when the persistent cache is active, so the
+    ``stream_cache.*`` counts in each task's registry are a
+    deterministic function of the task alone — never of which other
+    task happened to run in the same process first.  That determinism
+    is what makes the run's counts, and ``RunMetrics.cache_summary()``,
     identical between ``--jobs 1`` and ``--jobs N``.
     """
     _STREAMS.clear()

@@ -62,7 +62,7 @@ from repro.cache.stream_cache import CacheStats
 from repro.errors import ConfigurationError
 from repro.obs import spans as _spans
 from repro.obs import trace as _trace
-from repro.obs.metrics import get_registry, reset_registry
+from repro.obs.metrics import HistogramStats, MetricsRegistry, use_registry
 from repro.obs.profile import WalkProfile
 from repro.obs.spans import SpanRecord, record_span
 from repro.obs.watch import DEFAULT_HEARTBEAT_INTERVAL, ProgressTracker
@@ -229,9 +229,10 @@ def stream_prewarm_plan(
 # ---------------------------------------------------------------------------
 # Task entry point (module-level: picklable by the process pool)
 # ---------------------------------------------------------------------------
-#: Set by :func:`_worker_init` in pool workers: their tasks capture and
-#: ship telemetry.  Tasks run in the runner's own process (``--jobs 1``)
-#: feed the run's registry, tracer and walk profile directly.
+#: Set by :func:`_worker_init` in pool workers: their tasks record and
+#: ship their own spans (and walk profile).  Tasks run in the runner's
+#: own process (``--jobs 1``) feed the run's recorder, tracer and walk
+#: profile directly.
 _IN_WORKER = False
 
 #: Set by :func:`_worker_init` when the parent run is profiled: worker
@@ -281,15 +282,15 @@ def _worker_init(
 
 @dataclass
 class TaskTelemetry:
-    """Observability a worker task ships back with its result.
+    """Observability a task ships back with its result.
 
-    ``state`` is the worker registry's full structured dump for exactly
-    this task (the registry is reset at task start, so the dump *is* the
-    per-task delta); ``spans`` are the task's completed wall-clock spans
-    (worker PID attached, so they land on their own track in the merged
-    timeline); ``profile`` is the serialised per-table walk profile when
-    the run is profiled.  The parent folds all three in on task success
-    — a failed attempt's telemetry is discarded with the attempt.
+    ``state`` is the structured dump of the task's own registry, which
+    counted exactly this task; a pool worker's task also ships
+    ``spans``, its completed wall-clock spans (worker PID attached, so
+    they land on their own track in the merged timeline), and
+    ``profile``, the serialised per-table walk profile when the run is
+    profiled.  The runner folds all three in on task success — a failed
+    attempt's telemetry is discarded with the attempt.
     """
 
     state: Dict[str, object] = field(default_factory=dict)
@@ -301,36 +302,34 @@ class TaskTelemetry:
 def _task_scope(label: str, stage: str):
     """Telemetry scope around one task; yields its :class:`TaskTelemetry`.
 
-    In the runner's own process it only opens the ``task:<label>`` span
-    and yields ``None``: the run's registry, tracer and walk profile see
-    the task's work directly.  In a pool worker it resets the process
-    registry (making the task's registry state an exact delta), records
-    the task's span tree under ``task:<label>``, and — when the run is
-    profiled — installs a fresh walk tracer whose profile it ships.
+    The task counts into a fresh registry in any process, under a
+    ``task:<label>`` span.  A pool worker also records the span tree
+    and — when the run is profiled — the walks of the task into its own
+    recorder and tracer, and ships them; in the runner's process the
+    run's recorder and tracer see the task directly.
     """
-    if not _IN_WORKER:
-        with record_span(f"task:{label}", category=stage):
-            yield None
-        return
-    registry = reset_registry()
-    recorder = _spans.install_recorder(_spans.SpanRecorder())
-    tracer = None
-    if _WORKER_PROFILED:
-        tracer = _trace.install_tracer(
-            _trace.WalkTracer(capacity=_WORKER_RING)
-        )
     telemetry = TaskTelemetry()
-    recorder.begin(f"task:{label}", category=stage)
+    registry = MetricsRegistry()
+    recorder = tracer = None
+    if _IN_WORKER:
+        recorder = _spans.install_recorder(_spans.SpanRecorder())
+        if _WORKER_PROFILED:
+            tracer = _trace.install_tracer(
+                _trace.WalkTracer(capacity=_WORKER_RING)
+            )
     try:
-        yield telemetry
+        with use_registry(registry), record_span(
+            f"task:{label}", category=stage
+        ):
+            yield telemetry
     finally:
-        recorder.end()
-        _spans.uninstall_recorder(recorder)
+        if recorder is not None:
+            _spans.uninstall_recorder(recorder)
+            telemetry.spans = recorder.spans
         if tracer is not None:
             _trace.uninstall_tracer(tracer)
             telemetry.profile = tracer.profile.as_dict()
         telemetry.state = registry.state()
-        telemetry.spans = recorder.spans
 
 
 def _prewarm_label(task: StreamTask) -> str:
@@ -351,24 +350,23 @@ def _run_task(
     trace_length: int,
     workloads: Optional[Tuple[str, ...]],
     attempt: int = 1,
-) -> Tuple[object, float, CacheStats, Optional[TaskTelemetry]]:
+) -> Tuple[object, float, TaskTelemetry]:
     """One task of either stage, in a pool worker or in the runner.
 
     A ``prewarm`` task materialises one miss stream (``key`` is a
     :data:`StreamTask`) into the shared cache; an ``experiment`` task
     (``key`` is an (experiment, cell) pair) produces one experiment's
     result table, or one cell's record.  With a stream cache the
-    stream memo is dropped first, so the task's cache delta depends
+    stream memo is dropped first, so the task's cache traffic depends
     only on (key, disk state) — not on which tasks ran before it in the
     same process — keeping the accounting identical across ``--jobs``.
-    Without one the delta is zero anyway, and ``--jobs 1`` experiments
-    keep sharing in-process streams.
+    Without one there is no traffic anyway, and ``--jobs 1``
+    experiments keep sharing in-process streams.
     """
     with _task_scope(label, stage) as telemetry:
         fault_point(f"runner.{stage}", key=label, attempt=attempt)
         if common.stream_cache() is not None:
             common.clear_stream_memo()
-        before = common.stream_cache_stats()
         started = time.perf_counter()
         result = None
         if stage == "prewarm":
@@ -382,8 +380,7 @@ def _run_task(
                 else CELLED[name].measure(cell, trace_length)
             )
         elapsed = time.perf_counter() - started
-        delta = common.stream_cache_stats().delta(before)
-    return result, elapsed, delta, telemetry
+    return result, elapsed, telemetry
 
 
 class _InlineExecutor(Executor):
@@ -485,7 +482,7 @@ def interrupt_line(
     metrics: "RunMetrics", total: int, run_dir: Optional[str]
 ) -> str:
     """What a drained run prints: experiments done, and how to resume."""
-    done = len(metrics.completed) + metrics.resumed_skips
+    done = len(metrics.completed) + metrics.summary_dict()["resumed_skips"]
     resume = f"; resume with --resume {run_dir}" if run_dir else ""
     return f"[interrupted: {done}/{total} experiments completed{resume}]"
 
@@ -508,7 +505,7 @@ def _record_failure(
         seed=active_plan_seed(),
     )
     metrics.failures.append(record)
-    get_registry().inc("runner.task_failures", experiment=str(label))
+    metrics.registry.inc("runner.task_failures", experiment=str(label))
     if journal is not None and stage == "experiment":
         journal.append_failure(record.as_dict())
     return record
@@ -519,39 +516,30 @@ def _record_failure(
 # ---------------------------------------------------------------------------
 @dataclass
 class ExperimentTiming:
-    """Wall time and cache traffic of one experiment."""
+    """Wall time of one experiment, and the registries of its tasks."""
 
     key: str
     seconds: float
-    cache: CacheStats = field(default_factory=CacheStats)
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
+
+    @property
+    def cache(self) -> CacheStats:
+        """The experiment's stream-cache traffic."""
+        return CacheStats.of(self.registry)
 
 
 @dataclass
 class RunMetrics:
-    """Instrumentation of one ``run_all`` invocation."""
+    """Instrumentation of one ``run_all`` invocation; every count it
+    makes lives in ``registry`` alone, where :meth:`summary_dict` reads
+    it."""
 
     jobs: int = 1
     cache_dir: Optional[str] = None
     engine: str = "scalar"
     wall_seconds: float = 0.0
-    prewarm_tasks: int = 0
-    prewarm_seconds: float = 0.0
-    #: Experiment-stage tasks completed this run (a cell is one task).
-    experiment_tasks: int = 0
-    #: Wall time of each runner phase (phase-1 prewarm, phase-2
-    #: experiments), also observed into the metrics registry's
-    #: ``runner.phase_seconds`` histogram.
-    prewarm_wall_seconds: float = 0.0
-    experiments_wall_seconds: float = 0.0
     #: One entry per experiment; a celled experiment's sums its cells.
     timings: List[ExperimentTiming] = field(default_factory=list)
-    cache: CacheStats = field(default_factory=CacheStats)
-    #: Resilience accounting (mirrored into the metrics registry as
-    #: ``runner.task_retries`` / ``runner.task_timeouts`` /
-    #: ``runner.resumed_skips``, labelled by experiment).
-    task_retries: int = 0
-    task_timeouts: int = 0
-    resumed_skips: int = 0
     #: Permanent failures a ``keep_going`` run completed around.
     failures: List[FailureRecord] = field(default_factory=list)
     #: Experiment keys completed *this* run, in completion order — the
@@ -563,6 +551,24 @@ class RunMetrics:
     profiled: bool = False
     spans: List[SpanRecord] = field(default_factory=list)
     walk_profile: Optional[WalkProfile] = None
+    #: What this run and its successful tasks counted, and nothing else.
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
+
+    @property
+    def cache(self) -> CacheStats:
+        """The run's stream-cache traffic."""
+        return CacheStats.of(self.registry)
+
+    @property
+    def prewarm_tasks(self) -> int:
+        return self._task_seconds("prewarm").count
+
+    @property
+    def prewarm_seconds(self) -> float:
+        return self._task_seconds("prewarm").total
+
+    def _task_seconds(self, stage: str) -> HistogramStats:
+        return self.registry.histogram("runner.task_seconds", stage=stage)
 
     @property
     def busy_seconds(self) -> float:
@@ -616,7 +622,18 @@ class RunMetrics:
 
     def summary_dict(self) -> Dict[str, object]:
         """JSON-safe run summary, persisted as the ``run`` block of
-        ``metrics.json`` and consumed by ``repro.cli report``."""
+        ``metrics.json`` and consumed by ``repro.cli report``.  Its
+        counts are read from the run's registry."""
+        registry = self.registry
+
+        def phase_seconds(phase: str) -> float:
+            return registry.histogram(
+                "runner.phase_seconds", phase=phase
+            ).total
+
+        def total(name: str) -> int:
+            return sum(registry.values(name).values())
+
         return {
             "jobs": self.jobs,
             "cache_dir": self.cache_dir,
@@ -624,9 +641,9 @@ class RunMetrics:
             "wall_seconds": self.wall_seconds,
             "prewarm_tasks": self.prewarm_tasks,
             "prewarm_seconds": self.prewarm_seconds,
-            "experiment_tasks": self.experiment_tasks,
-            "prewarm_wall_seconds": self.prewarm_wall_seconds,
-            "experiments_wall_seconds": self.experiments_wall_seconds,
+            "experiment_tasks": self._task_seconds("experiment").count,
+            "prewarm_wall_seconds": phase_seconds("prewarm"),
+            "experiments_wall_seconds": phase_seconds("experiments"),
             "busy_seconds": self.busy_seconds,
             "utilisation": self.utilisation,
             "cache_summary": self.cache_summary(),
@@ -635,9 +652,9 @@ class RunMetrics:
                  "cache_hits": t.cache.hits, "cache_computed": t.cache.misses}
                 for t in self.timings
             ],
-            "task_retries": self.task_retries,
-            "task_timeouts": self.task_timeouts,
-            "resumed_skips": self.resumed_skips,
+            "task_retries": total("runner.task_retries"),
+            "task_timeouts": total("runner.task_timeouts"),
+            "resumed_skips": total("runner.resumed_skips"),
             "failures": [f.as_dict() for f in self.failures],
             "completed": list(self.completed),
             "interrupted": self.interrupted,
@@ -650,13 +667,13 @@ class RunMetrics:
 # Orchestration
 # ---------------------------------------------------------------------------
 def _absorb_telemetry(metrics: RunMetrics, telemetry: TaskTelemetry) -> None:
-    """Fold one worker task's telemetry into the parent's aggregates.
+    """Fold one successful task's telemetry into the run's aggregates.
 
-    The registry delta always merges (worker counters — cache traffic,
-    injected faults — must survive ``--jobs N``); spans and the walk
-    profile land only when the run is collecting them.
+    The task's registry always merges into the run's (its counters —
+    cache traffic, injected faults — must survive ``--jobs N``); spans
+    and the walk profile land only when the run is collecting them.
     """
-    get_registry().merge_state(telemetry.state)
+    metrics.registry.merge_state(telemetry.state)
     recorder = _spans.active_recorder()
     if recorder is not None:
         recorder.extend(telemetry.spans)
@@ -676,7 +693,7 @@ def _write_run_artifacts(run_dir: str, metrics: RunMetrics) -> None:
 
     payload = {
         "metrics_version": 1,
-        "registry": get_registry().state(),
+        "registry": metrics.registry.state(),
         "run": metrics.summary_dict(),
     }
     with atomic_writer(Path(run_dir) / METRICS_NAME) as handle:
@@ -740,9 +757,9 @@ def run_all(
     (workers ship theirs, and the parent merges them).  When the run
     ends, even by interruption, the ``walk.cache_lines`` /
     ``walk.probes`` percentile histograms are derived from that profile
-    into the metrics registry.  Worker registry deltas merge into the
-    parent registry regardless of profiling, so counters never vanish
-    under ``--jobs N``.
+    into the run's registry, ``metrics.registry``.  Each task counts
+    into a fresh registry, merged into the run's when the task succeeds
+    and dropped when it fails, at every ``jobs``.
 
     ``engine`` selects the phase-2 replay engine (``scalar`` or
     ``batch``); the choice is re-applied inside every worker process and
@@ -823,8 +840,7 @@ def run_all(
             key for key in keys if len(records[key]) == len(sweeps[key])
         ]
         for key in resumed:
-            metrics.resumed_skips += 1
-            get_registry().inc("runner.resumed_skips", experiment=key)
+            metrics.registry.inc("runner.resumed_skips", experiment=key)
         pending = tuple(key for key in keys if key not in resumed)
 
         # Heartbeat progress (progress.json) for `repro watch`: only when
@@ -841,7 +857,7 @@ def run_all(
             inject(cfg.fault_plan) if cfg.fault_plan else nullcontext()
         )
         try:
-            with fault_scope:
+            with fault_scope, use_registry(metrics.registry):
                 if pending:
                     _run_stages(
                         pending, trace_length, cache_dir, workloads,
@@ -882,7 +898,7 @@ def run_all(
         common.set_stream_cache(previous_cache)
         common.configure_engine(previous_engine)
         if profile:
-            metrics.walk_profile.observe_into(get_registry())
+            metrics.walk_profile.observe_into(metrics.registry)
     if cfg.run_dir:
         _write_run_artifacts(cfg.run_dir, metrics)
     return results
@@ -942,7 +958,7 @@ def _drain(
     in-process executor of ``--jobs 1`` finishes each task inside
     ``submit``, so there a deadline never expires.
     """
-    registry = get_registry()
+    registry = metrics.registry
     queue = deque(tasks)
     waiting: List[Tuple[float, int, _Task]] = []  # (ready_at, seq, task)
     running: Dict[Future, Tuple[_Task, Optional[float]]] = {}
@@ -957,7 +973,6 @@ def _drain(
         """Schedule a retry, record a failure, or return an abort error."""
         nonlocal need_recycle
         if isinstance(exc, TaskTimeoutError):
-            metrics.task_timeouts += 1
             registry.inc("runner.task_timeouts", experiment=str(task.label))
         if isinstance(exc, (TaskTimeoutError, BrokenExecutor)):
             need_recycle = True
@@ -969,7 +984,6 @@ def _drain(
             task.history.append(
                 AttemptRecord(task.attempts, repr(exc), delay)
             )
-            metrics.task_retries += 1
             registry.inc("runner.task_retries", experiment=str(task.label))
             heappush(
                 waiting, (time.monotonic() + delay, next(tiebreak), task)
@@ -1114,7 +1128,7 @@ def _run_stages(
             ),
         )
 
-    registry = get_registry()
+    registry = metrics.registry
     stages: List[Tuple[str, List[_Task]]] = []
     # Stage 1: the stream-collection frontier.  Only useful when
     # artefacts persist — without a cache directory the streams could
@@ -1147,17 +1161,11 @@ def _run_stages(
         )
 
     def on_success(task: _Task, value) -> None:
-        result, elapsed, delta, telemetry = value
-        metrics.cache.merge(delta)
-        if telemetry is not None:
-            _absorb_telemetry(metrics, telemetry)
+        result, elapsed, telemetry = value
+        _absorb_telemetry(metrics, telemetry)
         registry.observe("runner.task_seconds", elapsed, stage=task.stage)
         done: Optional[str] = None  # the experiment this task completes
-        if task.stage == "prewarm":
-            metrics.prewarm_tasks += 1
-            metrics.prewarm_seconds += elapsed
-        else:
-            metrics.experiment_tasks += 1
+        if task.stage == "experiment":
             key, cell = task.key
             if journal is not None:
                 journal.append_result(
@@ -1169,7 +1177,7 @@ def _run_stages(
             records[key][task.label] = result
             timing = timings.setdefault(key, ExperimentTiming(key, 0.0))
             timing.seconds += elapsed
-            timing.cache.merge(delta)
+            timing.registry.merge_state(telemetry.state)
             if len(records[key]) == len(sweeps[key]):
                 metrics.timings.append(timing)
                 metrics.completed.append(key)
@@ -1196,8 +1204,6 @@ def _run_stages(
                     registry.observe(
                         "runner.phase_seconds", seconds, phase=phase
                     )
-            # RunMetrics.prewarm_wall_seconds / .experiments_wall_seconds
-            setattr(metrics, f"{phase}_wall_seconds", seconds)
     except KeyboardInterrupt:
         # Graceful drain: cancel pending work, kill the workers (their
         # results are discarded; cache/journal writes are atomic), and

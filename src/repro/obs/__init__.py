@@ -1,4 +1,4 @@
-"""Observability: walk tracing, a process-wide metrics registry, spans.
+"""Observability: walk tracing, a metrics registry per run, spans.
 
 Six small, dependency-light modules that let the simulator *explain
 itself* instead of only reporting aggregate averages:
@@ -9,12 +9,12 @@ itself* instead of only reporting aggregate averages:
   ring buffer with JSONL export.  The hook lives in
   :meth:`repro.pagetables.base.PageTable.lookup` /
   ``lookup_block`` and costs one module-attribute check when disabled.
-- :mod:`repro.obs.metrics` — a process-wide
+- :mod:`repro.obs.metrics` — the
   :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
   histograms, all optionally labelled) that the stream cache, the TLB
-  shootdown machinery, and the replication layer report into, so cache
-  hit/miss/evict-with-reason, IPI rounds, and replica fan-out writes are
-  queryable from one place (``python -m repro metrics``).
+  shootdown machinery, the replication layer and the runner report
+  into; each run counts into its own (``use_registry``), and its
+  ``metrics.json`` persists it (``python -m repro metrics RUN_DIR``).
 - :mod:`repro.obs.spans` — hierarchical wall-clock spans (run → phase →
   task → stage) recorded in parent and worker processes and exported as
   Chrome trace-event JSON (``--profile-out``, loadable in Perfetto).
@@ -55,6 +55,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     reset_registry,
+    use_registry,
 )
 from repro.obs.profile import TableProfile, WalkProfile
 from repro.obs.spans import (
@@ -96,6 +97,7 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "reset_registry",
+    "use_registry",
     "TableProfile",
     "WalkProfile",
     "SpanRecord",

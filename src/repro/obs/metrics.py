@@ -1,16 +1,14 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Metrics registry: counters, gauges, histograms.
 
-One :class:`MetricsRegistry` instance per process (:func:`get_registry`)
-replaces the ad-hoc per-subsystem stat plumbing as the *queryable* view
-of what the simulator did: stream-cache hits/misses/evictions (labelled
-by reason), shootdown IPI rounds, replication fan-out writes, per-walk
-cache-line distributions, and runner phase timings all land here, and
-``python -m repro metrics`` renders the lot.
-
-The per-subsystem dataclasses (``CacheStats``, ``ShootdownStats``,
-``ReplicationStats``, ``WalkStats``) remain the *local* accounting —
-scoped to one object, cheap, picklable across workers.  The registry is
-the cross-cutting aggregate; subsystems report into both.
+A :class:`MetricsRegistry` is the *queryable* view of what the simulator
+did: stream-cache hits/misses/stores/evictions (labelled by reason),
+shootdown IPI rounds, replication fan-out writes, per-walk cache-line
+distributions, and runner task and phase timings all land in the active
+registry (:func:`get_registry`: the process default, or the one
+:func:`use_registry` installed).  ``run_all`` counts each run into its
+own registry, so ``metrics.json`` and ``--metrics`` hold one run.
+Objects that keep their own stats (``ShootdownStats``, ``WalkStats``)
+report into both; the stream cache and the runner count only here.
 
 Metrics are named ``subsystem.event`` and optionally labelled::
 
@@ -30,14 +28,16 @@ Cross-process aggregation goes through :meth:`MetricsRegistry.state`
 (a JSON-safe dump keyed by *structured* name+label pairs) and
 :meth:`MetricsRegistry.merge_state` — never through rendered string
 keys, so label values containing ``,``, ``=``, or ``}`` survive the
-round trip.  Worker processes return a per-task ``state()`` delta that
-the parent folds in, which is how labelled counters, gauges, and
+round trip.  Each runner task returns its own registry's ``state()``,
+in a worker process or in the runner's, and the run folds it in when
+the task succeeds: that is how labelled counters, gauges, and
 histograms survive ``--jobs N``.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 #: A labelled series key: (metric name, sorted (label, value) pairs).
@@ -422,16 +422,29 @@ class MetricsRegistry:
         self._histograms.clear()
 
 
-#: The process-wide registry every subsystem reports into.
+#: The active registry every subsystem reports into: the process
+#: default, or the one :func:`use_registry` installed.
 _REGISTRY = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide registry."""
+    """The active registry."""
     return _REGISTRY
 
 
 def reset_registry() -> MetricsRegistry:
-    """Clear the process-wide registry and return it."""
+    """Clear the active registry and return it."""
     _REGISTRY.reset()
     return _REGISTRY
+
+
+@contextmanager
+def use_registry(registry: MetricsRegistry):
+    """Within the block, :func:`get_registry` returns ``registry``; on
+    exit the previously active registry comes back."""
+    global _REGISTRY
+    previous, _REGISTRY = _REGISTRY, registry
+    try:
+        yield registry
+    finally:
+        _REGISTRY = previous

@@ -107,13 +107,11 @@ class ProgressTracker:
             self._phases[name].total = int(total)
         self._write(force=True)
 
-    def task_done(
-        self, key: Optional[str], seconds: float = 0.0,
-        phase: Optional[str] = None,
-    ) -> None:
-        """Record one completed task; experiments land in ``completed``
-        (``key`` is ``None`` for a task that completes none)."""
-        name = phase or self._phase
+    def task_done(self, key: Optional[str], seconds: float = 0.0) -> None:
+        """Record one completed task of the current phase; experiments
+        land in ``completed`` (``key`` is ``None`` for a task that
+        completes none)."""
+        name = self._phase
         if name is not None:
             stats = self._phases.setdefault(name, _PhaseStats())
             stats.done += 1

@@ -60,7 +60,7 @@ TLB_SEED_ENTRIES = 2
 
 #: Per-tenant registry series are emitted only below this population
 #: (the local per-tenant histograms always exist; unbounded label
-#: cardinality in the process-wide registry is what must be capped).
+#: cardinality in the metrics registry is what must be capped).
 PER_TENANT_SERIES_CAP = 128
 
 

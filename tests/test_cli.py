@@ -282,6 +282,21 @@ class TestOneCommandLine:
         assert main(["experiment", exp_id, "--fast", "--metrics"]) == 0
         assert "runner.task_seconds" in capsys.readouterr().out
 
+    def test_metrics_prints_only_its_own_run(self, capsys):
+        """Regression: ``--metrics`` printed the process-wide registry,
+        so a second run in one process showed the first one's tasks."""
+        small = ["--workloads", "mp3d", "--metrics"]
+        assert main(["experiment", "fig9", *small]) == 0
+        capsys.readouterr()
+        assert main(
+            ["experiment", "table1", "--trace-length", "2000", *small]
+        ) == 0
+        rows = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("runner.task_seconds{stage=experiment}")
+        ]
+        assert [row[1] for row in rows] == ["1"]  # the count column
+
     def test_a_celled_id_runs_in_parallel_journaled_and_resumable(
         self, tmp_path, capsys
     ):

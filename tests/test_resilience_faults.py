@@ -179,21 +179,16 @@ class TestInjector:
         assert event["key"] == "artefact.npz"
 
     def test_counts_into_the_metrics_registry(self):
-        from repro.obs.metrics import get_registry
+        from repro.obs.metrics import MetricsRegistry, use_registry
 
-        before = get_registry().counter(
-            "faults.injected",
-            site="runner.experiment", action="raise-eio",
-        )
         plan = FaultPlan((FaultRule("runner.experiment", "raise-eio"),))
-        with inject(plan):
+        with inject(plan), use_registry(MetricsRegistry()) as registry:
             with pytest.raises(OSError):
                 fault_point("runner.experiment", key="k")
-        after = get_registry().counter(
+        assert registry.counter(
             "faults.injected",
             site="runner.experiment", action="raise-eio",
-        )
-        assert after == before + 1
+        ) == 1
 
 
 class TestCorruption:
@@ -215,6 +210,7 @@ class TestCorruption:
         """End to end: bit rot after store → detected, evicted, recomputed."""
         from repro.cache.stream_cache import StreamCache, stream_cache_key
         from repro.mmu.simulate import collect_misses
+        from repro.obs.metrics import MetricsRegistry, use_registry
         from repro.mmu.tlb import FullyAssociativeTLB
         from repro.os.translation_map import TranslationMap
         from repro.workloads.suite import load_workload
@@ -231,8 +227,9 @@ class TestCorruption:
         )
         with inject(plan):
             cache.put(key, stream)  # artefact corrupted as it lands
-        assert cache.get(key) is None  # detected and evicted, not trusted
-        assert cache.stats.errors == 1
+        with use_registry(MetricsRegistry()) as registry:
+            assert cache.get(key) is None  # detected and evicted, not trusted
+        assert registry.counter("stream_cache.errors") == 1
         cache.put(key, stream)  # plan expired: clean store
         recovered = cache.get(key)
         assert recovered is not None

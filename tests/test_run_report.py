@@ -14,7 +14,7 @@ import pytest
 
 from repro import cli
 from repro.experiments import common, runner
-from repro.obs.metrics import MetricsRegistry, reset_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     export_chrome_trace,
     load_chrome_trace,
@@ -41,7 +41,6 @@ def profiled_run(tmp_path_factory):
     run_dir = root / "run"
     run_dir.mkdir()
     common.clear_caches()
-    reset_registry()
     try:
         metrics = runner.RunMetrics()
         results = runner.run_all(
@@ -52,13 +51,10 @@ def profiled_run(tmp_path_factory):
             metrics=metrics,
         )
         export_chrome_trace(metrics.spans, run_dir / TRACE_NAME)
-        registry_state = json.loads(
-            json.dumps(runner.get_registry().state())
-        )
+        registry_state = json.loads(json.dumps(metrics.registry.state()))
     finally:
         common.clear_caches()
         common.configure_stream_cache(None)
-        reset_registry()
     return SimpleNamespace(
         run_dir=run_dir, results=results, metrics=metrics,
         registry_state=registry_state,
@@ -166,7 +162,6 @@ class TestTraceTimeline:
             )
         finally:
             common.clear_caches()
-            reset_registry()
         assert metrics.span_summary()["run_coverage"] >= 0.99
 
 

@@ -24,6 +24,8 @@ from repro.experiments import common, runner
 from repro.mmu.mmu import MMU
 from repro.mmu.simulate import collect_misses, replay_misses
 from repro.os.translation_map import TranslationMap
+from repro.resilience import FaultPlan, FaultRule, RetryPolicy
+from repro.resilience.journal import METRICS_NAME
 
 #: A small but representative runner subset: stream-replay experiments
 #: (table1, fig11d with block prefetch) plus the direct-collect_misses
@@ -31,6 +33,13 @@ from repro.os.translation_map import TranslationMap
 SUBSET = ("table1", "fig11d", "multiprog")
 WORKLOADS = ("mp3d", "compress")
 TRACE_LENGTH = 12_000
+
+
+#: table1's first experiment attempt fails with EIO; one retry recovers.
+RETRIED_TABLE1 = FaultPlan((
+    FaultRule("runner.experiment", "raise-eio", match="table1",
+              max_attempt=1),
+))
 
 
 def results_fingerprint(results):
@@ -87,8 +96,8 @@ class TestRunnerParity:
         The serial path used to merge the whole-process ``cache.stats``
         while the parallel path merged per-worker deltas, so the same run
         reported different hit/miss counts under ``--jobs 1`` and
-        ``--jobs N``.  Both paths now run the same prewarm stage and
-        account per-task deltas.
+        ``--jobs N``.  Both paths now run the same prewarm stage, and
+        every task counts into a registry of its own.
         """
         subset = ("table1", "fig11d")
         names = ("mp3d",)
@@ -152,38 +161,104 @@ class TestRunnerParity:
         assert serial_off.cache_summary() == parallel_off.cache_summary()
         assert "disabled" in serial_off.cache_summary()
 
+    @pytest.mark.parametrize("unrelated_artefact", [False, True])
+    def test_cache_summary_under_store_faults(
+        self, tmp_path, unrelated_artefact
+    ):
+        """Regression: a failed attempt's cache traffic is dropped at
+        ``--jobs 1`` too, whatever the cache directory held before.
+
+        The first two stores of table1's stream fail with ENOSPC, so its
+        prewarm task computes the stream three times and keeps the
+        third.  The summary used to say ``computed=3`` from an empty
+        cache directory but ``computed=1`` from one holding any
+        artefact, while the registry said 3 both times.
+        """
+        cache_dir, run_dir = tmp_path / "streams", tmp_path / "run"
+        if unrelated_artefact:
+            shard = cache_dir / "00"
+            shard.mkdir(parents=True)
+            (shard / f"{'00' * 32}.npz").write_bytes(b"never read")
+        runner.run_all(
+            TRACE_LENGTH, jobs=1, cache_dir=str(cache_dir),
+            workloads=("mp3d",), only=("table1",),
+            resilience=runner.ResilienceConfig(
+                retry=RetryPolicy(max_retries=2, base_delay=0.0),
+                run_dir=str(run_dir),
+                fault_plan=FaultPlan((
+                    FaultRule("cache.store_stream", "raise-enospc", times=2),
+                )),
+            ),
+        )
+        doc = json.loads((run_dir / METRICS_NAME).read_text())
+        assert doc["run"]["cache_summary"] == (
+            f"[stream cache: hits=1 computed=1 stored=1 errors=0 "
+            f"dir={cache_dir}]"
+        )
+        assert doc["run"]["task_retries"] == 2
+        assert [
+            value for name, _, value in doc["registry"]["counters"]
+            if name == "stream_cache.misses"
+        ] == [1]
+
+    def test_a_run_registry_holds_only_its_own_run(self, tmp_path):
+        """Regression: a run's ``metrics.json`` used to persist the
+        process-wide registry, so an earlier run in the same process
+        leaked into it (here fig9's task time and its retry)."""
+        runner.run_all(
+            TRACE_LENGTH, workloads=WORKLOADS, only=("fig9",),
+            resilience=runner.ResilienceConfig(
+                retry=RetryPolicy(max_retries=1, base_delay=0.0),
+                fault_plan=FaultPlan((
+                    FaultRule("runner.experiment", "raise-eio",
+                              match="fig9", max_attempt=1),
+                )),
+            ),
+        )
+        run_dir = tmp_path / "run"
+        metrics = runner.RunMetrics()
+        runner.run_all(
+            TRACE_LENGTH, workloads=WORKLOADS, only=("table1",),
+            resilience=runner.ResilienceConfig(run_dir=str(run_dir)),
+            metrics=metrics,
+        )
+        doc = json.loads((run_dir / METRICS_NAME).read_text())
+        tasks = [
+            payload["count"]
+            for name, labels, payload in doc["registry"]["histograms"]
+            if name == "runner.task_seconds"
+            and labels == {"stage": "experiment"}
+        ]
+        assert tasks == [doc["run"]["experiment_tasks"]] == [1]
+        assert doc["registry"] == json.loads(
+            json.dumps(metrics.registry.state())
+        )
+        assert "fig9" not in json.dumps(doc["registry"])
+
     def test_registry_parity_between_serial_and_parallel(self, tmp_path):
-        """``--jobs N`` must not lose telemetry: the merged registry's
-        counters and walk histograms equal the serial run's exactly.
+        """``--jobs N`` must not lose telemetry, and ``--jobs 1`` must not
+        keep a failed attempt's: the run registry's counters and walk
+        histograms equal the serial run's exactly, fault-free and when
+        table1's first attempt fails and is retried.
 
         Time-valued histograms (phase/task seconds) are excluded — their
         totals are wall-clock and legitimately differ between modes.
         """
-        from repro.obs.metrics import get_registry, reset_registry
-
-        def profiled_run(jobs, cache_dir, run_dir):
+        def profiled_run(jobs, name, plan):
             common.clear_caches()
-            reset_registry()
             metrics = runner.RunMetrics()
             runner.run_all(
-                TRACE_LENGTH, jobs=jobs, cache_dir=cache_dir,
+                TRACE_LENGTH, jobs=jobs, cache_dir=str(tmp_path / f"c-{name}"),
                 workloads=WORKLOADS, only=("table1", "fig11d"),
-                resilience=runner.ResilienceConfig(run_dir=run_dir),
+                resilience=runner.ResilienceConfig(
+                    run_dir=str(tmp_path / f"run-{name}"),
+                    retry=RetryPolicy(max_retries=1, base_delay=0.0),
+                    fault_plan=plan,
+                ),
                 profile=True,
                 metrics=metrics,
             )
-            state = get_registry().state()
-            reset_registry()
-            return state, metrics
-
-        serial_state, serial_metrics = profiled_run(
-            1, str(tmp_path / "cold-serial"), str(tmp_path / "run-serial")
-        )
-        parallel_state, parallel_metrics = profiled_run(
-            2, str(tmp_path / "cold-parallel"), str(tmp_path / "run-parallel")
-        )
-
-        assert serial_state["counters"] == parallel_state["counters"]
+            return metrics.registry.state(), metrics
 
         def walk_histograms(state):
             return [
@@ -192,17 +267,34 @@ class TestRunnerParity:
                 if name.startswith("walk.")
             ]
 
-        serial_walks = walk_histograms(serial_state)
-        assert serial_walks, "profiled run recorded no walk histograms"
-        assert serial_walks == walk_histograms(parallel_state)
-        # Equal as JSON text too: 1 and 1.0 compare equal, but print
-        # differently in metrics.json and --metrics.
-        assert (json.dumps(serial_walks, sort_keys=True)
-                == json.dumps(walk_histograms(parallel_state), sort_keys=True))
+        for retried, plan in enumerate((None, RETRIED_TABLE1)):
+            serial_state, serial_metrics = profiled_run(
+                1, f"serial-{retried}", plan
+            )
+            parallel_state, parallel_metrics = profiled_run(
+                2, f"parallel-{retried}", plan
+            )
 
-        assert serial_metrics.walk_profile is not None
-        assert (serial_metrics.walk_profile.as_dict()
-                == parallel_metrics.walk_profile.as_dict())
+            assert serial_state["counters"] == parallel_state["counters"]
+            assert serial_metrics.registry.counter(
+                "runner.task_retries", experiment="table1"
+            ) == retried
+            # A failed attempt's injected fault goes with its registry.
+            assert not serial_metrics.registry.values("faults.injected")
+
+            serial_walks = walk_histograms(serial_state)
+            assert serial_walks, "profiled run recorded no walk histograms"
+            assert serial_walks == walk_histograms(parallel_state)
+            # Equal as JSON text too: 1 and 1.0 compare equal, but print
+            # differently in metrics.json and --metrics.
+            assert (
+                json.dumps(serial_walks, sort_keys=True)
+                == json.dumps(walk_histograms(parallel_state), sort_keys=True)
+            )
+
+            assert serial_metrics.walk_profile is not None
+            assert (serial_metrics.walk_profile.as_dict()
+                    == parallel_metrics.walk_profile.as_dict())
 
     def test_phase_wall_seconds_are_recorded(self, tmp_path):
         metrics = runner.RunMetrics()
@@ -211,23 +303,15 @@ class TestRunnerParity:
             workloads=("mp3d",), only=("table1",),
             metrics=metrics,
         )
-        assert metrics.prewarm_wall_seconds > 0.0
-        assert metrics.experiments_wall_seconds > 0.0
+        run = metrics.summary_dict()
+        assert run["prewarm_wall_seconds"] > 0.0
+        assert run["experiments_wall_seconds"] > 0.0
         assert (
-            metrics.prewarm_wall_seconds + metrics.experiments_wall_seconds
+            run["prewarm_wall_seconds"] + run["experiments_wall_seconds"]
             <= metrics.wall_seconds * 1.01
         )
 
     def test_each_phase_is_observed_once_per_run(self, tmp_path):
-        from repro.obs.metrics import get_registry
-
-        phases = ("prewarm", "experiments")
-        before = {
-            phase: get_registry().histogram(
-                "runner.phase_seconds", phase=phase
-            ).count
-            for phase in phases
-        }
         metrics = runner.RunMetrics()
         runner.run_all(
             TRACE_LENGTH, jobs=1, cache_dir=str(tmp_path / "s"),
@@ -236,10 +320,10 @@ class TestRunnerParity:
         )
         # One runner.phase_seconds observation per phase per run, and a
         # phase:<name> span over each.
-        for phase in phases:
-            assert get_registry().histogram(
+        for phase in ("prewarm", "experiments"):
+            assert metrics.registry.histogram(
                 "runner.phase_seconds", phase=phase
-            ).count == before[phase] + 1
+            ).count == 1
         assert sorted(
             span.name for span in metrics.spans if span.category == "phase"
         ) == ["phase:experiments", "phase:prewarm"]

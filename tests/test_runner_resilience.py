@@ -10,7 +10,6 @@ import pytest
 from repro import cli
 from repro.errors import ConfigurationError
 from repro.experiments import runner
-from repro.obs.metrics import get_registry
 from repro.resilience import (
     FaultPlan,
     FaultRule,
@@ -56,15 +55,12 @@ class TestSerialRetry:
             retry=RetryPolicy(max_retries=2, base_delay=0.0),
             fault_plan=plan,
         )
-        before = get_registry().counter(
-            "runner.task_retries", experiment="table1"
-        )
         results, metrics = _run(tmp_path, ["table1"], resilience=cfg)
         assert "table1" in results
-        assert metrics.task_retries == 1
-        assert get_registry().counter(
+        assert metrics.summary_dict()["task_retries"] == 1
+        assert metrics.registry.counter(
             "runner.task_retries", experiment="table1"
-        ) == before + 1
+        ) == 1
 
     def test_result_after_retry_matches_fault_free_run(self, tmp_path):
         baseline, _ = _run(tmp_path, ["table1"])
@@ -167,7 +163,8 @@ class TestSerialRetry:
             fault_plan=plan,
         )
         results, metrics = _run(tmp_path, ["table1"], resilience=cfg)
-        assert "table1" in results and metrics.task_retries == 1
+        assert "table1" in results
+        assert metrics.summary_dict()["task_retries"] == 1
 
 
 class TestKeepGoing:
@@ -219,7 +216,7 @@ class TestResume:
         assert RunJournal(run_dir).completed_count() == 2
         cfg2 = runner.ResilienceConfig(run_dir=str(run_dir), resume=True)
         second, m2 = _run(tmp_path, ["table1", "fig9"], resilience=cfg2)
-        assert m2.resumed_skips == 2
+        assert m2.summary_dict()["resumed_skips"] == 2
         assert m2.timings == []  # nothing re-ran
         assert _renders(second) == _renders(first)
 
@@ -238,21 +235,18 @@ class TestResume:
             resilience=cfg2,
             metrics=metrics,
         )
-        assert metrics.resumed_skips == 0
+        assert metrics.summary_dict()["resumed_skips"] == 0
         assert len(metrics.timings) == 1
 
     def test_resumed_skips_reach_the_registry(self, tmp_path):
         run_dir = tmp_path / "run"
         cfg = runner.ResilienceConfig(run_dir=str(run_dir))
         _run(tmp_path, ["table1"], resilience=cfg)
-        before = get_registry().counter(
-            "runner.resumed_skips", experiment="table1"
-        )
         cfg2 = runner.ResilienceConfig(run_dir=str(run_dir), resume=True)
-        _run(tmp_path, ["table1"], resilience=cfg2)
-        assert get_registry().counter(
+        _, metrics = _run(tmp_path, ["table1"], resilience=cfg2)
+        assert metrics.registry.counter(
             "runner.resumed_skips", experiment="table1"
-        ) == before + 1
+        ) == 1
 
 
 class TestParallelResilience:
@@ -273,7 +267,7 @@ class TestParallelResilience:
             tmp_path, ["table1", "fig9"], jobs=2, resilience=cfg
         )
         assert "table1" in results and "fig9" in results
-        assert metrics.task_retries >= 1
+        assert metrics.summary_dict()["task_retries"] >= 1
 
     def test_hung_worker_times_out_and_recovers(self, tmp_path):
         plan = FaultPlan(
@@ -296,10 +290,10 @@ class TestParallelResilience:
         )
         assert time.monotonic() - started < 30.0  # never waits out the hang
         assert "table1" in results and "fig9" in results
-        assert metrics.task_timeouts == 1
-        assert get_registry().counter(
+        assert metrics.summary_dict()["task_timeouts"] == 1
+        assert metrics.registry.counter(
             "runner.task_timeouts", experiment="table1"
-        ) >= 1
+        ) == 1
 
     def test_timeout_without_budget_fails_explicitly(self, tmp_path):
         plan = FaultPlan(
@@ -365,7 +359,7 @@ class TestGracefulInterrupt:
         completed_before = RunJournal(run_dir).completed_count()
         cfg2 = runner.ResilienceConfig(run_dir=str(run_dir), resume=True)
         resumed, metrics = _run(tmp_path, only, resilience=cfg2)
-        assert metrics.resumed_skips == completed_before
+        assert metrics.summary_dict()["resumed_skips"] == completed_before
         assert _renders(resumed) == _renders(baseline)
 
     def test_serial_interrupt_reports_completed(self, tmp_path):
@@ -392,15 +386,6 @@ class TestGracefulInterrupt:
         )
         cfg = runner.ResilienceConfig(fault_plan=plan)
         metrics = runner.RunMetrics()
-
-        def counts():
-            return {
-                labels["table"]: payload["count"]
-                for name, labels, payload in get_registry().state()["histograms"]
-                if name == "walk.cache_lines"
-            }
-
-        before = counts()
         with pytest.raises(runner.RunInterrupted):
             runner.run_all(
                 TRACE_LENGTH, jobs=1, cache_dir=str(tmp_path / "cache"),
@@ -409,30 +394,31 @@ class TestGracefulInterrupt:
             )
         tables = metrics.walk_profile.tables
         assert sum(table.walks for table in tables.values()) > 0
-        after = counts()
-        for name, table in tables.items():
-            assert after[name] - before.get(name, 0) == table.walks, name
+        counts = {
+            labels["table"]: payload["count"]
+            for name, labels, payload in metrics.registry.state()["histograms"]
+            if name == "walk.cache_lines"
+        }
+        assert counts == {name: t.walks for name, t in tables.items()}
 
     def test_interrupted_phase_is_still_observed(self, tmp_path):
         plan = FaultPlan(
             (FaultRule("runner.experiment", "sigint", match="fig9"),)
         )
         cfg = runner.ResilienceConfig(fault_plan=plan)
-        phases = ("prewarm", "experiments")
-        before = {
-            phase: get_registry().histogram(
-                "runner.phase_seconds", phase=phase
-            ).count
-            for phase in phases
-        }
+        metrics = runner.RunMetrics()
         with pytest.raises(runner.RunInterrupted):
-            _run(tmp_path, ["table1", "fig9"], resilience=cfg)
-        # The interrupted experiments phase lands in the process registry
+            runner.run_all(
+                TRACE_LENGTH, jobs=1, cache_dir=str(tmp_path / "cache"),
+                workloads=WORKLOADS, only=["table1", "fig9"],
+                metrics=metrics, resilience=cfg,
+            )
+        # The interrupted experiments phase lands in the run's registry
         # alongside the prewarm phase that finished.
-        for phase in phases:
-            assert get_registry().histogram(
+        for phase in ("prewarm", "experiments"):
+            assert metrics.registry.histogram(
                 "runner.phase_seconds", phase=phase
-            ).count == before[phase] + 1
+            ).count == 1
 
 
 class TestCliFlags:

@@ -21,6 +21,7 @@ from repro.cache.stream_cache import (
 from repro.mmu.simulate import MissStream, collect_misses
 from repro.mmu.subblock_tlb import CompleteSubblockTLB
 from repro.mmu.tlb import FullyAssociativeTLB, SetAssociativeTLB
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.os.translation_map import TranslationMap
 from repro.pagetables.pte import PTEKind
 from repro.workloads.suite import load_workload
@@ -89,11 +90,14 @@ class TestRoundTrip:
     def test_cache_get_put(self, tmp_path):
         cache = StreamCache(tmp_path)
         stream = synthetic_stream()
-        assert cache.get("ab" * 32) is None
-        cache.put("ab" * 32, stream)
-        assert_streams_equal(stream, cache.get("ab" * 32))
-        assert cache.stats == CacheStats(hits=1, misses=1, stores=1, errors=0)
-        assert len(cache) == 1
+        with use_registry(MetricsRegistry()) as registry:
+            assert cache.get("ab" * 32) is None
+            cache.put("ab" * 32, stream)
+            assert_streams_equal(stream, cache.get("ab" * 32))
+        assert CacheStats.of(registry) == CacheStats(
+            hits=1, misses=1, stores=1, errors=0
+        )
+        assert cache.path_for("ab" * 32).exists()
 
 
 class TestCorruption:
@@ -106,15 +110,17 @@ class TestCorruption:
     def test_truncated_file_falls_back_to_miss(self, tmp_path):
         cache, key, path = self._stored(tmp_path)
         path.write_bytes(path.read_bytes()[:40])
-        assert cache.get(key) is None
-        assert cache.stats.errors == 1
+        with use_registry(MetricsRegistry()) as registry:
+            assert cache.get(key) is None
+        assert registry.counter("stream_cache.errors") == 1
         assert not path.exists()  # damaged artefact evicted
 
     def test_garbage_file_falls_back_to_miss(self, tmp_path):
         cache, key, path = self._stored(tmp_path)
         path.write_bytes(b"\x00" * 128)
-        assert cache.get(key) is None
-        assert cache.stats.errors == 1
+        with use_registry(MetricsRegistry()) as registry:
+            assert cache.get(key) is None
+        assert registry.counter("stream_cache.errors") == 1
 
     def test_missing_array_is_rejected(self, tmp_path):
         path = tmp_path / "partial.npz"
@@ -149,8 +155,9 @@ class TestCorruption:
         monkeypatch.setattr(sc, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
         cache.put(key, stream)
         monkeypatch.undo()
-        assert cache.get(key) is None
-        assert cache.stats.errors == 1
+        with use_registry(MetricsRegistry()) as registry:
+            assert cache.get(key) is None
+        assert registry.counter("stream_cache.errors") == 1
         assert not cache.path_for(key).exists()
 
     def test_artefact_is_a_real_npz(self, tmp_path):
