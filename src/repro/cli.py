@@ -28,7 +28,8 @@ Commands
     for ``modern``, and is refused by the studies that pick their own;
     ``claims`` and ``all`` refuse ``--chart``.
     ``--trace-out FILE`` records one structured event per page-table
-    walk and exports the trace as JSON Lines.
+    walk and exports the trace as JSON Lines, at any ``--jobs``: each
+    successful task's events join the ring in completion order.
     The run options ``--jobs N --json FILE --csv DIR --metrics
     --profile-out FILE --max-retries N --task-timeout S --keep-going
     --run-dir DIR --resume DIR --fault-plan FILE`` set how the runner's
@@ -239,11 +240,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     max_retries = 0 if args.max_retries is None else args.max_retries
     if jobs < 1:
         args.usage_error("--jobs must be at least 1")
-    if args.trace_out and jobs != 1:
-        args.usage_error(
-            "--trace-out requires --jobs 1 (worker processes' walks "
-            "cannot be traced into one ring buffer)"
-        )
     if max_retries < 0:
         args.usage_error("--max-retries must be >= 0")
     if args.resume and args.run_dir and args.resume != args.run_dir:
@@ -684,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--trace-out", metavar="FILE", default=None,
         help="record one event per page-table walk and write the trace "
-        "as JSON Lines (requires --jobs 1)",
+        "as JSON Lines; works with any --jobs",
     )
     experiment.add_argument(
         "--topology", metavar="NAME|FILE", default=None,

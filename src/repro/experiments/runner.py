@@ -17,11 +17,13 @@ small two-stage dependency graph:
 One scheduler runs both stages at every ``jobs`` setting.  ``jobs=N``
 submits the tasks to a pool of N worker processes; ``jobs=1`` submits
 them to an in-process executor that runs each task as it is submitted,
-so retries, failure records, journaling and progress take the same path
-either way.  Results are merged deterministically in paper order, so
-``jobs=8`` produces byte-identical output to ``jobs=1``.  With a warm
-cache a repeat invocation performs *zero* phase-1 simulations — run time
-is bounded by the cheap phase-2 replay cost.
+so retries, failure records, journaling, progress and telemetry take
+the same path either way: every task counts, records its spans and
+traces its walks in a scope of its own, which the runner keeps only
+when the task succeeds.  Results are merged deterministically in paper
+order, so ``jobs=8`` produces byte-identical output to ``jobs=1``.
+With a warm cache a repeat invocation performs *zero* phase-1
+simulations — run time is bounded by the cheap phase-2 replay cost.
 
 Execution is **resilient** (:mod:`repro.resilience`, configured by a
 :class:`ResilienceConfig`): transient task failures (worker crashes,
@@ -229,27 +231,9 @@ def stream_prewarm_plan(
 # ---------------------------------------------------------------------------
 # Task entry point (module-level: picklable by the process pool)
 # ---------------------------------------------------------------------------
-#: Set by :func:`_worker_init` in pool workers: their tasks record and
-#: ship their own spans (and walk profile).  Tasks run in the runner's
-#: own process (``--jobs 1``) feed the run's recorder, tracer and walk
-#: profile directly.
-_IN_WORKER = False
-
-#: Set by :func:`_worker_init` when the parent run is profiled: worker
-#: tasks then install a per-task walk tracer and ship its
-#: :class:`~repro.obs.profile.WalkProfile`.
-_WORKER_PROFILED = False
-
-#: Worker tracer ring capacity.  The ring's events are never shipped to
-#: the parent (only the profile is), so a small ring bounds memory
-#: without losing any aggregate.
-_WORKER_RING = 4096
-
-
 def _worker_init(
     cache_dir: Optional[str],
     fault_plan: Optional[FaultPlan] = None,
-    profiled: bool = False,
     engine: str = "scalar",
 ) -> None:
     """Per-worker setup: fresh memo caches, shared persistent cache.
@@ -259,9 +243,6 @@ def _worker_init(
     in every worker.  A fault plan, when active in the parent, is
     re-installed so injected crashes and hangs land inside real workers.
     """
-    global _IN_WORKER, _WORKER_PROFILED
-    _IN_WORKER = True
-    _WORKER_PROFILED = bool(profiled)
     common.clear_caches()
     common.configure_stream_cache(cache_dir)
     common.configure_engine(engine)
@@ -285,51 +266,43 @@ class TaskTelemetry:
     """Observability a task ships back with its result.
 
     ``state`` is the structured dump of the task's own registry, which
-    counted exactly this task; a pool worker's task also ships
-    ``spans``, its completed wall-clock spans (worker PID attached, so
-    they land on their own track in the merged timeline), and
-    ``profile``, the serialised per-table walk profile when the run is
-    profiled.  The runner folds all three in on task success — a failed
-    attempt's telemetry is discarded with the attempt.
+    counted exactly this task; ``spans`` are its completed wall-clock
+    spans (PID attached, so a worker's land on their own track in the
+    merged timeline); ``profile`` counts the walks it traced, and
+    ``tracer`` carries their ring events too, only when a ``--trace-out``
+    tracer waits for them.  The runner folds them in on task success —
+    a failed attempt's telemetry is discarded with the attempt.
     """
 
     state: Dict[str, object] = field(default_factory=dict)
     spans: List[SpanRecord] = field(default_factory=list)
-    profile: Optional[Dict[str, object]] = None
+    profile: Optional[WalkProfile] = None
+    tracer: Optional[_trace.WalkTracer] = None
 
 
 @contextmanager
-def _task_scope(label: str, stage: str):
+def _task_scope(label: str, stage: str, ring: Optional[int]):
     """Telemetry scope around one task; yields its :class:`TaskTelemetry`.
 
-    The task counts into a fresh registry in any process, under a
-    ``task:<label>`` span.  A pool worker also records the span tree
-    and — when the run is profiled — the walks of the task into its own
-    recorder and tracer, and ships them; in the runner's process the
-    run's recorder and tracer see the task directly.
+    In the runner's process as in a pool worker, the task counts into a
+    fresh registry and records its spans, under a ``task:<label>``
+    span, into a fresh recorder.  Unless ``ring`` is ``None`` it traces
+    its walks into a fresh tracer too: ``ring`` is the capacity of the
+    ``--trace-out`` ring that takes the tracer's events, or ``0`` when
+    only the run's walk profile wants the walks (the tracer then keeps
+    a one-event ring, and only its profile leaves the task).
     """
     telemetry = TaskTelemetry()
     registry = MetricsRegistry()
-    recorder = tracer = None
-    if _IN_WORKER:
-        recorder = _spans.install_recorder(_spans.SpanRecorder())
-        if _WORKER_PROFILED:
-            tracer = _trace.install_tracer(
-                _trace.WalkTracer(capacity=_WORKER_RING)
-            )
-    try:
-        with use_registry(registry), record_span(
-            f"task:{label}", category=stage
-        ):
+    walks = nullcontext() if ring is None else _trace.trace_walks(ring or 1)
+    with use_registry(registry), _spans.record_spans() as recorder:
+        with walks as tracer, record_span(f"task:{label}", category=stage):
             yield telemetry
-    finally:
-        if recorder is not None:
-            _spans.uninstall_recorder(recorder)
-            telemetry.spans = recorder.spans
-        if tracer is not None:
-            _trace.uninstall_tracer(tracer)
-            telemetry.profile = tracer.profile.as_dict()
-        telemetry.state = registry.state()
+    telemetry.state = registry.state()
+    telemetry.spans = recorder.spans
+    if tracer is not None:
+        telemetry.profile = tracer.profile
+        telemetry.tracer = tracer if ring else None
 
 
 def _prewarm_label(task: StreamTask) -> str:
@@ -350,6 +323,7 @@ def _run_task(
     trace_length: int,
     workloads: Optional[Tuple[str, ...]],
     attempt: int = 1,
+    ring: Optional[int] = None,
 ) -> Tuple[object, float, TaskTelemetry]:
     """One task of either stage, in a pool worker or in the runner.
 
@@ -361,9 +335,10 @@ def _run_task(
     only on (key, disk state) — not on which tasks ran before it in the
     same process — keeping the accounting identical across ``--jobs``.
     Without one there is no traffic anyway, and ``--jobs 1``
-    experiments keep sharing in-process streams.
+    experiments keep sharing in-process streams.  ``ring`` says how the
+    task traces its walks (:func:`_task_scope`).
     """
-    with _task_scope(label, stage) as telemetry:
+    with _task_scope(label, stage, ring) as telemetry:
         fault_point(f"runner.{stage}", key=label, attempt=attempt)
         if common.stream_cache() is not None:
             common.clear_stream_memo()
@@ -390,9 +365,8 @@ class _InlineExecutor(Executor):
     holds its result or its exception, so the scheduler handles it like
     a pool task.  ``KeyboardInterrupt`` is not stored: it propagates out
     of ``submit``, and the run drains as it does for a pool.  A process
-    pool of one worker would not do: the run's tracer (``--trace-out``)
-    and in-process probes would miss the walks, and without a cache the
-    streams could not cross processes.
+    pool of one worker would not do: in-process probes would miss the
+    walks, and without a cache the streams could not cross processes.
     """
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
@@ -670,15 +644,20 @@ def _absorb_telemetry(metrics: RunMetrics, telemetry: TaskTelemetry) -> None:
     """Fold one successful task's telemetry into the run's aggregates.
 
     The task's registry always merges into the run's (its counters —
-    cache traffic, injected faults — must survive ``--jobs N``); spans
-    and the walk profile land only when the run is collecting them.
+    cache traffic, injected faults — must survive ``--jobs N``); spans,
+    walk profile and walk events land only where the run collects them:
+    the run's recorder, ``metrics.walk_profile`` and the installed
+    (``--trace-out``) tracer.
     """
     metrics.registry.merge_state(telemetry.state)
     recorder = _spans.active_recorder()
     if recorder is not None:
         recorder.extend(telemetry.spans)
-    if metrics.walk_profile is not None and telemetry.profile:
-        metrics.walk_profile.merge_dict(telemetry.profile)
+    if metrics.walk_profile is not None and telemetry.profile is not None:
+        metrics.walk_profile.merge(telemetry.profile)
+    tracer = _trace.active_tracer()
+    if tracer is not None and telemetry.tracer is not None:
+        tracer.absorb(telemetry.tracer)
 
 
 def _write_run_artifacts(run_dir: str, metrics: RunMetrics) -> None:
@@ -750,16 +729,19 @@ def run_all(
     config for retries, timeouts, checkpoint/resume, and keep-going
     degradation (the default is the historical fail-fast behaviour).
 
-    ``profile=True`` turns on the run profiler: a span recorder covers
-    the whole run (parent and workers; exported via ``--profile-out``),
-    and walk tracers count every walk into the per-table
-    :class:`~repro.obs.profile.WalkProfile` on ``metrics.walk_profile``
-    (workers ship theirs, and the parent merges them).  When the run
-    ends, even by interruption, the ``walk.cache_lines`` /
+    Every task, in this process or a worker, counts into a fresh
+    registry, records its spans into a fresh recorder and, when the run
+    wants them, its walks into a fresh tracer.  The runner folds them
+    into the run's when the task succeeds and drops them when it fails,
+    at every ``jobs``.  ``profile=True`` turns on the run profiler: a
+    span recorder covers the whole run (exported via ``--profile-out``),
+    and the tasks' walks are merged into the per-table
+    :class:`~repro.obs.profile.WalkProfile` on ``metrics.walk_profile``.
+    When the run ends, even by interruption, the ``walk.cache_lines`` /
     ``walk.probes`` percentile histograms are derived from that profile
-    into the run's registry, ``metrics.registry``.  Each task counts
-    into a fresh registry, merged into the run's when the task succeeds
-    and dropped when it fails, at every ``jobs``.
+    into the run's registry, ``metrics.registry``.  A walk tracer
+    installed when the run starts (``--trace-out``'s) takes in each
+    successful task's walks and ring events, in completion order.
 
     ``engine`` selects the phase-2 replay engine (``scalar`` or
     ``batch``); the choice is re-applied inside every worker process and
@@ -784,24 +766,9 @@ def run_all(
     metrics.engine = common.configure_engine(engine)
 
     recorder: Optional[_spans.SpanRecorder] = None
-    owns_recorder = False
-    owned_tracer = None
     if profile:
         metrics.walk_profile = WalkProfile()
-        recorder = _spans.active_recorder()
-        if recorder is None:
-            recorder = _spans.install_recorder(_spans.SpanRecorder())
-            owns_recorder = True
-        if metrics.jobs == 1:
-            # Walks happen in this process: the installed tracer
-            # (--trace-out), or else a run-scoped one, counts them into
-            # the run's profile.
-            tracer = _trace.active_tracer()
-            if tracer is None:
-                tracer = owned_tracer = _trace.install_tracer(
-                    _trace.WalkTracer()
-                )
-            tracer.profile = metrics.walk_profile
+        recorder = _spans.install_recorder(_spans.SpanRecorder())
         recorder.begin(
             "run", category="run",
             jobs=metrics.jobs, trace_length=trace_length,
@@ -891,10 +858,7 @@ def run_all(
         if recorder is not None:
             recorder.end()
             metrics.spans = list(recorder.spans)
-            if owns_recorder:
-                _spans.uninstall_recorder(recorder)
-        if owned_tracer is not None:
-            _trace.uninstall_tracer(owned_tracer)
+            _spans.uninstall_recorder(recorder)
         common.set_stream_cache(previous_cache)
         common.configure_engine(previous_engine)
         if profile:
@@ -1122,10 +1086,7 @@ def _run_stages(
         return ProcessPoolExecutor(
             max_workers=metrics.jobs,
             initializer=_worker_init,
-            initargs=(
-                cache_dir, cfg.fault_plan, metrics.profiled,
-                common.active_engine(),
-            ),
+            initargs=(cache_dir, cfg.fault_plan, common.active_engine()),
         )
 
     registry = metrics.registry
@@ -1153,11 +1114,18 @@ def _run_stages(
     ]))
     # An experiment's timing sums its tasks until the last one lands.
     timings: Dict[str, ExperimentTiming] = {}
+    # Tasks trace their walks for the run's profile, and keep their
+    # events too when a --trace-out tracer waits for them.
+    tracer = _trace.active_tracer()
+    ring = (
+        tracer.capacity if tracer is not None
+        else 0 if metrics.profiled else None
+    )
 
     def submit(pool: Executor, task: _Task) -> Future:
         return pool.submit(
             _run_task, task.stage, task.key, task.label, trace_length,
-            workloads, task.attempts,
+            workloads, task.attempts, ring,
         )
 
     def on_success(task: _Task, value) -> None:

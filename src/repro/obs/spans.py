@@ -11,11 +11,13 @@ Protocol:
 
 - the parent installs a recorder (:func:`install_recorder`) and emits
   its own spans via :func:`record_span` / :meth:`SpanRecorder.begin`;
-- each worker task runs under a fresh recorder, and ships its completed
+- each runner task, in the parent or a worker, runs under a fresh
+  recorder (:func:`record_spans`), and ships its completed
   :class:`SpanRecord` list back with the task result (records are plain
   picklable dataclasses);
-- the parent folds worker spans in with :meth:`SpanRecorder.extend` and
-  finally writes everything with :func:`export_chrome_trace`.
+- the parent folds a successful task's spans in with
+  :meth:`SpanRecorder.extend` and finally writes everything with
+  :func:`export_chrome_trace`.
 
 With no recorder installed, :func:`record_span` is a no-op context
 manager — instrumentation points (phase timers, the stream-cache stage
@@ -42,8 +44,21 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 _US = 1_000_000
 
 
-def _now_us() -> int:
-    return time.time_ns() // 1_000
+#: This process's one epoch ↔ ``perf_counter`` mapping (see
+#: :func:`_timestamp_us`).
+_ANCHOR = (time.time_ns() // 1_000, time.perf_counter())
+
+
+def _timestamp_us() -> int:
+    """Epoch microseconds via the monotonic clock.
+
+    Every boundary in the process comes from the one anchor, so spans
+    from different recorders (a task's inside the runner's phase) nest
+    exactly; independent ``time_ns`` reads could be off by a few
+    microseconds of cross-clock jitter.
+    """
+    epoch_us, perf = _ANCHOR
+    return epoch_us + int((time.perf_counter() - perf) * _US)
 
 
 def _tid() -> int:
@@ -112,32 +127,21 @@ class SpanRecord:
 class SpanRecorder:
     """Collects completed spans; tracks the open-span stack for nesting.
 
-    Timestamps mix two clocks deliberately: the recorder anchors the
-    epoch clock to ``time.perf_counter()`` once at construction and
-    derives **every** span boundary from the monotonic clock mapped onto
-    that epoch base.  Deriving starts and ends from one monotone mapping
-    is what makes nesting exact — a child closed before its parent can
-    never report a later end, which independent ``time_ns`` reads would
-    allow by a few microseconds of cross-clock jitter.
+    Every boundary comes from the process's one epoch-anchored monotonic
+    clock (:func:`_timestamp_us`), so a child closed before its parent
+    can never report a later end, in this recorder or another.
     """
 
     def __init__(self) -> None:
         self.spans: List[SpanRecord] = []
         #: Open spans: (name, category, start_us, args).
         self._open: List[Tuple[str, str, int, Dict[str, object]]] = []
-        self._epoch_anchor_us = _now_us()
-        self._perf_anchor = time.perf_counter()
-
-    def _timestamp_us(self) -> int:
-        """Epoch microseconds via the monotonic clock (see class docs)."""
-        elapsed = time.perf_counter() - self._perf_anchor
-        return self._epoch_anchor_us + int(elapsed * _US)
 
     # ------------------------------------------------------------------
     def begin(self, name: str, category: str = "runner", **args: object) -> int:
         """Open a nested span; returns its depth (0 is the root)."""
         depth = len(self._open)
-        self._open.append((name, category, self._timestamp_us(), dict(args)))
+        self._open.append((name, category, _timestamp_us(), dict(args)))
         return depth
 
     def end(self) -> SpanRecord:
@@ -145,7 +149,7 @@ class SpanRecorder:
         if not self._open:
             raise RuntimeError("SpanRecorder.end() with no open span")
         name, category, start_us, args = self._open.pop()
-        duration_us = max(0, self._timestamp_us() - start_us)
+        duration_us = max(0, _timestamp_us() - start_us)
         record = SpanRecord(
             name=name, category=category, start_us=start_us,
             duration_us=duration_us, pid=os.getpid(), tid=_tid(),
@@ -172,13 +176,8 @@ class SpanRecorder:
 
     # ------------------------------------------------------------------
     def extend(self, spans: Iterable[SpanRecord]) -> None:
-        """Fold spans recorded elsewhere (worker processes) in."""
+        """Fold spans recorded elsewhere (another recorder) in."""
         self.spans.extend(spans)
-
-    def drain(self) -> List[SpanRecord]:
-        """Return the completed spans and clear the recorder."""
-        drained, self.spans = self.spans, []
-        return drained
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +320,19 @@ def uninstall_recorder(recorder: Optional[SpanRecorder] = None) -> None:
 def active_recorder() -> Optional[SpanRecorder]:
     """The installed recorder, if any."""
     return _ACTIVE
+
+
+@contextmanager
+def record_spans() -> Iterator[SpanRecorder]:
+    """``with record_spans() as recorder:`` — a fresh recorder receives
+    the block's spans; on exit the previously installed one is back."""
+    global _ACTIVE
+    recorder = SpanRecorder()
+    previous, _ACTIVE = _ACTIVE, recorder
+    try:
+        yield recorder
+    finally:
+        _ACTIVE = previous
 
 
 @contextmanager

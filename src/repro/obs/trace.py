@@ -30,7 +30,7 @@ import json
 import os
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Deque, Iterator, List, Optional
 
@@ -194,6 +194,25 @@ class WalkTracer:
         profile.record(kind, lines, probes, fault, node, count)
         return profile
 
+    def absorb(self, other: "WalkTracer") -> None:
+        """Take in ``other``'s walks as if they were recorded here next.
+
+        Its retained events join the ring with ``seq`` offset by this
+        tracer's ``recorded``, an event pushed out counts as dropped (as
+        in :meth:`record`), and its counts and profile are added.  So
+        tracers of at least this capacity, absorbed in the order their
+        walks happened, leave the ring, header and profile that one
+        tracer recording every walk would.
+        """
+        for event in other._ring:
+            if len(self._ring) == self.capacity:
+                self.dropped += 1
+            self._ring.append(replace(event, seq=event.seq + self.recorded))
+        self.recorded += other.recorded
+        self.dropped += other.dropped
+        self.replay_lines += other.replay_lines
+        self.profile.merge(other.profile)
+
     # ------------------------------------------------------------------
     def events(self) -> List[WalkEvent]:
         """The retained events, oldest first."""
@@ -204,14 +223,6 @@ class WalkTracer:
 
     def __iter__(self) -> Iterator[WalkEvent]:
         return iter(self._ring)
-
-    def clear(self) -> None:
-        """Drop the ring and zero every total, with a fresh empty profile."""
-        self._ring.clear()
-        self.recorded = 0
-        self.dropped = 0
-        self.replay_lines = 0
-        self.profile = WalkProfile()
 
     # ------------------------------------------------------------------
     def export_jsonl(self, path: os.PathLike) -> Path:
@@ -288,13 +299,15 @@ def active_tracer() -> Optional[WalkTracer]:
 
 @contextmanager
 def trace_walks(capacity: int = DEFAULT_CAPACITY):
-    """``with trace_walks() as tracer:`` — scoped tracing."""
+    """``with trace_walks() as tracer:`` — a fresh tracer receives the
+    block's walks; on exit the previously installed one is back."""
+    global _ACTIVE
     tracer = WalkTracer(capacity)
-    install_tracer(tracer)
+    previous, _ACTIVE = _ACTIVE, tracer
     try:
         yield tracer
     finally:
-        uninstall_tracer(tracer)
+        _ACTIVE = previous
 
 
 @contextmanager

@@ -324,6 +324,38 @@ class TestOneCommandLine:
                      *TABLE1[2:], "--no-cache", "--json", str(whole)]) == 0
         assert single.read_bytes() == whole.read_bytes()
 
+    def test_trace_out_is_the_same_at_any_jobs(self, tmp_path):
+        """A walk trace is one file at ``--jobs 1`` and ``2``, and an
+        attempt that fails mid-task leaves none of its walks in it."""
+        fig11d = ["experiment", "fig11d", "--trace-length", "2000",
+                  "--workloads", "mp3d,gcc", "--no-cache"]
+        serial, parallel = tmp_path / "jobs1.jsonl", tmp_path / "jobs2.jsonl"
+        for jobs, trace in (("1", serial), ("2", parallel)):
+            assert main([*fig11d, "--jobs", jobs,
+                         "--trace-out", str(trace)]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert json.loads(serial.read_text().splitlines()[0])[
+            "trace_header"]["recorded"] > 0
+
+        # On a warm cache the seventh stream load is in fig11a's task,
+        # after mp3d's replays; one retry recovers.
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"rules": [
+            {"site": "cache.load_stream", "action": "raise-eio", "at": 7},
+        ]}))
+        fig11a = ["experiment", "fig11a", "--trace-length", "2000",
+                  "--workloads", "mp3d,gcc",
+                  "--cache-dir", str(tmp_path / "streams")]
+        clean, faulted = tmp_path / "clean.jsonl", tmp_path / "faulted.jsonl"
+        run = tmp_path / "run"
+        assert main([*fig11a, "--trace-out", str(clean)]) == 0
+        assert main([*fig11a, "--trace-out", str(faulted),
+                     "--fault-plan", str(plan), "--max-retries", "1",
+                     "--run-dir", str(run)]) == 0
+        assert json.loads((run / "metrics.json").read_text())["run"][
+            "task_retries"] == 1
+        assert faulted.read_bytes() == clean.read_bytes()
+
     @pytest.mark.parametrize("exp_id", ["table1", "claims"])
     def test_a_failed_task_prints_the_failure_manifest(
         self, exp_id, tmp_path, monkeypatch, capsys

@@ -13,6 +13,7 @@ from repro.obs.spans import (
     install_recorder,
     load_chrome_trace,
     record_span,
+    record_spans,
     to_chrome_events,
     uninstall_recorder,
     validate_nesting,
@@ -59,15 +60,23 @@ class TestSpanRecorder:
         assert recorder.open_spans == 0
         assert [s.name for s in recorder.spans] == ["task:x"]
 
-    def test_drain_and_extend(self):
-        recorder = SpanRecorder()
-        with recorder.span("a"):
+    def test_extend_folds_spans_in(self):
+        source = SpanRecorder()
+        with source.span("a"):
             pass
-        drained = recorder.drain()
-        assert [s.name for s in drained] == ["a"]
-        assert recorder.spans == []
-        recorder.extend(drained)
+        recorder = SpanRecorder()
+        recorder.extend(source.spans)
         assert [s.name for s in recorder.spans] == ["a"]
+
+    def test_record_spans_restores_the_previous_recorder(self):
+        outer = install_recorder(SpanRecorder())
+        with record_spans() as inner:
+            assert active_recorder() is inner
+            with record_span("task:x"):
+                pass
+        assert active_recorder() is outer
+        assert [s.name for s in inner.spans] == ["task:x"]
+        assert outer.spans == []
 
     def test_record_span_is_noop_without_recorder(self):
         assert active_recorder() is None

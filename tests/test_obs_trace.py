@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.obs.profile import WalkProfile
 from repro.obs.trace import (
     WalkEvent,
     WalkTracer,
@@ -49,18 +48,39 @@ class TestRing:
         with pytest.raises(ValueError, match="capacity"):
             WalkTracer(capacity=0)
 
-    def test_clear_zeroes_everything(self):
-        profile = WalkProfile()
-        tracer = WalkTracer(capacity=8, profile=profile)
-        record_n(tracer, 5)
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.recorded == 0
-        assert tracer.total_lines == 0
-        assert tracer.profile.tables == {}
-        assert tracer.profile.total_walks == 0
-        # The profile it was given keeps the walks counted before.
-        assert profile.total_walks == 5
+
+class TestAbsorb:
+    @staticmethod
+    def walk(tracer, i):
+        """The ``i``-th of a varied walk sequence; the fifth is a group
+        of three ring-less walks."""
+        if i == 4:
+            tracer.record_groups("clustered", "block", "BASE", 2, 1, False,
+                                 0, count=3)
+        else:
+            tracer.record("hashed" if i % 2 else "clustered", "walk",
+                          0x1000 + i, "fault" if i == 7 else "BASE",
+                          1 + i % 3, 1 + i % 2, i == 7, i % 2)
+
+    def test_split_walks_absorbed_equal_one_tracer(self, tmp_path):
+        one = WalkTracer(capacity=4)
+        first, second = WalkTracer(capacity=4), WalkTracer(capacity=4)
+        for i in range(10):
+            self.walk(one, i)
+            self.walk(first if i < 6 else second, i)
+        merged = WalkTracer(capacity=4)
+        merged.absorb(first)
+        merged.absorb(second)
+
+        assert merged.events() == one.events()
+        assert [event.seq for event in merged] == [8, 9, 10, 11]
+        assert (merged.recorded, merged.dropped) == (12, 8)
+        assert merged.profile.as_dict() == one.profile.as_dict()
+        assert (
+            merged.export_jsonl(tmp_path / "merged.jsonl").read_bytes()
+            == one.export_jsonl(tmp_path / "one.jsonl").read_bytes()
+        )
+        assert merged.summary() == one.summary()
 
 
 class TestReplayLines:
@@ -100,11 +120,15 @@ class TestInstallation:
         assert active_tracer() is active
 
     def test_context_manager_scopes_installation(self):
-        with trace_walks(capacity=16) as tracer:
-            assert active_tracer() is tracer
-            emit("linear", "walk", 2, "BASE", 1, 1, False, 0)
-        assert active_tracer() is None
-        assert tracer.recorded == 1
+        for outer in (None, WalkTracer()):
+            if outer is not None:
+                install_tracer(outer)
+            with trace_walks(capacity=16) as tracer:
+                assert active_tracer() is tracer
+                emit("linear", "walk", 2, "BASE", 1, 1, False, 0)
+            assert active_tracer() is outer  # the previous one is back
+            assert tracer.recorded == 1
+        assert outer.recorded == 0
 
     def test_tracer_object_is_a_context_manager(self):
         tracer = WalkTracer()

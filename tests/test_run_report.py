@@ -110,24 +110,53 @@ class TestRunArtifacts:
 
 
 class TestTraceTimeline:
-    def test_spans_nest_and_cover_the_run(self, profiled_run):
-        spans = load_chrome_trace(profiled_run.run_dir / TRACE_NAME)
-        assert validate_nesting(spans) == []
-        roots = [s for s in spans if s.name == "run"]
-        assert len(roots) == 1
-        run_span = roots[0]
-        wall_us = profiled_run.metrics.wall_seconds * 1e6
-        assert run_span.duration_us >= 0.99 * wall_us
-        # Phases and tasks lie inside the run span on the parent track.
-        for span in spans:
-            if span.pid == run_span.pid:
-                assert span.start_us >= run_span.start_us
-                assert span.end_us <= run_span.end_us
-        # Worker tasks landed on their own tracks.
-        assert {s.pid for s in spans} - {run_span.pid}, "no worker spans"
-        categories = {s.category for s in spans}
-        assert {"run", "phase"} <= categories
-        assert {"prewarm", "experiment"} & categories
+    def test_spans_nest_and_cover_the_run(self, profiled_run, tmp_path):
+        """The module's ``--jobs 2`` run, and a small ``--jobs 1`` run
+        whose tasks record their spans in the runner's process."""
+        serial = runner.RunMetrics()
+        common.clear_caches()
+        try:
+            runner.run_all(
+                TRACE_LENGTH, jobs=1, cache_dir=str(tmp_path / "streams"),
+                workloads=WORKLOADS, only=("table1",), profile=True,
+                metrics=serial,
+            )
+        finally:
+            common.clear_caches()
+        export_chrome_trace(serial.spans, tmp_path / TRACE_NAME)
+        parallel_spans = load_chrome_trace(profiled_run.run_dir / TRACE_NAME)
+        serial_spans = load_chrome_trace(tmp_path / TRACE_NAME)
+        for spans, metrics in (
+            (parallel_spans, profiled_run.metrics), (serial_spans, serial),
+        ):
+            assert validate_nesting(spans) == []
+            roots = [s for s in spans if s.name == "run"]
+            assert len(roots) == 1
+            run_span = roots[0]
+            wall_us = metrics.wall_seconds * 1e6
+            assert run_span.duration_us >= 0.99 * wall_us
+            # Phases and tasks lie inside the run span on the parent track.
+            for span in spans:
+                if span.pid == run_span.pid:
+                    assert span.start_us >= run_span.start_us
+                    assert span.end_us <= run_span.end_us
+            categories = {s.category for s in spans}
+            assert {"run", "phase"} <= categories
+            assert {"prewarm", "experiment"} & categories
+        # Worker tasks landed on their own tracks ...
+        runner_pids = {s.pid for s in parallel_spans if s.name == "run"}
+        assert {s.pid for s in parallel_spans} - runner_pids, "no worker spans"
+        # ... and in-process ones inside a phase on the runner's track.
+        phases = [s for s in serial_spans if s.name.startswith("phase:")]
+        tasks = [s for s in serial_spans if s.name.startswith("task:")]
+        assert tasks
+        for task in tasks:
+            assert any(
+                (phase.pid, phase.tid) == (task.pid, task.tid)
+                and phase.start_us <= task.start_us
+                and task.end_us <= phase.end_us
+                for phase in phases
+            ), task.name
 
     def test_span_summary_reports_full_coverage(self, profiled_run):
         summary = profiled_run.metrics.span_summary()

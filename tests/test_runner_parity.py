@@ -20,12 +20,12 @@ import pytest
 from repro.analysis.metrics import make_table
 from repro.cache.stream_cache import StreamCache, stream_cache_key
 from repro.errors import ConfigurationError
-from repro.experiments import common, runner
+from repro.experiments import common, runner, tenancy
 from repro.mmu.mmu import MMU
 from repro.mmu.simulate import collect_misses, replay_misses
 from repro.os.translation_map import TranslationMap
 from repro.resilience import FaultPlan, FaultRule, RetryPolicy
-from repro.resilience.journal import METRICS_NAME
+from repro.resilience.journal import METRICS_NAME, PROFILE_NAME
 
 #: A small but representative runner subset: stream-replay experiments
 #: (table1, fig11d with block prefetch) plus the direct-collect_misses
@@ -39,6 +39,13 @@ TRACE_LENGTH = 12_000
 RETRIED_TABLE1 = FaultPlan((
     FaultRule("runner.experiment", "raise-eio", match="table1",
               max_attempt=1),
+))
+
+#: fig11a's experiment task fails mid-task, after mp3d's replays: on a
+#: warm cache over mp3d,gcc the seventh stream load in the runner's
+#: process is gcc's first (four prewarm loads, then mp3d's two).
+MID_TASK_FIG11A = FaultPlan((
+    FaultRule("cache.load_stream", "raise-eio", at=7),
 ))
 
 
@@ -237,64 +244,110 @@ class TestRunnerParity:
 
     def test_registry_parity_between_serial_and_parallel(self, tmp_path):
         """``--jobs N`` must not lose telemetry, and ``--jobs 1`` must not
-        keep a failed attempt's: the run registry's counters and walk
-        histograms equal the serial run's exactly, fault-free and when
-        table1's first attempt fails and is retried.
+        keep a failed attempt's, on three inputs.
+
+        - table1 and fig11d, fault-free and when table1's first attempt
+          fails at task entry: the registry's counters and walk
+          histograms, and the walk profile, equal the serial run's.
+        - fig11a when its attempt fails mid-task, after some of its
+          walks: the walk profile, the ``walk.*`` histograms and the one
+          ``task:fig11a`` span equal the fault-free run's at both job
+          counts.  (Retry counts may differ: a fault window is counted
+          per process.)
+        - a 20-tenant sweep on the batch engine: ``metrics.json``
+          counters and non-``runner.*`` histograms equal at both.
 
         Time-valued histograms (phase/task seconds) are excluded — their
         totals are wall-clock and legitimately differ between modes.
         """
-        def profiled_run(jobs, name, plan):
+        def profiled_run(jobs, name, plan, **kwargs):
+            """One profiled run into ``run-<name>``; returns its metrics
+            and the registry its ``metrics.json`` holds."""
             common.clear_caches()
             metrics = runner.RunMetrics()
+            run_dir = tmp_path / f"run-{name}"
+            kwargs.setdefault("cache_dir", str(tmp_path / f"c-{name}"))
             runner.run_all(
-                TRACE_LENGTH, jobs=jobs, cache_dir=str(tmp_path / f"c-{name}"),
-                workloads=WORKLOADS, only=("table1", "fig11d"),
+                jobs=jobs,
                 resilience=runner.ResilienceConfig(
-                    run_dir=str(tmp_path / f"run-{name}"),
+                    run_dir=str(run_dir),
                     retry=RetryPolicy(max_retries=1, base_delay=0.0),
                     fault_plan=plan,
                 ),
                 profile=True,
                 metrics=metrics,
+                **kwargs,
             )
-            return metrics.registry.state(), metrics
+            doc = json.loads((run_dir / METRICS_NAME).read_text())
+            return metrics, doc["registry"]
 
-        def walk_histograms(state):
-            return [
-                [name, labels, payload]
-                for name, labels, payload in state["histograms"]
-                if name.startswith("walk.")
-            ]
+        def histograms(state, walks=True):
+            """The ``walk.*`` histograms, or else all but ``runner.*``,
+            as JSON text: 1 and 1.0 compare equal, but print differently
+            in metrics.json and --metrics."""
+            return json.dumps([
+                entry for entry in state["histograms"]
+                if (entry[0].startswith("walk.") if walks
+                    else not entry[0].startswith("runner."))
+            ], sort_keys=True)
 
+        subset = dict(
+            trace_length=TRACE_LENGTH, workloads=WORKLOADS,
+            only=("table1", "fig11d"),
+        )
         for retried, plan in enumerate((None, RETRIED_TABLE1)):
-            serial_state, serial_metrics = profiled_run(
-                1, f"serial-{retried}", plan
+            serial, serial_state = profiled_run(
+                1, f"serial-{retried}", plan, **subset
             )
-            parallel_state, parallel_metrics = profiled_run(
-                2, f"parallel-{retried}", plan
+            parallel, parallel_state = profiled_run(
+                2, f"parallel-{retried}", plan, **subset
             )
-
             assert serial_state["counters"] == parallel_state["counters"]
-            assert serial_metrics.registry.counter(
+            assert serial.registry.counter(
                 "runner.task_retries", experiment="table1"
             ) == retried
             # A failed attempt's injected fault goes with its registry.
-            assert not serial_metrics.registry.values("faults.injected")
-
-            serial_walks = walk_histograms(serial_state)
-            assert serial_walks, "profiled run recorded no walk histograms"
-            assert serial_walks == walk_histograms(parallel_state)
-            # Equal as JSON text too: 1 and 1.0 compare equal, but print
-            # differently in metrics.json and --metrics.
-            assert (
-                json.dumps(serial_walks, sort_keys=True)
-                == json.dumps(walk_histograms(parallel_state), sort_keys=True)
+            assert not serial.registry.values("faults.injected")
+            assert histograms(serial_state) != "[]", (
+                "profiled run recorded no walk histograms"
             )
+            assert histograms(serial_state) == histograms(parallel_state)
+            assert (serial.walk_profile.as_dict()
+                    == parallel.walk_profile.as_dict())
 
-            assert serial_metrics.walk_profile is not None
-            assert (serial_metrics.walk_profile.as_dict()
-                    == parallel_metrics.walk_profile.as_dict())
+        fig11a = dict(
+            trace_length=2_000, workloads=("mp3d", "gcc"), only=("fig11a",),
+            cache_dir=str(tmp_path / "c-fig11a"),
+        )
+        # The fault-free reference also warms the cache.
+        _, clean_state = profiled_run(1, "fig11a-clean", None, **fig11a)
+        clean_profile = tmp_path / "run-fig11a-clean" / PROFILE_NAME
+        for jobs in (1, 2):
+            faulted, faulted_state = profiled_run(
+                jobs, f"fig11a-{jobs}", MID_TASK_FIG11A, **fig11a
+            )
+            if jobs == 1:
+                assert faulted.summary_dict()["task_retries"] == 1
+            assert (
+                tmp_path / f"run-fig11a-{jobs}" / PROFILE_NAME
+            ).read_text() == clean_profile.read_text()
+            assert histograms(faulted_state) == histograms(clean_state)
+            assert [
+                span.name for span in faulted.spans
+                if span.name == "task:fig11a"
+            ] == ["task:fig11a"]
+
+        twenty = dict(
+            trace_length=2_000, only=("tenancy",), engine="batch",
+            cells={"tenancy": tenancy.cells(tenants=(20,))},
+        )
+        _, serial_state = profiled_run(1, "tenancy-1", None, **twenty)
+        _, parallel_state = profiled_run(2, "tenancy-2", None, **twenty)
+        assert serial_state["counters"], "the --jobs 1 run counted nothing"
+        assert serial_state["counters"] == parallel_state["counters"]
+        assert histograms(serial_state, walks=False) == histograms(
+            parallel_state, walks=False
+        )
 
     def test_phase_wall_seconds_are_recorded(self, tmp_path):
         metrics = runner.RunMetrics()
