@@ -1,11 +1,13 @@
 """Shared experiment infrastructure: caching, TLB factories, normalisation.
 
 Workload construction and phase-1 TLB simulation are costly, and several
-figures need the same artefacts.  In a cold Figure 11 sweep, phase 1
-and the page-table builds are each over a third of the run time.  This
-module memoises workloads and miss streams behind small keyed caches so
-``runner.run_all`` pays for each (workload, TLB configuration) pair
-once.  A persistent on-disk layer
+figures need the same artefacts.  This module memoises workloads,
+translation maps (one per page-size policy) and miss streams behind
+small keyed caches so ``runner.run_all`` pays for each (workload, TLB
+configuration) pair once.  Page tables are not memoised: a replay given
+its table's map (:func:`replay` with ``tmap``) builds no object table
+under the batch engine, whose kernel comes straight from the map's PTE
+columns.  A persistent on-disk layer
 (:mod:`repro.cache.stream_cache`, enabled via
 :func:`configure_stream_cache`) extends that across processes and runs:
 parallel workers share artefacts, and repeat invocations skip phase 1
@@ -228,15 +230,60 @@ def uniform_probes(
     )
 
 
-def replay(stream: MissStream, table, complete_subblock: bool = False):
-    """Phase 2 through the active engine (see :func:`engine_replay`)."""
+def replay(
+    stream: MissStream,
+    table,
+    complete_subblock: bool = False,
+    tmap: Optional[TranslationMap] = None,
+    base_pages_only: bool = False,
+):
+    """Phase 2 through the active engine (see :func:`engine_replay`).
+
+    With ``tmap``, ``table`` is a fresh, empty table and the map is its
+    contents.  The batch engine then builds the walk kernel straight
+    from the map (:func:`~repro.mmu.batch_kernels.compile_kernel`) and
+    never populates the table; the scalar engine, the batch engine's
+    fallback included, first runs ``tmap.populate(table,
+    base_pages_only)``.
+    """
     from repro.mmu.batch import replay_misses_batch
     from repro.mmu.simulate import replay_misses
 
+    if tmap is None:
+        return engine_replay(
+            replay_misses_batch, replay_misses, stream, table,
+            complete_subblock=complete_subblock,
+        )
     return engine_replay(
-        replay_misses_batch, replay_misses, stream, table,
-        complete_subblock=complete_subblock,
+        _replay_map_batch, _replay_map_scalar, stream, table,
+        complete_subblock=complete_subblock, tmap=tmap,
+        base_pages_only=base_pages_only,
     )
+
+
+def _replay_map_batch(
+    stream: MissStream, table, complete_subblock: bool,
+    tmap: TranslationMap, base_pages_only: bool,
+):
+    """The batch replay of an empty table whose contents are ``tmap``."""
+    from repro.mmu.batch import replay_misses_batch
+    from repro.mmu.batch_kernels import compile_kernel
+
+    kernel = compile_kernel(table, tmap, base_pages_only)
+    return replay_misses_batch(
+        stream, table, complete_subblock=complete_subblock, _kernel=kernel
+    )
+
+
+def _replay_map_scalar(
+    stream: MissStream, table, complete_subblock: bool,
+    tmap: TranslationMap, base_pages_only: bool,
+):
+    """The scalar replay of ``table`` once ``tmap`` is written into it."""
+    from repro.mmu.simulate import replay_misses
+
+    tmap.populate(table, base_pages_only=base_pages_only)
+    return replay_misses(stream, table, complete_subblock=complete_subblock)
 
 
 def replay_many(
@@ -336,7 +383,9 @@ def collect_misses_cached(
 _WORKLOADS: Dict[Tuple[str, int, int, Optional[float]], Workload] = {}
 # Keyed by id(workload); each value keeps a strong reference to its
 # workload so the id can never be recycled while the cache entry lives.
-_TMAPS: Dict[Tuple[int, str], Tuple[Workload, TranslationMap]] = {}
+_TMAPS: Dict[
+    int, Tuple[Workload, AddressSpace, Dict[object, TranslationMap]]
+] = {}
 _STREAMS: Dict[Tuple[int, str, int], Tuple[Workload, MissStream]] = {}
 
 
@@ -364,15 +413,22 @@ def get_translation_map(workload: Workload, tlb_kind: str) -> TranslationMap:
     """Memoised logical PTEs for a workload under a TLB's matching policy.
 
     Uses the union space (processes occupy disjoint VA slices), which is
-    what the shared page table sees during access-time simulation.
+    what the shared page table sees during access-time simulation.  The
+    union is built once per workload, and its maps are keyed by the
+    policy's settings, so TLB kinds with the same policy (``single`` and
+    ``complete-subblock``) share one map.
     """
-    key = (id(workload), tlb_kind)
-    if key not in _TMAPS:
-        tmap = TranslationMap.from_space(
-            workload.union_space(), policy_for(tlb_kind)
-        )
-        _TMAPS[key] = (workload, tmap)
-    return _TMAPS[key][1]
+    policy = policy_for(tlb_kind)
+    settings = None if policy is None else (
+        policy.enable_superpages, policy.enable_subblocks,
+        policy.promote_threshold,
+    )
+    if id(workload) not in _TMAPS:
+        _TMAPS[id(workload)] = (workload, workload.union_space(), {})
+    _, union, maps = _TMAPS[id(workload)]
+    if settings not in maps:
+        maps[settings] = TranslationMap.from_space(union, policy)
+    return maps[settings]
 
 
 def get_miss_stream(

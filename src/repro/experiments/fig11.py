@@ -77,7 +77,6 @@ def _lines_for(
     """Normalised lines-per-miss of one (workload, TLB, table) triple."""
     tmap = get_translation_map(workload, tlb_kind)
     table = make_table(table_name, num_buckets=num_buckets)
-    tmap.populate(table, base_pages_only=base_pages_only)
 
     reference = get_miss_stream(workload, tlb_kind, TLB_ENTRIES)
     if table_name.startswith("linear"):
@@ -87,7 +86,8 @@ def _lines_for(
     else:
         stream = reference
     result = replay(
-        stream, table, complete_subblock=(tlb_kind == "complete-subblock")
+        stream, table, complete_subblock=(tlb_kind == "complete-subblock"),
+        tmap=tmap, base_pages_only=base_pages_only,
     )
     if reference.misses == 0:
         return 0.0

@@ -112,8 +112,7 @@ def run_config(
     rows: List[List] = []
     for table_name in tables:
         table = make_table(table_name, num_buckets=buckets)
-        tmap.populate(table, base_pages_only=True)
-        result = replay(stream, table)
+        result = replay(stream, table, tmap=tmap, base_pages_only=True)
         lines = result.cache_lines / stream.misses if stream.misses else 0.0
         rows.append(
             [

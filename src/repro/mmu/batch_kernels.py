@@ -20,6 +20,16 @@ walks every unique missed VPN at once:
 - **Multi-table** — composes the constituent kernels with where-masking,
   reproducing the "walk tables in order until one resolves" sum.
 
+A kernel has two sources.  :func:`compile_kernel` ``(table)`` reads a
+populated object table; ``(table, tmap, base_pages_only)`` builds the
+same arrays from the :class:`~repro.os.translation_map.TranslationMap`'s
+PTE columns, with the empty ``table`` supplying only its configuration
+(the Figure 11 and modern replays take this path, and so never populate
+an object table under the batch engine).  The map builders reproduce
+the order in which populating would have created nodes, chains and tree
+ids; ``tests/test_batch_differential.py`` checks them array for array
+against the populated table's kernel.
+
 Every kernel is *exact*: for each supported table it reproduces the
 scalar walk's cache-line count, probe count, and outcome bit-for-bit.
 ``tests/test_batch_differential.py`` enforces this against the scalar
@@ -101,6 +111,24 @@ def _distinct_lines(offsets: np.ndarray, nbytes: int, line_size: int) -> np.ndar
     return last - first + 1
 
 
+def _chains(buckets: np.ndarray, num_buckets: int):
+    """CSR chains of nodes given in creation order: ``(chain_start,
+    chain_len, order)``, where ``order`` groups the nodes by bucket and
+    keeps creation order within one — the order chains append them."""
+    counts = np.zeros(num_buckets + 1, dtype=np.int64)
+    counts[1:] = np.bincount(buckets, minlength=num_buckets)
+    starts = np.cumsum(counts)
+    return starts[:-1], counts[1:], np.argsort(buckets, kind="stable")
+
+
+def _cells(columns) -> Tuple[np.ndarray, np.ndarray]:
+    """``(vpn, kind)`` of every per-VPN cell a map's PTEs occupy, in write
+    order: a wide PTE is replicated at each page it validly maps, as
+    :class:`~repro.pagetables.strategies.ReplicatedPTEMixin` stores it."""
+    row, vpn = columns.pages()
+    return vpn, columns.kind[row]
+
+
 class BlockArrays:
     """Per-unique-VPBN block-fetch outcome (``lookup_block`` vectorized).
 
@@ -151,7 +179,7 @@ def _block_via_walks(kernel, vpbns: np.ndarray) -> BlockArrays:
 class HashedKernel:
     """Chained-hash walks as CSR masked-gather loops (grain-aware)."""
 
-    def __init__(self, table):
+    def __init__(self, table, columns=None):
         from repro.pagetables.hashed import HashedPageTable, multiplicative_hash
 
         if type(table) is not HashedPageTable:
@@ -166,6 +194,9 @@ class HashedKernel:
         self.grain = table.grain
         self.num_buckets = table.num_buckets
         self.subblock_factor = table.layout.subblock_factor
+        if columns is not None:
+            self._build(columns)
+            return
         counts = np.zeros(table.num_buckets + 1, dtype=np.int64)
         for bucket, chain in table._buckets.items():
             counts[bucket + 1] = len(chain)
@@ -184,6 +215,42 @@ class HashedKernel:
                 self.node_kind[base + slot] = int(node.kind)
                 self.node_npages[base + slot] = node.npages
                 self.node_vmask[base + slot] = node.valid_mask
+
+    @staticmethod
+    def holds(columns, grain: int, subblock_factor: int) -> np.ndarray:
+        """Which rows a grain-``grain`` hashed table accepts: base PTEs at
+        grain 1, superpages of exactly ``grain`` pages, and partial
+        subblocks at block grain."""
+        kind = columns.kind
+        return (
+            ((kind == int(PTEKind.BASE)) & (grain == 1))
+            | ((kind == int(PTEKind.SUPERPAGE)) & (columns.npages == grain))
+            | (
+                (kind == int(PTEKind.PARTIAL_SUBBLOCK))
+                & (grain == subblock_factor)
+            )
+        )
+
+    def _build(self, columns) -> None:
+        """The arrays of this table populated with ``columns``: one node
+        per PTE, appended to its bucket's chain in write order."""
+        if not self.holds(columns, self.grain, self.subblock_factor).all():
+            raise BatchUnsupportedError(
+                f"a grain-{self.grain} hashed table cannot hold every PTE"
+            )
+        kind = columns.kind
+        superpage = kind == int(PTEKind.SUPERPAGE)
+        partial = kind == int(PTEKind.PARTIAL_SUBBLOCK)
+        tag = columns.vpn // self.grain
+        self.chain_start, self.chain_len, order = _chains(
+            fib_buckets(tag, self.num_buckets), self.num_buckets
+        )
+        # HashNode defaults: npages 1 unless a superpage, mask 0 unless
+        # a partial subblock.
+        self.node_tag = tag[order]
+        self.node_kind = kind[order]
+        self.node_npages = np.where(superpage, columns.npages, 1)[order]
+        self.node_vmask = np.where(partial, columns.valid_mask, 0)[order]
 
     def walk(self, vpns: np.ndarray):
         n = vpns.shape[0]
@@ -232,7 +299,7 @@ class HashedKernel:
 class ClusteredKernel:
     """§5 clustered chains: per-node pass/match line costs precomputed."""
 
-    def __init__(self, table):
+    def __init__(self, table, columns=None):
         from repro.core.clustered import (
             ClusteredPageTable,
             MAPPING_BYTES,
@@ -274,6 +341,13 @@ class ClusteredKernel:
         self.narrow_match_cost = cache.lines_touched(
             [(0, NODE_OVERHEAD_BYTES), (NODE_OVERHEAD_BYTES, MAPPING_BYTES)]
         )
+        if columns is not None:
+            self._build(
+                columns,
+                cache.lines_for_node(NODE_OVERHEAD_BYTES + MAPPING_BYTES * s),
+                cache.lines_for_node(NODE_OVERHEAD_BYTES + MAPPING_BYTES),
+            )
+            return
         counts = np.zeros(table.num_buckets + 1, dtype=np.int64)
         for bucket, chain in table._buckets.items():
             counts[bucket + 1] = len(chain)
@@ -307,6 +381,54 @@ class ClusteredKernel:
                     high = min(s, node.base_vpn + node.npages - block_base)
                     bits = ((1 << high) - 1) & ~((1 << low) - 1) if high > low else 0
                 self.node_valid_bits[at] = bits
+
+    def _build(self, columns, base_cost: int, narrow_cost: int) -> None:
+        """The arrays of this table populated with ``columns``.
+
+        A base PTE fills a slot of its block's BASE node, which the
+        block's first base PTE creates; a wide PTE gets a node of its
+        own.  Nodes join their bucket's chain in creation order.
+        """
+        s = self.subblock_factor
+        kind = columns.kind
+        base = kind == int(PTEKind.BASE)
+        superpage = kind == int(PTEKind.SUPERPAGE)
+        if (columns.npages[superpage] > s).any():
+            raise BatchUnsupportedError("superpages wider than a page block")
+        vpbn = columns.vpn >> self.block_shift
+        boff = columns.vpn & (s - 1)
+        blocks, first, slot_block = np.unique(
+            vpbn[base], return_index=True, return_inverse=True
+        )
+        slots = np.zeros(blocks.shape[0], dtype=np.int64)
+        np.bitwise_or.at(slots, slot_block, np.int64(1) << boff[base])
+        # A superpage maps pages [boff, boff + npages) of its block.
+        high = np.minimum(s, boff + columns.npages)
+        wide_bits = np.where(
+            superpage,
+            ((np.int64(1) << high) - 1) & ~((np.int64(1) << boff) - 1),
+            columns.valid_mask,
+        )[~base]
+        created = np.concatenate(
+            [np.flatnonzero(base)[first], np.flatnonzero(~base)]
+        )
+        nodes = np.argsort(created)
+        node_vpbn = np.concatenate([blocks, vpbn[~base]])[nodes]
+        node_kind = np.concatenate(
+            [np.full(blocks.shape[0], int(PTEKind.BASE), dtype=np.int64),
+             kind[~base]]
+        )[nodes]
+        node_bits = np.concatenate([slots, wide_bits])[nodes]
+        self.chain_start, self.chain_len, order = _chains(
+            fib_buckets(node_vpbn, self.num_buckets), self.num_buckets
+        )
+        self.node_vpbn = node_vpbn[order]
+        self.node_kind = node_kind[order]
+        self.node_is_base = self.node_kind == int(PTEKind.BASE)
+        self.node_valid_bits = node_bits[order]
+        self.node_block_cost = np.where(
+            self.node_is_base, base_cost, narrow_cost
+        ).astype(np.int64)
 
     def walk(self, vpns: np.ndarray):
         n = vpns.shape[0]
@@ -378,7 +500,7 @@ class ClusteredKernel:
 class LinearKernel:
     """Ideal linear table: membership in a sorted VPN-key array."""
 
-    def __init__(self, table):
+    def __init__(self, table, columns=None):
         from repro.pagetables.linear import LinearPageTable
 
         if type(table) is not LinearPageTable:
@@ -396,6 +518,12 @@ class LinearKernel:
         self.subblock_factor = table.layout.subblock_factor
         self.ptes_per_page = table.ptes_per_page
         self.line_size = table.cache.line_size
+        if columns is not None:
+            vpns, kinds = _cells(columns)
+            order = np.argsort(vpns)
+            self.keys = vpns[order]
+            self.kinds = kinds[order]
+            return
         keys = np.array(sorted(table._cells), dtype=np.int64)
         self.keys = keys
         self.kinds = np.array(
@@ -430,7 +558,7 @@ class LinearKernel:
 class ForwardKernel:
     """Tree levels as sorted composite-key arrays, one gather per level."""
 
-    def __init__(self, table):
+    def __init__(self, table, columns=None):
         from repro.pagetables.forward import ForwardMappedPageTable
 
         if type(table) is not ForwardMappedPageTable:
@@ -449,6 +577,13 @@ class ForwardKernel:
             self.shifts.append(below)
             below += bits
         self.shifts.reverse()
+        if columns is not None:
+            if table.superpage_strategy != "replicate":
+                raise BatchUnsupportedError(
+                    "map-built forward-mapped kernels replicate superpages"
+                )
+            self._build(columns)
+            return
         # Assign per-level dense node ids breadth-first; each level's
         # children / intermediate superpages / leaves become sorted
         # ``parent_id * fanout + index`` key arrays.
@@ -486,6 +621,38 @@ class ForwardKernel:
         order = np.argsort(keys)
         self.leaf_keys = keys[order]
         self.leaf_kinds = np.array(leaf_kinds, dtype=np.int64)[order]
+
+    def _build(self, columns) -> None:
+        """The arrays of this table populated with ``columns``.
+
+        The first cell written below a node creates it, so a node's
+        children take breadth-first ids in order of their first write,
+        parent by parent.
+        """
+        vpns, kinds = _cells(columns)
+        node_id = np.zeros(vpns.shape[0], dtype=np.int64)
+        self.child_keys = []
+        self.child_ids = []
+        self.super_keys = []
+        for level in range(self.levels - 1):
+            fanout = self.fanouts[level]
+            key = node_id * fanout + ((vpns >> self.shifts[level]) & (fanout - 1))
+            keys, first, inverse = np.unique(
+                key, return_index=True, return_inverse=True
+            )
+            ids = np.empty(keys.shape[0], dtype=np.int64)
+            ids[np.lexsort((first, keys // fanout))] = np.arange(
+                keys.shape[0], dtype=np.int64
+            )
+            self.child_keys.append(keys)
+            self.child_ids.append(ids)
+            self.super_keys.append(np.zeros(0, dtype=np.int64))
+            node_id = ids[inverse]
+        leaf_fanout = self.fanouts[-1]
+        key = node_id * leaf_fanout + (vpns & (leaf_fanout - 1))
+        order = np.argsort(key)
+        self.leaf_keys = key[order]
+        self.leaf_kinds = kinds[order]
 
     def walk(self, vpns: np.ndarray):
         n = vpns.shape[0]
@@ -559,13 +726,15 @@ class ForwardKernel:
 class GuardedKernel:
     """Guarded trie: entries as sorted keys, guards packed into int64."""
 
-    def __init__(self, table):
+    def __init__(self, table, columns=None):
         from repro.pagetables.guarded import GuardedPageTable
 
         if type(table) is not GuardedPageTable:
             raise BatchUnsupportedError(
                 f"no batch kernel for {type(table).__name__}"
             )
+        if columns is not None:
+            raise BatchUnsupportedError("no map-built kernel for guarded tables")
         self.table = table
         self.subblock_factor = table.layout.subblock_factor
         self.index_bits = table.index_bits
@@ -651,7 +820,7 @@ class GuardedKernel:
 class MultiKernel:
     """Compose constituent kernels: walk tables in order until resolved."""
 
-    def __init__(self, table):
+    def __init__(self, table, columns=None):
         from repro.pagetables.strategies import MultiplePageTables
 
         if type(table) is not MultiplePageTables:
@@ -660,7 +829,35 @@ class MultiKernel:
             )
         self.table = table
         self.subblock_factor = table.layout.subblock_factor
-        self.kernels = [compile_kernel(inner) for inner in table.tables]
+        if columns is None:
+            self.kernels = [compile_kernel(inner) for inner in table.tables]
+        else:
+            self.kernels = [
+                HashedKernel(inner, part)
+                for inner, part in zip(table.tables, self._route(columns))
+            ]
+
+    def _route(self, columns) -> list:
+        """Each constituent's rows, as ``MultiplePageTables`` routes its
+        inserts: base PTEs to the first grain-1 table, a wide PTE to the
+        first table that holds it.  Map-built, only hashed constituents."""
+        from repro.pagetables.hashed import HashedPageTable
+
+        if any(type(inner) is not HashedPageTable for inner in self.table.tables):
+            raise BatchUnsupportedError(
+                "map-built multi-table kernels need hashed constituents"
+            )
+        pending = np.ones(columns.kind.shape[0], dtype=bool)
+        parts = []
+        for inner in self.table.tables:
+            held = pending & HashedKernel.holds(
+                columns, inner.grain, self.subblock_factor
+            )
+            pending &= ~held
+            parts.append(columns.select(held))
+        if pending.any():
+            raise BatchUnsupportedError("a PTE fits no constituent table")
+        return parts
 
     def walk(self, vpns: np.ndarray):
         n = vpns.shape[0]
@@ -695,13 +892,19 @@ class MultiKernel:
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
-def compile_kernel(table):
+def compile_kernel(table, tmap=None, base_pages_only: bool = False):
     """Compile ``table`` into its batch walk kernel.
 
     Dispatch is on *exact* type: subclasses override walk semantics (for
     example :class:`SuperpageIndexHashedPageTable` keeps probing past
     invalid tag matches), so anything unrecognised must take the scalar
     path rather than silently inherit the parent's kernel.
+
+    With a :class:`~repro.os.translation_map.TranslationMap`, ``table``
+    must be empty: it supplies only its configuration, and the kernel is
+    built from ``tmap.pte_columns(base_pages_only)`` — the same arrays
+    as compiling ``table`` after ``tmap.populate(table,
+    base_pages_only)``, without building the object table.
     """
     from repro.core.clustered import ClusteredPageTable
     from repro.pagetables.forward import ForwardMappedPageTable
@@ -710,17 +913,22 @@ def compile_kernel(table):
     from repro.pagetables.linear import LinearPageTable
     from repro.pagetables.strategies import MultiplePageTables
 
-    table_type = type(table)
-    if table_type is HashedPageTable:
-        return HashedKernel(table)
-    if table_type is ClusteredPageTable:
-        return ClusteredKernel(table)
-    if table_type is LinearPageTable:
-        return LinearKernel(table)
-    if table_type is ForwardMappedPageTable:
-        return ForwardKernel(table)
-    if table_type is GuardedPageTable:
-        return GuardedKernel(table)
-    if table_type is MultiplePageTables:
-        return MultiKernel(table)
-    raise BatchUnsupportedError(f"no batch kernel for {table_type.__name__}")
+    kernel_type = {
+        HashedPageTable: HashedKernel,
+        ClusteredPageTable: ClusteredKernel,
+        LinearPageTable: LinearKernel,
+        ForwardMappedPageTable: ForwardKernel,
+        GuardedPageTable: GuardedKernel,
+        MultiplePageTables: MultiKernel,
+    }.get(type(table))
+    if kernel_type is None:
+        raise BatchUnsupportedError(
+            f"no batch kernel for {type(table).__name__}"
+        )
+    if tmap is None:
+        return kernel_type(table)
+    if table.stats.inserts:
+        raise ValueError("a kernel built from a map needs an empty table")
+    if tmap.layout != table.layout:
+        raise BatchUnsupportedError("the map and the table differ in layout")
+    return kernel_type(table, tmap.pte_columns(base_pages_only))

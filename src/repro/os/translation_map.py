@@ -8,6 +8,9 @@ page-size policy — and provides:
 - ``populate(table)``: write the PTEs into any page table, using its
   native superpage/partial-subblock support or per-page PTEs as
   appropriate;
+- ``pte_columns()``: the PTEs ``populate`` writes, as numpy columns in
+  the order it writes them — what the batch engine builds walk kernels
+  from without populating an object table;
 - ``query(vpn)`` / ``block_mappings(vpbn)``: the oracle the decoupled TLB
   simulator uses to fill TLB entries without walking a page table (the
   miss *stream* is independent of page table organisation — the paper's
@@ -19,7 +22,9 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.addr.layout import AddressLayout
 from repro.addr.space import AddressSpace, Mapping
@@ -58,6 +63,38 @@ class LogicalPTE:
     def ppn_for(self, vpn: int) -> int:
         """Resolved PPN for a VPN this PTE translates."""
         return self.base_ppn + (vpn - self.base_vpn)
+
+
+class PTEColumns(NamedTuple):
+    """The PTEs :meth:`TranslationMap.populate` writes, one row per write.
+
+    Rows are in write order; each column is an int64 array.  ``kind`` is
+    ``int(PTEKind)``.  A BASE row maps the single page ``vpn`` (its
+    ``npages`` is 1 and its ``valid_mask`` 1); a SUPERPAGE or
+    PARTIAL_SUBBLOCK row covers ``npages`` pages from ``vpn``, the first
+    page of its block, with ``ppn`` that page's frame.
+    """
+
+    kind: np.ndarray
+    vpn: np.ndarray
+    npages: np.ndarray
+    ppn: np.ndarray
+    attrs: np.ndarray
+    valid_mask: np.ndarray
+
+    def select(self, rows: np.ndarray) -> "PTEColumns":
+        """The rows picked by a boolean mask or index array, in order."""
+        return PTEColumns(*(column[rows] for column in self))
+
+    def pages(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(row, vpn)`` of every page a row validly maps: row by row in
+        write order, by block offset within a row."""
+        offset = np.arange(int(self.npages.max(initial=0)), dtype=np.int64)
+        row, offset = np.nonzero(
+            (offset < self.npages[:, None])
+            & (((self.valid_mask[:, None] >> offset) & 1) == 1)
+        )
+        return row, self.vpn[row] + offset
 
 
 class TranslationMap:
@@ -205,6 +242,47 @@ class TranslationMap:
     # ------------------------------------------------------------------
     # Page-table population
     # ------------------------------------------------------------------
+    def pte_columns(self, base_pages_only: bool = False) -> PTEColumns:
+        """The PTEs :meth:`populate` writes, in the order it writes them.
+
+        Base-page PTEs come first, in map order; then the wide PTEs in
+        map order, each as one row or, with ``base_pages_only``, as one
+        BASE row per valid page in block-offset order.
+        """
+        count = len(self._base)
+        mappings = self._base.values()
+        base = PTEColumns(
+            np.full(count, int(PTEKind.BASE), dtype=np.int64),
+            np.fromiter(self._base, dtype=np.int64, count=count),
+            np.ones(count, dtype=np.int64),
+            np.fromiter((m.ppn for m in mappings), dtype=np.int64, count=count),
+            np.fromiter((m.attrs for m in mappings), dtype=np.int64, count=count),
+            np.ones(count, dtype=np.int64),
+        )
+        ptes = list(self._wide.values())
+        wide = PTEColumns(
+            *(
+                np.array(values, dtype=np.int64)
+                for values in (
+                    [int(p.kind) for p in ptes],
+                    [p.base_vpn for p in ptes],
+                    [p.npages for p in ptes],
+                    [p.base_ppn for p in ptes],
+                    [p.attrs for p in ptes],
+                    [p.valid_mask for p in ptes],
+                )
+            )
+        )
+        if base_pages_only:
+            row, vpn = wide.pages()
+            ones = np.ones(row.shape[0], dtype=np.int64)
+            wide = PTEColumns(
+                np.full(row.shape[0], int(PTEKind.BASE), dtype=np.int64),
+                vpn, ones, wide.ppn[row] + (vpn - wide.vpn[row]),
+                wide.attrs[row], ones,
+            )
+        return PTEColumns(*map(np.concatenate, zip(base, wide)))
+
     def populate(self, table: PageTable, base_pages_only: bool = False) -> None:
         """Write the logical PTEs into a page table.
 
@@ -212,24 +290,20 @@ class TranslationMap:
         PTEs — what a single-page-size system stores (Figures 9 and 11a).
         Otherwise wide PTEs use the table's native support (clustered,
         grain-16 hashed, superpage-index) or its replicate-PTE fallback
-        (linear, forward-mapped).
+        (linear, forward-mapped).  The writes are the rows of
+        :meth:`pte_columns`, in order.
         """
-        for vpn, mapping in self._base.items():
-            table.insert(vpn, mapping.ppn, mapping.attrs)
-        for vpbn, pte in self._wide.items():
-            if base_pages_only:
-                for boff in range(pte.npages):
-                    if (pte.valid_mask >> boff) & 1:
-                        table.insert(
-                            pte.base_vpn + boff, pte.base_ppn + boff, pte.attrs
-                        )
-            elif pte.kind is PTEKind.SUPERPAGE:
-                table.insert_superpage(
-                    pte.base_vpn, pte.npages, pte.base_ppn, pte.attrs
-                )
+        columns = self.pte_columns(base_pages_only)
+        for kind, vpn, npages, ppn, attrs, valid_mask in zip(
+            *(column.tolist() for column in columns)
+        ):
+            if kind == PTEKind.BASE:
+                table.insert(vpn, ppn, attrs)
+            elif kind == PTEKind.SUPERPAGE:
+                table.insert_superpage(vpn, npages, ppn, attrs)
             else:
                 table.insert_partial_subblock(
-                    vpbn, pte.valid_mask, pte.base_ppn, pte.attrs
+                    self.layout.vpbn(vpn), valid_mask, ppn, attrs
                 )
 
     def __len__(self) -> int:

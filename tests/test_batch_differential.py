@@ -10,6 +10,11 @@ workloads in both replay modes, and then *sabotage* the kernels two ways
 (an off-by-one probe count, a dropped fault) to prove the differential
 actually has teeth: a batch engine with either classic vectorisation bug
 fails the oracle.
+
+A second source of kernels has its own oracle: a kernel built straight
+from a translation map (what the Figure 11 and modern replays use under
+the batch engine) must equal, array for array, the kernel compiled from
+the table that map populates — and a sabotaged map builder must fail it.
 """
 
 from dataclasses import replace
@@ -18,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import make_table
-from repro.experiments import common, fig11
+from repro.experiments import common, fig11, modern
 from repro.experiments.common import (
     get_miss_stream,
     get_translation_map,
@@ -26,10 +31,15 @@ from repro.experiments.common import (
 )
 from repro.mmu import batch as batch_module
 from repro.mmu.batch import replay_misses_batch
-from repro.mmu.batch_kernels import BatchUnsupportedError, compile_kernel
+from repro.mmu.batch_kernels import (
+    BatchUnsupportedError,
+    ClusteredKernel,
+    compile_kernel,
+)
 from repro.mmu.simulate import replay_misses
 from repro.obs.metrics import get_registry, reset_registry
 from repro.obs.trace import WalkTracer, install_tracer, uninstall_tracer
+from repro.os.translation_map import TranslationMap
 from repro.pagetables.guarded import GuardedPageTable
 
 TRACE_LENGTH = 20_000
@@ -112,6 +122,18 @@ def test_batch_matches_scalar_exactly(name, tlb_kind, complete, wide, workload):
     )
     assert_replays_equal(scalar, batch)
     assert_stats_equal(scalar_table, batch_table)
+    # The map path: an empty table, its kernel built from the map.
+    map_table = make_table(name, workload.layout)
+    kernel = compile_kernel(
+        map_table, get_translation_map(workload, tlb_kind),
+        base_pages_only=not wide,
+    )
+    mapped = replay_misses_batch(
+        get_miss_stream(workload, tlb_kind), map_table,
+        complete_subblock=complete, _kernel=kernel,
+    )
+    assert_replays_equal(scalar, mapped)
+    assert_stats_equal(scalar_table, map_table)
 
 
 def test_batch_matches_scalar_for_multi_table(workload):
@@ -256,14 +278,52 @@ def test_engine_dispatch_falls_back_for_unsupported_table(
     }
 
 
+@pytest.fixture
+def populate_calls(monkeypatch):
+    """Every ``TranslationMap.populate`` call, as the populated table's
+    name, with ``"sizes:"`` prefixed inside ``modern.table_sizes``."""
+    calls = []
+    inside_sizes = []
+    populate = TranslationMap.populate
+    table_sizes = modern.table_sizes
+
+    def counted_populate(tmap, table, base_pages_only=False):
+        calls.append(("sizes:" if inside_sizes else "") + table.name)
+        return populate(tmap, table, base_pages_only)
+
+    def counted_table_sizes(*args, **kwargs):
+        inside_sizes.append(True)
+        try:
+            return table_sizes(*args, **kwargs)
+        finally:
+            inside_sizes.pop()
+
+    monkeypatch.setattr(TranslationMap, "populate", counted_populate)
+    monkeypatch.setattr(modern, "table_sizes", counted_table_sizes)
+    return calls
+
+
 @pytest.mark.parametrize("figure", sorted(fig11.SUBFIGURES))
 def test_figure11_under_batch_records_no_engine_fallback(
-    figure, monkeypatch
+    figure, monkeypatch, populate_calls
 ):
     monkeypatch.setattr(common, "_ENGINE", "batch")
     reset_registry()
     fig11.run_subfigure(figure, workloads=("mp3d",), trace_length=5_000)
     assert engine_fallbacks() == {}
+    # Every kernel comes from the map: no object table is populated.
+    assert populate_calls == []
+
+
+def test_modern_cell_under_batch_populates_only_for_its_size_column(
+    monkeypatch, populate_calls
+):
+    monkeypatch.setattr(common, "_ENGINE", "batch")
+    reset_registry()
+    modern.run_config("kv-store", 4, trace_length=5_000)
+    assert engine_fallbacks() == {}
+    assert populate_calls
+    assert all(name.startswith("sizes:") for name in populate_calls)
 
 
 @pytest.fixture
@@ -385,3 +445,108 @@ def test_differential_catches_sabotaged_kernels(workload, monkeypatch, sabotage)
     with pytest.raises(AssertionError):
         assert_replays_equal(scalar, batch)
         assert_stats_equal(scalar_table, batch_table)
+    # The same bug in a kernel built from the map.
+    map_table = make_table("hashed", workload.layout)
+    kernel = compile_kernel(
+        map_table, get_translation_map(workload, "single"),
+        base_pages_only=True,
+    )
+    mapped = replay_misses_batch(stream, map_table, _kernel=sabotage(kernel))
+    with pytest.raises(AssertionError):
+        assert_replays_equal(scalar, mapped)
+        assert_stats_equal(scalar_table, map_table)
+
+
+# ---------------------------------------------------------------------------
+# Map-built kernels: array for array the populated table's kernel
+# ---------------------------------------------------------------------------
+def kernel_arrays(kernel):
+    """A kernel's compiled state by attribute name: arrays, level lists
+    and constituent kernels flattened; the source table left out."""
+    state = {}
+    for name, value in vars(kernel).items():
+        if name == "table":
+            continue
+        if name == "kernels":
+            for index, inner in enumerate(value):
+                for key, item in kernel_arrays(inner).items():
+                    state[f"kernels[{index}].{key}"] = item
+        elif isinstance(value, list):
+            for index, item in enumerate(value):
+                state[f"{name}[{index}]"] = item
+        else:
+            state[name] = value
+    return state
+
+
+def assert_kernels_equal(expected, actual, label):
+    want, got = kernel_arrays(expected), kernel_arrays(actual)
+    assert want.keys() == got.keys(), label
+    for key, value in want.items():
+        other = got[key]
+        if isinstance(value, np.ndarray):
+            assert isinstance(other, np.ndarray), (label, key)
+            assert other.dtype == value.dtype, (label, key)
+            assert np.array_equal(other, value), (label, key)
+        else:
+            assert type(other) is type(value) and other == value, (label, key)
+
+
+def assert_map_kernels_match(workload, tlb_kind, names, base_pages_only,
+                             num_buckets=4096):
+    tmap = get_translation_map(workload, tlb_kind)
+    for name in names:
+        table = make_table(name, num_buckets=num_buckets)
+        tmap.populate(table, base_pages_only=base_pages_only)
+        empty = make_table(name, num_buckets=num_buckets)
+        assert_kernels_equal(
+            compile_kernel(table),
+            compile_kernel(empty, tmap, base_pages_only),
+            (workload.name, tlb_kind, name),
+        )
+
+
+#: The runner's ``--fast`` trace length, which the Figure 11 sweeps use.
+FAST_TRACE_LENGTH = 50_000
+
+
+def assert_figure11_map_kernels_match(figure, series=None):
+    """Every (paper workload, series) table of one subfigure."""
+    config = fig11.SUBFIGURES[figure]
+    for name in common.TRACED_WORKLOADS:
+        assert_map_kernels_match(
+            get_workload(name, FAST_TRACE_LENGTH), config["tlb"],
+            series or config["series"], config["base_pages_only"],
+        )
+
+
+@pytest.mark.parametrize("figure", sorted(fig11.SUBFIGURES))
+def test_map_built_kernels_equal_the_populated_tables_kernels(figure):
+    assert_figure11_map_kernels_match(figure)
+
+
+def test_map_built_modern_kernels_equal_the_populated_tables_kernels():
+    for name in modern.DEFAULT_WORKLOADS:
+        workload = get_workload(
+            name, FAST_TRACE_LENGTH, modern.SEED, footprint_mb=4
+        )
+        assert_map_kernels_match(
+            workload, "single", modern.DEFAULT_TABLES, True,
+            modern.sweep_buckets(workload.total_mapped_pages()),
+        )
+
+
+def test_kernel_equality_catches_clustered_nodes_in_vpbn_order(monkeypatch):
+    """A builder that creates clustered nodes in VPBN order, not in
+    creation order, reorders some Figure 11 hash chain (in 11b, where
+    base-page nodes precede the superpage nodes)."""
+    build = ClusteredKernel._build
+
+    def vpbn_order(kernel, columns, *costs):
+        rows = np.argsort(columns.vpn >> kernel.block_shift, kind="stable")
+        return build(kernel, columns.select(rows), *costs)
+
+    monkeypatch.setattr(ClusteredKernel, "_build", vpbn_order)
+    with pytest.raises(AssertionError):
+        for figure in sorted(fig11.SUBFIGURES):
+            assert_figure11_map_kernels_match(figure, ("clustered",))

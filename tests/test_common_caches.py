@@ -30,6 +30,10 @@ class TestMemoization:
         assert common.get_translation_map(workload, "single") is not (
             common.get_translation_map(workload, "superpage")
         )
+        # Both TLB kinds use base PTEs only: one policy, one map.
+        assert common.get_translation_map(workload, "single") is (
+            common.get_translation_map(workload, "complete-subblock")
+        )
 
     def test_miss_stream_identity_per_config(self):
         workload = common.get_workload("mp3d", 5_000)
