@@ -27,16 +27,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import List, Sequence, Tuple
 
-# Self-locating: runnable as `python benchmarks/bench_batch.py` from the
-# repository root without the root on sys.path.
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-
-from benchmarks.conftest import BENCH_WORKLOADS
 from repro.analysis.metrics import make_table
 from repro.experiments import common
 from repro.mmu.batch import replay_misses_batch
@@ -44,6 +38,9 @@ from repro.mmu.simulate import replay_misses
 
 #: Default output file (the CI artifact name).
 DEFAULT_OUT = "BENCH_batch.json"
+
+#: Workloads of the full sweep, one per density class.
+WORKLOADS = ("coral", "mp3d", "gcc")
 
 #: Figure 11 page-table series with batch kernels.
 TABLES = ("linear-1lvl", "forward-mapped", "hashed", "clustered")
@@ -95,7 +92,7 @@ def _check_equal(config: str, scalar, batch, scalar_stats, batch_stats) -> None:
 
 def collect(
     trace_length: int = 200_000,
-    workloads: Sequence[str] = BENCH_WORKLOADS,
+    workloads: Sequence[str] = WORKLOADS,
     tables: Sequence[str] = TABLES,
 ) -> dict:
     """Per-config scalar/batch timings as one JSON-ready document."""

@@ -575,8 +575,8 @@ def render_run_report(
                 lines.append("")
     if not bench_files:
         lines.append(
-            "*No `BENCH_*.json` in this run directory (benchmarks write "
-            "them separately).*"
+            "*No `BENCH_*.json` in this run directory (a run that "
+            "completes numa, tenancy or modern writes one here).*"
         )
         lines.append("")
 

@@ -17,16 +17,18 @@ Commands
     paper order).  Every id runs its :func:`runner_keys` through
     :func:`repro.experiments.runner.run_all`; ``claims`` judges the
     paper's claims on those results.  The ``numa`` study accepts
-    ``--topology`` (preset name or topology JSON file) and
-    ``--replication`` (policy subset); ``tenancy`` accepts
+    ``--topology`` (machine list: preset names or topology JSON files)
+    and ``--replication`` (policy subset); ``tenancy`` accepts
     ``--tenants`` (comma-separated populations, e.g.
     ``100,1000,10000``) and ``--churn`` (mode subset from
     ``static,churn``); ``modern`` accepts ``--footprint`` (MB list);
     both of the last two accept ``--tables``.  These restriction flags
     become the id's ``run_all`` cells, and any other id given one exits
-    2.  ``--workloads`` takes known names only, must name a modern model
-    for ``modern``, and is refused by the studies that pick their own;
-    ``claims`` and ``all`` refuse ``--chart``.
+    2.  A ``--run-dir`` run of these three ids, ``all`` included, also
+    writes each one's bench document, ``BENCH_<id>.json``, into the run
+    directory.  ``--workloads`` takes known names only, must name a
+    modern model for ``modern``, and is refused by the studies that pick
+    their own; ``claims`` and ``all`` refuse ``--chart``.
     ``--trace-out FILE`` records one structured event per page-table
     walk and exports the trace as JSON Lines, at any ``--jobs``: each
     successful task's events join the ring in completion order.
@@ -373,7 +375,7 @@ def _cells(
         return tuple(text.split(","))
 
     parsers = {  # dest → (the keyword of cells, parser of the flag's text)
-        "topology": ("topologies", lambda text: (text,)),
+        "topology": ("topologies", names),
         "replication": ("policies", names),
         "tenants": ("tenants", lambda text: tuple(map(int, text.split(",")))),
         "churn": ("churn_modes", tenancy.parse_churn),
@@ -683,9 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
         "as JSON Lines; works with any --jobs",
     )
     experiment.add_argument(
-        "--topology", metavar="NAME|FILE", default=None,
-        help="for 'numa': restrict to one machine (preset name or "
-        "topology JSON file)",
+        "--topology", metavar="MACHINES", default=None,
+        help="for 'numa': comma-separated machines, each a preset name "
+        "or topology JSON file (default 1-node,2-node,4-node,8-node)",
     )
     experiment.add_argument(
         "--replication", metavar="POLICIES", default=None,

@@ -23,7 +23,8 @@ grow.  Replays go through :func:`repro.experiments.common.replay`, so
 ``--engine batch`` and the persistent stream cache apply unchanged.
 
 The sweep is ordered :func:`cells`; :func:`measure` turns one into a
-JSON-safe record and :func:`merge` turns the records into the table.
+JSON-safe record and :func:`merge` turns the records into the table,
+which :func:`document` writes as the run's ``BENCH_modern.json``.
 The runner runs each cell as its own task; :func:`run` maps serially.
 """
 
@@ -207,6 +208,31 @@ def merge(records: Sequence[Dict[str, object]]) -> ExperimentResult:
         ),
         records=list(records),
     )
+
+
+def document(
+    result: ExperimentResult, trace_length: int, cells: Sequence[Dict]
+) -> Dict[str, object]:
+    """The sweep's bench document (``BENCH_modern.json``): the result's
+    rows for ``repro report``, and its records as the configs."""
+    return {
+        "benchmark": "modern",
+        "trace_length": trace_length,
+        "workloads": list(dict.fromkeys(cell["workload"] for cell in cells)),
+        "footprints": list(dict.fromkeys(
+            cell["footprint_mb"] for cell in cells
+        )),
+        "tables": list(dict.fromkeys(
+            name for cell in cells for name in cell["tables"]
+        )),
+        "seed": SEED,
+        "headers": [
+            "config", "mapped pages", "size vs hashed", "lines/miss",
+            "misses/1k",
+        ],
+        "rows": result.rows,
+        "configs": result.records,
+    }
 
 
 def run(

@@ -25,7 +25,8 @@ replay exactly: ``cycles == cache_lines x 90``.
 
 The sweep is ordered :func:`cells`, one per workload over every
 (table, topology, policy); :func:`measure` turns one into a JSON-safe
-record and :func:`merge` turns the records into the table.  The runner
+record and :func:`merge` turns the records into the table, which
+:func:`document` writes as the run's ``BENCH_numa.json``.  The runner
 runs each cell as its own task; :func:`run` maps serially.  Every
 replay starts from a freshly populated table and a fresh policy, so a
 cell's record depends only on the cell, the stateful ``migrate`` policy
@@ -205,6 +206,22 @@ def merge(records: Sequence[Dict[str, object]]) -> ExperimentResult:
         ),
         records=list(records),
     )
+
+
+def document(
+    result: ExperimentResult, trace_length: int, cells: Sequence[Dict]
+) -> Dict[str, object]:
+    """The sweep's bench document (``BENCH_numa.json``): one config per
+    (workload/table, nodes) row, keyed by the result's headers."""
+    return {
+        "benchmark": "numa",
+        "trace_length": trace_length,
+        "workloads": [cell["workload"] for cell in cells],
+        "topologies": list(dict.fromkeys(
+            machine["name"] for cell in cells for machine in cell["topologies"]
+        )),
+        "configs": [dict(zip(result.headers, row)) for row in result.rows],
+    }
 
 
 def run(

@@ -126,7 +126,9 @@ _SINGLE_STREAM_EXPERIMENTS = (
 
 #: Experiments that run as cells, one task each.  Each module provides
 #: ``cells(workloads)`` (its sweep), ``measure(cell, trace_length)``
-#: (one JSON-safe record) and ``merge(records)`` (the result).
+#: (one JSON-safe record), ``merge(records)`` (the result) and
+#: ``document(result, trace_length, cells)`` (the ``BENCH_<key>.json``
+#: a run with a run directory writes).
 CELLED = {"numa": numa, "tenancy": tenancy, "modern": modern}
 
 #: One cell of a celled experiment: JSON-safe, with a unique ``id``.
@@ -660,15 +662,18 @@ def _absorb_telemetry(metrics: RunMetrics, telemetry: TaskTelemetry) -> None:
         tracer.absorb(telemetry.tracer)
 
 
-def _write_run_artifacts(run_dir: str, metrics: RunMetrics) -> None:
-    """Persist ``metrics.json`` (and the walk profile) into the run dir.
+def _write_run_artifacts(
+    run_dir: str, metrics: RunMetrics, documents: Mapping[str, dict]
+) -> None:
+    """Persist ``metrics.json``, the walk profile and each celled
+    experiment's bench document (``BENCH_<key>.json``) into the run dir.
 
     Written on the success path only — a failed run keeps whatever the
     previous completed run left, rather than masking the failure with a
     half-true artefact.
     """
     from repro.resilience.journal import METRICS_NAME, PROFILE_NAME
-    from repro.util.atomic_io import atomic_writer
+    from repro.util.atomic_io import atomic_write_text, atomic_writer
 
     payload = {
         "metrics_version": 1,
@@ -682,6 +687,11 @@ def _write_run_artifacts(run_dir: str, metrics: RunMetrics) -> None:
         with atomic_writer(Path(run_dir) / PROFILE_NAME) as handle:
             json.dump(metrics.walk_profile.as_dict(), handle, sort_keys=True)
             handle.write("\n")
+    for key, document in documents.items():
+        atomic_write_text(
+            Path(run_dir) / f"BENCH_{key}.json",
+            json.dumps(document, indent=2, sort_keys=True) + "\n",
+        )
 
 
 def _sweeps(
@@ -751,7 +761,10 @@ def run_all(
     ``cells`` maps a :data:`CELLED` experiment to the cells to run in
     place of its own sweep.  Each cell is one task and one journal entry
     (a resume recomputes only missing cells), and the result carries the
-    cell records in sweep order (``ExperimentResult.records``).
+    cell records in sweep order (``ExperimentResult.records``).  A run
+    with a run directory that completes a celled experiment writes its
+    bench document there, ``BENCH_<key>.json``, the same bytes at any
+    ``jobs`` and after a resume.
     """
     keys = select_experiments(only)
     workloads = tuple(workloads) if workloads else None
@@ -864,7 +877,10 @@ def run_all(
         if profile:
             metrics.walk_profile.observe_into(metrics.registry)
     if cfg.run_dir:
-        _write_run_artifacts(cfg.run_dir, metrics)
+        _write_run_artifacts(cfg.run_dir, metrics, {
+            key: CELLED[key].document(results[key], trace_length, sweeps[key])
+            for key in results if key in CELLED
+        })
     return results
 
 

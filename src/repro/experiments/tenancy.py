@@ -21,7 +21,8 @@ entries/bucket sizing), so the sweep measures organisational structure,
 not a misconfigured hash size.
 
 The sweep is ordered :func:`cells`; :func:`measure` turns one into a
-JSON-safe record and :func:`merge` turns the records into the table.
+JSON-safe record and :func:`merge` turns the records into the table,
+which :func:`document` writes as the run's ``BENCH_tenancy.json``.
 The runner runs each cell as its own task; :func:`run` maps serially.
 """
 
@@ -42,10 +43,9 @@ from repro.tenancy.scheduler import TenancyResult, TenantScheduler
 #: the shallow forward-mapped tree a 64-bit OS might pick instead).
 DEFAULT_TABLES = ("hashed", "clustered", "forward-3lvl")
 
-#: Tenant populations of the runner-default sweep; the full CLI/bench
+#: Tenant populations of the runner-default sweep; the full bench
 #: sweep (``--tenants 100,1000,10000``) adds the 10k point.
 DEFAULT_TENANTS = (100, 1000)
-SWEEP_TENANTS = (100, 1000, 10000)
 
 #: Churn modes: static population vs 10%-per-slot tenant replacement.
 DEFAULT_CHURN = (0.0, 0.1)
@@ -158,13 +158,17 @@ def lines_per_miss(table: Dict[str, object]) -> float:
     return table["cache_lines"] / resolved if resolved else 0.0
 
 
+#: A table's cycle figures, in row order.
+_CYCLES = (
+    "p50_cycles", "p95_cycles", "p99_cycles", "worst_tenant_p99",
+    "mean_cycles",
+)
+
+
 def _row(record: Dict[str, object], table: Dict[str, object]) -> List:
     return [
         config_label(record, table),
-        *(round(table[name], 1) for name in (
-            "p50_cycles", "p95_cycles", "p99_cycles", "worst_tenant_p99",
-            "mean_cycles",
-        )),
+        *(round(table[name], 1) for name in _CYCLES),
         round(lines_per_miss(table), 3),
         round(1000.0 * table["refault_misses"] / table["misses"], 2),
         table["evicted_ptes"],
@@ -255,6 +259,66 @@ def merge(records: Sequence[Dict[str, object]]) -> ExperimentResult:
         ),
         records=list(records),
     )
+
+
+def _config(
+    record: Dict[str, object], table: Dict[str, object]
+) -> Dict[str, object]:
+    """One (table, tenants, churn) configuration of a cell record: the
+    table's numbers (cycles to three places), with lines/miss in place
+    of the raw line count."""
+    config = {
+        name: round(value, 3) if name in _CYCLES else value
+        for name, value in table.items()
+        if name not in ("faults", "cache_lines")
+    }
+    config.update(
+        config=config_label(record, table),
+        tenants=record["tenants"],
+        churn=record["churn"],
+        lines_per_miss=round(lines_per_miss(table), 4),
+    )
+    return config
+
+
+def document(
+    result: ExperimentResult, trace_length: int, cells: Sequence[Dict]
+) -> Dict[str, object]:
+    """The sweep's bench document (``BENCH_tenancy.json``): each (table,
+    tenants, churn) configuration of the records, plus the percentile
+    table ``repro report`` renders from ``headers``/``rows``."""
+    configs = [
+        _config(record, table)
+        for record in result.records
+        for table in record["tables"]
+    ]
+    return {
+        "benchmark": "tenancy",
+        "trace_length": trace_length,
+        "tables": list(dict.fromkeys(
+            name for cell in cells for name in cell["tables"]
+        )),
+        "tenants": list(dict.fromkeys(cell["tenants"] for cell in cells)),
+        "churn": list(dict.fromkeys(
+            churn_tag(cell["churn"]) for cell in cells
+        )),
+        "slots": SLOTS,
+        "footprint": FOOTPRINT,
+        "seed": SEED,
+        "headers": [
+            "config", "p50 cyc", "p95 cyc", "p99 cyc",
+            "worst-tenant p99", "mean cyc", "lines/miss",
+            "refault misses", "evicted PTEs",
+        ],
+        "rows": [
+            [config[name] for name in (
+                "config", *_CYCLES, "lines_per_miss", "refault_misses",
+                "evicted_ptes",
+            )]
+            for config in configs
+        ],
+        "configs": configs,
+    }
 
 
 def run(

@@ -13,9 +13,8 @@ wraps.
 
 The emission hook lives in :meth:`repro.pagetables.base.PageTable.lookup`
 and the ``lookup_block`` implementations; with no tracer installed it is
-one module-attribute check per walk, so tracing-disabled overhead on the
-micro benchmarks stays in the noise (<5 %, measured by
-``benchmarks/test_micro_bench.py::test_lookup_throughput_tracer_installed``).
+one module-attribute check per walk.  No benchmark times that check
+alone; the repository benchmark bounds untraced runs end to end.
 
 Correctness anchor (enforced by ``tests/test_trace_differential.py``):
 over a traced :func:`repro.mmu.simulate.replay_misses` run,

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.addr.layout import AddressLayout
 from repro.addr.space import AddressSpace
+
+
+def load_bench_gate():
+    """``benchmarks/bench_gate.py`` as a module (``benchmarks/`` holds
+    scripts, not a package)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_gate.py"
+    spec = importlib.util.spec_from_file_location("bench_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
-"""Celled experiments on the runner's scheduler, and the sweep benches.
+"""Celled experiments on the runner's scheduler, and their documents.
 
 numa, tenancy and modern declare their sweeps as ordered cells.  The
 runner runs each cell as its own task, journals it under a digest of
 the whole cell, and merges the experiment in sweep order when its last
-cell lands.  ``benchmarks/bench_numa.py``, ``bench_tenancy.py`` and
-``bench_modern.py`` run their sweeps through that scheduler and only
-build documents.
+cell lands.  A run with a run directory that completes one also writes
+its bench document there, ``BENCH_<id>.json``: ``repro experiment ID
+PRESET --run-dir DIR`` is the bench command line.
 """
 
 from __future__ import annotations
@@ -26,15 +26,9 @@ from repro.experiments.runner import (
 )
 from repro.obs.watch import PROGRESS_NAME, snapshot
 from repro.resilience.journal import METRICS_NAME, RunJournal
+from tests.conftest import load_bench_gate
 
 BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
-
-
-def _bench(name):
-    return pytest.importorskip(
-        f"benchmarks.{name}",
-        reason="benchmarks/ requires the repository root on sys.path",
-    )
 
 
 def _run_tenancy(tmp_path, tables, resume=False, jobs=1):
@@ -199,21 +193,64 @@ class TestCellJournal:
         ).rows
 
 
+#: The fast bench presets: each family's command line.
+PRESETS = {
+    "numa": ["--trace-length", "20000", "--workloads", "mp3d,gcc",
+             "--topology", "1-node,4-node"],
+    "tenancy": ["--trace-length", "20000", "--tenants", "100"],
+    "modern": ["--trace-length", "20000", "--footprint", "4,8"],
+}
+
+
+def _preset(name, *options):
+    """``repro experiment NAME`` at its fast preset, batch engine."""
+    return ["experiment", name, *PRESETS[name], "--engine", "batch", *options]
+
+
+class TestBenchDocument:
+    def test_an_interrupted_run_writes_no_document(
+        self, tmp_path, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            _interrupt_after(patch, tenancy, 1)
+            with pytest.raises(KeyboardInterrupt):
+                _run_tenancy(tmp_path, ("hashed",))
+        assert list(RunJournal(tmp_path).load().entries)
+        assert not list(tmp_path.glob("BENCH_*.json"))
+        result, _ = _run_tenancy(tmp_path, ("hashed",), resume=True)
+        document = json.loads((tmp_path / "BENCH_tenancy.json").read_text())
+        assert document == tenancy.document(
+            result, 2_000, tenancy.cells(tenants=(6,), tables=("hashed",))
+        )
+
+    def test_only_celled_experiments_write_documents(self, tmp_path):
+        run_all(
+            2_000, only=("table1", "numa"), workloads=("mp3d",),
+            cells={"numa": numa.cells(("mp3d",), **NUMA_SWEEP)},
+            resilience=ResilienceConfig(run_dir=str(tmp_path)),
+        )
+        assert [path.name for path in tmp_path.glob("BENCH_*.json")] == [
+            "BENCH_numa.json",
+        ]
+        document = json.loads((tmp_path / "BENCH_numa.json").read_text())
+        assert document["workloads"] == ["mp3d"]
+        assert document["topologies"] == ["1-node", "2-node"]
+
+
 class TestBenchCommandLine:
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
-        bench = _bench("bench_modern")
+        run_dir = tmp_path / "run"
         with pytest.raises(SystemExit) as exc:
-            bench.main(["--fast", "--jobs", "0",
-                        "--out", str(tmp_path / "out.json")])
+            cli_main(_preset("modern", "--jobs", "0",
+                             "--run-dir", str(run_dir)))
         assert exc.value.code == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
-        assert not (tmp_path / "out.json").exists()
+        assert not run_dir.exists()
 
     def test_resume_and_run_dir_must_agree(self, tmp_path, capsys):
-        bench = _bench("bench_tenancy")
         with pytest.raises(SystemExit) as exc:
-            bench.main(["--fast", "--resume", str(tmp_path / "a"),
-                        "--run-dir", str(tmp_path / "b")])
+            cli_main(_preset("tenancy", "--resume", str(tmp_path / "a"),
+                             "--run-dir", str(tmp_path / "b")))
         assert exc.value.code == 2
         assert "must agree" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
@@ -221,18 +258,14 @@ class TestBenchCommandLine:
     def test_interrupted_bench_exits_130_with_the_interrupt_line(
         self, tmp_path, monkeypatch, capsys
     ):
-        bench = _bench("bench_modern")
         _interrupt_after(monkeypatch, modern, 1)
-        out = tmp_path / "BENCH_modern.json"
         run_dir = tmp_path / "run"
-        code = bench.main(["--fast", "--run-dir", str(run_dir),
-                           "--out", str(out)])
-        assert code == 130
+        assert cli_main(_preset("modern", "--run-dir", str(run_dir))) == 130
         assert (
             f"[interrupted: 0/1 experiments completed; resume with "
             f"--resume {run_dir}]"
         ) in capsys.readouterr().out
-        assert not out.exists()
+        assert not list(run_dir.glob("BENCH_*.json"))
         assert snapshot(run_dir).state == "interrupted"
 
     @pytest.mark.parametrize("name, module, stop, total", [
@@ -240,76 +273,70 @@ class TestBenchCommandLine:
         ("tenancy", tenancy, 1, 2),
     ], ids=["modern", "tenancy"])
     def test_resumed_fast_sweep_matches_the_baseline(
-        self, name, module, stop, total, tmp_path, monkeypatch, capsys
+        self, name, module, stop, total, tmp_path, monkeypatch
     ):
-        bench = _bench(f"bench_{name}")
-        out = tmp_path / f"BENCH_{name}.json"
-        run_dir = str(tmp_path / "run")
+        run_dir = tmp_path / "run"
         with monkeypatch.context() as patch:
             _interrupt_after(patch, module, stop)
-            assert bench.main(["--fast", "--run-dir", run_dir,
-                               "--out", str(out)]) == 130
+            assert cli_main(_preset(name, "--run-dir", str(run_dir))) == 130
         calls = _count_cells(monkeypatch, module)
-        capsys.readouterr()
-        assert bench.main(["--fast", "--resume", run_dir,
-                           "--out", str(out)]) == 0
-        assert (
-            f"[{total - stop} cells computed, {stop} resumed"
-        ) in capsys.readouterr().out
+        assert cli_main(_preset(name, "--resume", str(run_dir))) == 0
         assert len(calls) == total - stop
         baseline = BASELINES / f"BENCH_{name}.json"
-        assert out.read_bytes() == baseline.read_bytes()
+        assert (run_dir / f"BENCH_{name}.json").read_bytes() == (
+            baseline.read_bytes()
+        )
 
     def test_resumed_fast_numa_sweep_matches_a_fresh_one(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch
     ):
         """The committed baseline's gcc rows differ from a fresh
         document (within the gate's 10%), so the resumed document is
         held to a fresh one byte for byte and to the baseline through
         the gate."""
-        bench, gate = _bench("bench_numa"), _bench("bench_gate")
-        fresh = tmp_path / "fresh.json"
-        assert bench.main(["--fast", "--out", str(fresh)]) == 0
-        out = tmp_path / "BENCH_numa.json"
-        run_dir = str(tmp_path / "run")
+        fresh, run_dir = tmp_path / "fresh", tmp_path / "run"
+        assert cli_main(_preset("numa", "--run-dir", str(fresh))) == 0
         with monkeypatch.context() as patch:
             _interrupt_after(patch, numa, 1)
-            assert bench.main(["--fast", "--run-dir", run_dir,
-                               "--out", str(out)]) == 130
+            assert cli_main(_preset("numa", "--run-dir", str(run_dir))) == 130
         calls = _count_cells(monkeypatch, numa)
-        capsys.readouterr()
-        assert bench.main(["--fast", "--resume", run_dir,
-                           "--out", str(out)]) == 0
-        assert "[1 cells computed, 1 resumed" in capsys.readouterr().out
+        assert cli_main(_preset("numa", "--resume", str(run_dir))) == 0
         assert calls == ["gcc"]
-        assert out.read_bytes() == fresh.read_bytes()
+        out = run_dir / "BENCH_numa.json"
+        assert out.read_bytes() == (fresh / "BENCH_numa.json").read_bytes()
         document = json.loads(out.read_text())
         baseline = json.loads((BASELINES / "BENCH_numa.json").read_text())
         for key in ("benchmark", "trace_length", "workloads", "topologies"):
             assert document[key] == baseline[key]
         assert "wall_seconds" not in document
-        assert gate.main(["--family", f"numa={out}"]) == 0
+        assert load_bench_gate().main(["--family", f"numa={out}"]) == 0
 
     def test_finished_bench_run_dir_is_a_finished_run(self, tmp_path, capsys):
-        bench = _bench("bench_modern")
         run_dir = tmp_path / "run"
-        bench.collect(trace_length=2_000, footprints=(2,),
-                      run_dir=str(run_dir))
+        assert cli_main([
+            "experiment", "modern", "--trace-length", "2000",
+            "--footprint", "2", "--engine", "batch", "--run-dir", str(run_dir),
+        ]) == 0
+        capsys.readouterr()
         assert cli_main(["watch", str(run_dir), "--once"]) == 0
         assert "state=finished" in capsys.readouterr().out
         assert (run_dir / METRICS_NAME).exists()
         assert cli_main(["report", str(run_dir)]) == 0
-        assert f"No `{METRICS_NAME}`" not in capsys.readouterr().out
+        report = capsys.readouterr().out
+        assert f"No `{METRICS_NAME}`" not in report
+        assert "BENCH_modern.json" in report
 
     def test_journaled_elapsed_is_each_cells_own_time(self, tmp_path):
         """Under --jobs 2, at most two cells run at once, so their own
         times sum to at most twice the sweep's wall time.  Times since
         the sweep began would sum to far more."""
-        bench = _bench("bench_modern")
         run_dir = tmp_path / "run"
         started = time.perf_counter()
-        bench.collect(trace_length=2_000, footprints=(2, 3), jobs=2,
-                      run_dir=str(run_dir))
+        assert cli_main([
+            "experiment", "modern", "--trace-length", "2000",
+            "--footprint", "2,3", "--engine", "batch", "--jobs", "2",
+            "--run-dir", str(run_dir),
+        ]) == 0
         wall = time.perf_counter() - started
         entries = RunJournal(run_dir).load().entries.values()
         assert len(entries) == 8

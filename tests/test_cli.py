@@ -142,6 +142,7 @@ class TestExperimentFlags:
         ("modern", "--footprint", "nan"),
         ("modern", "--footprint", "x"),
         ("numa", "--topology", "nowhere"),
+        ("numa", "--topology", "1-node,nowhere"),
         ("numa", "--replication", "bogus"),
     ])
     def test_bad_restriction_value_is_a_usage_error(
@@ -157,6 +158,23 @@ class TestExperimentFlags:
             main(["experiment", exp_id, flag, value])
         assert exc.value.code == 2
         assert f"error: {flag}: " in capsys.readouterr().err
+
+    def test_topology_takes_a_machine_list(self, monkeypatch):
+        from repro.experiments import runner
+
+        swept = {}
+
+        def run_all(*args, cells, **kwargs):
+            swept.update(cells)
+            return {}
+
+        monkeypatch.setattr(runner, "run_all", run_all)
+        assert main(["experiment", "numa", "--workloads", "mp3d",
+                     "--topology", "1-node,4-node"]) == 0
+        (cell,) = swept["numa"]
+        assert [machine["name"] for machine in cell["topologies"]] == [
+            "1-node", "4-node",
+        ]
 
     @pytest.mark.parametrize("exp_id", [
         "sensitivity", "multisize", "sasos", "pressure", "tenancy", "claims",

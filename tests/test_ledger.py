@@ -10,9 +10,7 @@ a sabotage pass proving a doctored regression trips
 through the committed-baseline fallback.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -30,17 +28,7 @@ from repro.obs.ledger import (
     rows_from_run_dir,
 )
 from repro.resilience.journal import METRICS_NAME, REPORT_SIDECAR_NAME
-
-
-def _load_bench_gate():
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "benchmarks" / "bench_gate.py"
-    )
-    spec = importlib.util.spec_from_file_location("bench_gate", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tests.conftest import load_bench_gate
 
 
 NUMA_DOC = {
@@ -147,15 +135,19 @@ class TestFlattening:
 
 
 class TestJobsInvariance:
-    def test_bench_modern_rows_identical_across_jobs(self):
-        bench = pytest.importorskip(
-            "benchmarks.bench_modern",
-            reason="benchmarks/ requires the repository root on sys.path",
-        )
+    def test_bench_modern_rows_identical_across_jobs(self, tmp_path):
+        from repro.cli import main
+
         stamp = Stamp(git_sha="abc123", engine="batch")
         serialized = {}
         for jobs in (1, 4):
-            doc = bench.collect(trace_length=2_000, footprints=(2,), jobs=jobs)
+            run_dir = tmp_path / f"jobs{jobs}"
+            assert main([
+                "experiment", "modern", "--trace-length", "2000",
+                "--footprint", "2", "--engine", "batch", "--jobs", str(jobs),
+                "--run-dir", str(run_dir),
+            ]) == 0
+            doc = json.loads((run_dir / "BENCH_modern.json").read_text())
             rows = rows_from_bench(doc, stamp=stamp)
             serialized[jobs] = json.dumps(
                 [r.as_dict() for r in rows], sort_keys=True
@@ -365,7 +357,7 @@ class TestGateSabotage:
     def test_band_gate_trips_on_doctored_regression(
         self, tmp_path, baseline_dir, capsys
     ):
-        gate = _load_bench_gate()
+        gate = load_bench_gate()
         ledger_path = tmp_path / "ledger.jsonl"
         ledger = BenchLedger(ledger_path)
         for jobs in (1, 2, 3):
@@ -386,7 +378,7 @@ class TestGateSabotage:
     def test_baseline_fallback_trips_without_history(
         self, tmp_path, baseline_dir, capsys
     ):
-        gate = _load_bench_gate()
+        gate = load_bench_gate()
         doctored = self._doctor(tmp_path, 1.5)
         rc = gate.main([
             "--family", f"tenancy={doctored}",
@@ -402,7 +394,7 @@ class TestGateSabotage:
     def test_clean_document_passes_and_records(
         self, tmp_path, baseline_dir, capsys
     ):
-        gate = _load_bench_gate()
+        gate = load_bench_gate()
         ledger_path = tmp_path / "ledger.jsonl"
         fresh = tmp_path / "BENCH_tenancy_fresh.json"
         fresh.write_text(json.dumps(TENANCY_DOC))
@@ -420,7 +412,7 @@ class TestGateSabotage:
     def test_improvement_records_band_resetting_event(
         self, tmp_path, baseline_dir, capsys
     ):
-        gate = _load_bench_gate()
+        gate = load_bench_gate()
         ledger_path = tmp_path / "ledger.jsonl"
         improved = self._doctor(tmp_path, 0.5)
         rc = gate.main([
@@ -440,7 +432,7 @@ class TestGateSabotage:
     def test_trace_length_mismatch_refuses_the_baseline(
         self, tmp_path, baseline_dir, capsys
     ):
-        gate = _load_bench_gate()
+        gate = load_bench_gate()
         doc = json.loads(json.dumps(TENANCY_DOC))
         doc["trace_length"] = 777
         fresh = tmp_path / "BENCH_tenancy_fresh.json"
@@ -459,7 +451,7 @@ class TestGateSabotage:
         self, tmp_path, baseline_dir, capsys
     ):
         """Bands need no baseline, so its trace length does not matter."""
-        gate = _load_bench_gate()
+        gate = load_bench_gate()
         doc = json.loads(json.dumps(TENANCY_DOC))
         doc["trace_length"] = 777
         ledger_path = tmp_path / "ledger.jsonl"
@@ -482,7 +474,7 @@ class TestGateSabotage:
     def test_batch_family_enforces_the_speedup_floor(
         self, tmp_path, capsys, aggregate, expected
     ):
-        gate = _load_bench_gate()
+        gate = load_bench_gate()
         doc = {
             "benchmark": "batch",
             "trace_length": 500,

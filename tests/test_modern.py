@@ -10,8 +10,8 @@ The load-bearing guarantees:
   suite loader (``load_workload(name, footprint_mb=...)``), the
   experiment caches, and the CLI, without perturbing paper workloads.
 - **Determinism** — the sweep's rows match between the scalar and batch
-  engines, and ``benchmarks/bench_modern.py`` produces an identical
-  document at any ``--jobs``.
+  engines, and ``repro experiment modern --run-dir DIR`` writes an
+  identical ``BENCH_modern.json`` at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
 from repro.experiments import modern as modern_experiment
 from repro.experiments.common import clear_caches, configure_engine
@@ -196,36 +197,29 @@ class TestExperiment:
 # ---------------------------------------------------------------------------
 # Bench artifact determinism
 # ---------------------------------------------------------------------------
+#: A small modern sweep under the bench's engine.
+SMALL_SWEEP = ["experiment", "modern", "--trace-length", "2000",
+               "--footprint", "2", "--engine", "batch"]
+
+
 class TestBench:
-    def test_bench_document_is_jobs_invariant(self):
-        bench = pytest.importorskip(
-            "benchmarks.bench_modern",
-            reason="benchmarks/ requires the repository root on sys.path",
-        )
-        docs = {
-            jobs: bench.collect(
-                trace_length=2_000, footprints=(2,), jobs=jobs
-            )
-            for jobs in (1, 4)
-        }
-        assert json.dumps(docs[1], sort_keys=True) == json.dumps(
-            docs[4], sort_keys=True
-        )
-        assert len(docs[1]["rows"]) == len(MODERN_WORKLOADS) * len(
-            modern_experiment.DEFAULT_TABLES
-        )
+    def test_bench_document_is_jobs_invariant(self, tmp_path):
+        documents = {}
+        for jobs in (1, 4):
+            run_dir = tmp_path / f"jobs{jobs}"
+            assert cli_main([*SMALL_SWEEP, "--jobs", str(jobs),
+                             "--run-dir", str(run_dir)]) == 0
+            documents[jobs] = (run_dir / "BENCH_modern.json").read_bytes()
+        assert documents[1] == documents[4]
+        assert len(json.loads(documents[1])["rows"]) == len(
+            MODERN_WORKLOADS
+        ) * len(modern_experiment.DEFAULT_TABLES)
 
     def test_bench_resume_reuses_journal(self, tmp_path):
-        bench = pytest.importorskip(
-            "benchmarks.bench_modern",
-            reason="benchmarks/ requires the repository root on sys.path",
-        )
         run_dir = tmp_path / "bench-run"
-        fresh = bench.collect(
-            trace_length=2_000, footprints=(2,), run_dir=str(run_dir)
-        )
-        resumed = bench.collect(
-            trace_length=2_000, footprints=(2,), run_dir=str(run_dir),
-            resume=True,
-        )
-        assert fresh == resumed
+        assert cli_main([*SMALL_SWEEP, "--run-dir", str(run_dir)]) == 0
+        fresh = (run_dir / "BENCH_modern.json").read_bytes()
+        journal = (run_dir / "journal.jsonl").read_text()
+        assert cli_main([*SMALL_SWEEP, "--resume", str(run_dir)]) == 0
+        assert (run_dir / "journal.jsonl").read_text() == journal
+        assert (run_dir / "BENCH_modern.json").read_bytes() == fresh

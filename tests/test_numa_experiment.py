@@ -48,6 +48,10 @@ def test_single_node_rows_are_the_degenerate_control(result):
 
 def test_mitosis_beats_first_touch_on_four_nodes(result):
     """The acceptance bar: replication wins for hashed AND clustered."""
+    for row in result.rows:
+        record = dict(zip(result.headers, row))
+        if record["nodes"] > 1:
+            assert record["mitosis cyc/miss"] <= record["none cyc/miss"], row
     for table in ("hashed", "clustered"):
         record = next(
             dict(zip(result.headers, row)) for row in result.rows

@@ -4,10 +4,8 @@ tracer differential, ``repro.cli report`` / ``metrics RUN_DIR``, and the
 bench-gate sidecar validator — asserted against the same run directory.
 """
 
-import importlib.util
 import json
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +26,7 @@ from repro.resilience.journal import (
     REPORT_SIDECAR_NAME,
     TRACE_NAME,
 )
+from tests.conftest import load_bench_gate
 
 SUBSET = ("table1", "fig11d")
 WORKLOADS = ("mp3d",)
@@ -273,20 +272,9 @@ class TestReportCli:
         assert "no" in capsys.readouterr().out.lower()
 
 
-def _load_bench_gate():
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "benchmarks" / "bench_gate.py"
-    )
-    spec = importlib.util.spec_from_file_location("bench_gate", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestSidecarGate:
     def test_real_sidecar_validates(self, profiled_run):
-        gate = _load_bench_gate()
+        gate = load_bench_gate()
         assert cli.main(["report", str(profiled_run.run_dir)]) == 0
         sidecar = json.loads(
             (profiled_run.run_dir / REPORT_SIDECAR_NAME).read_text()
@@ -298,7 +286,7 @@ class TestSidecarGate:
         ) == 0
 
     def test_malformed_sidecars_are_rejected(self, tmp_path):
-        gate = _load_bench_gate()
+        gate = load_bench_gate()
         assert gate.validate_report_sidecar([]) != []
         assert any(
             "report_version" in problem

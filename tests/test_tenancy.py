@@ -7,9 +7,9 @@ The two load-bearing guarantees:
   sums, identical table walk stats, identical attached
   registry/profile aggregates.  The scheduler machinery (slot slicing,
   TLB seeding, arena bookkeeping) must add zero walk cost.
-- **Determinism** — ``benchmarks/bench_tenancy.py`` produces the same
-  document for the same seed at any ``--jobs``, so the CI artifact can
-  be diffed across runs.
+- **Determinism** — ``repro experiment tenancy --run-dir DIR`` writes
+  the same ``BENCH_tenancy.json`` for the same seed at any ``--jobs``,
+  so the CI artifact can be diffed across runs.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import make_table
+from repro.cli import main as cli_main
 from repro.experiments import tenancy
 from repro.experiments.common import configure_engine, replay
 from repro.obs.metrics import get_registry
@@ -262,6 +263,11 @@ class TestOneTenantDifferential:
 # ---------------------------------------------------------------------------
 # Engine parity and sweep determinism
 # ---------------------------------------------------------------------------
+#: A small tenancy sweep under the bench's engine.
+SMALL_SWEEP = ["experiment", "tenancy", "--trace-length", "3000",
+               "--engine", "batch"]
+
+
 class TestDeterminism:
     def test_scalar_and_batch_rows_match(self):
         numbers = {}
@@ -289,33 +295,24 @@ class TestDeterminism:
         )
         assert tenancy.run(**kwargs).rows == tenancy.run(**kwargs).rows
 
-    def test_bench_document_is_jobs_invariant(self):
-        bench = pytest.importorskip(
-            "benchmarks.bench_tenancy",
-            reason="benchmarks/ requires the repository root on sys.path",
-        )
-        docs = {
-            jobs: bench.collect(trace_length=3_000, tenants=(20,), jobs=jobs)
-            for jobs in (1, 4)
-        }
-        assert json.dumps(docs[1], sort_keys=True) == json.dumps(
-            docs[4], sort_keys=True
-        )
-        assert len(docs[1]["rows"]) == len(
+    def test_bench_document_is_jobs_invariant(self, tmp_path):
+        documents = {}
+        for jobs in (1, 4):
+            run_dir = tmp_path / f"jobs{jobs}"
+            assert cli_main([*SMALL_SWEEP, "--tenants", "20", "--jobs",
+                             str(jobs), "--run-dir", str(run_dir)]) == 0
+            documents[jobs] = (run_dir / "BENCH_tenancy.json").read_bytes()
+        assert documents[1] == documents[4]
+        assert len(json.loads(documents[1])["rows"]) == len(
             tenancy.DEFAULT_TABLES
         ) * len(tenancy.DEFAULT_CHURN)
 
     def test_bench_resume_reuses_journal(self, tmp_path):
-        bench = pytest.importorskip(
-            "benchmarks.bench_tenancy",
-            reason="benchmarks/ requires the repository root on sys.path",
-        )
         run_dir = tmp_path / "bench-run"
-        fresh = bench.collect(
-            trace_length=3_000, tenants=(6,), run_dir=str(run_dir)
-        )
-        resumed = bench.collect(
-            trace_length=3_000, tenants=(6,), run_dir=str(run_dir),
-            resume=True,
-        )
-        assert fresh == resumed
+        sweep = [*SMALL_SWEEP, "--tenants", "6"]
+        assert cli_main([*sweep, "--run-dir", str(run_dir)]) == 0
+        fresh = (run_dir / "BENCH_tenancy.json").read_bytes()
+        journal = (run_dir / "journal.jsonl").read_text()
+        assert cli_main([*sweep, "--resume", str(run_dir)]) == 0
+        assert (run_dir / "journal.jsonl").read_text() == journal
+        assert (run_dir / "BENCH_tenancy.json").read_bytes() == fresh
