@@ -139,7 +139,7 @@ def stream_cache_key(
 def save_stream(stream: MissStream, path: os.PathLike) -> Path:
     """Write one stream as a ``.npz`` artefact (atomically) and return its path."""
     target = Path(path)
-    fault_point("cache.store_stream", key=str(target))
+    fault_point("cache.store_stream")
     meta = {
         "schema": SCHEMA_VERSION,
         "trace_name": stream.trace_name,
@@ -162,7 +162,7 @@ def save_stream(stream: MissStream, path: os.PathLike) -> Path:
         )
     # Chaos hook: flips a byte of the *landed* artefact, modelling the
     # bit rot the load-side validation must evict, never mis-answer.
-    fault_point("cache.artifact_stored", key=str(target), path=target)
+    fault_point("cache.artifact_stored", path=target)
     return target
 
 
@@ -176,7 +176,7 @@ def load_stream(path: os.PathLike) -> MissStream:
     would silently evict-and-recompute around a real operational
     problem.
     """
-    fault_point("cache.load_stream", key=str(path))
+    fault_point("cache.load_stream")
     try:
         with np.load(path) as archive:
             payload = {name: archive[name] for name in archive.files}

@@ -46,8 +46,8 @@ Commands
 ``compare WORKLOAD`` / ``compare RUN_A RUN_B`` / ``compare OLD.json NEW.json``
     With one workload name: quick both-metrics shoot-out.  With two run
     directories: a cross-run delta table over every (family, config,
-    metric) the two runs share (metrics.json, report.json walk profile,
-    and any ``BENCH_*.json``).  With two ``experiment all --json``
+    metric) the two runs share (metrics.json, walk_profile.json, and
+    any ``BENCH_*.json``).  With two ``experiment all --json``
     exports: every numeric cell that drifted by 2% or more (exit 1 on
     any drift).
 ``trend [--ledger FILE] [--family F] [--last N] [--all]``
@@ -773,8 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--fault-plan", metavar="FILE", default=None,
-        help="arm a JSON fault-injection plan in the runner and every "
-        "worker (chaos testing only)",
+        help="arm a JSON fault-injection plan in every task attempt "
+        "(chaos testing only)",
     )
 
     metrics = sub.add_parser(

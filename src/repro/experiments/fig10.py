@@ -11,17 +11,15 @@ stay above the clustered variants.  Linear and forward-mapped tables get
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import make_table
+from repro.analysis.metrics import table_sizes
 from repro.experiments.common import (
     ExperimentResult,
     SIZE_WORKLOADS,
     get_workload,
 )
 from repro.os.promotion import DynamicPageSizePolicy
-from repro.os.translation_map import TranslationMap
-from repro.workloads.suite import Workload
 
 #: Figure 10 series: (label, table name, policy, base_pages_only).
 _SUPERPAGE_POLICY = DynamicPageSizePolicy(enable_subblocks=False)
@@ -37,17 +35,6 @@ SERIES = (
 )
 
 
-def _series_size(workload: Workload, table_name: str, policy, base_only: bool,
-                 num_buckets: int) -> int:
-    total = 0
-    for space in workload.spaces:
-        tmap = TranslationMap.from_space(space, policy)
-        table = make_table(table_name, num_buckets=num_buckets)
-        tmap.populate(table, base_pages_only=base_only)
-        total += table.size_bytes()
-    return total
-
-
 def run(
     workloads: Optional[Sequence[str]] = None,
     num_buckets: int = 4096,
@@ -55,13 +42,20 @@ def run(
     """Regenerate Figure 10's normalised sizes."""
     rows: List[List] = []
     labels = [label for label, *_ in SERIES]
+    # Series sized from the same translation maps: one group per
+    # (policy, base_pages_only), so each space's map is built per group.
+    groups: Dict[tuple, List[Tuple[str, str]]] = {}
+    for label, table_name, policy, base_only in SERIES:
+        groups.setdefault((policy, base_only), []).append((label, table_name))
     for name in workloads or SIZE_WORKLOADS:
-        workload = get_workload(name)
+        spaces = get_workload(name).spaces
         sizes: Dict[str, int] = {}
-        for label, table_name, policy, base_only in SERIES:
-            sizes[label] = _series_size(
-                workload, table_name, policy, base_only, num_buckets
+        for (policy, base_only), group in groups.items():
+            totals = table_sizes(
+                spaces, [table_name for _, table_name in group], policy,
+                num_buckets=num_buckets, base_pages_only=base_only,
             )
+            sizes.update((label, totals[table]) for label, table in group)
         denom = sizes["hashed"]
         rows.append(
             [name, *(round(sizes[label] / denom, 3) for label in labels)]

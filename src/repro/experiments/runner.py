@@ -70,9 +70,9 @@ from repro.obs.spans import SpanRecord, record_span
 from repro.obs.watch import DEFAULT_HEARTBEAT_INTERVAL, ProgressTracker
 from repro.resilience.faults import (
     FaultPlan,
-    active_plan_seed,
     fault_point,
     inject,
+    mark_worker_process,
 )
 from repro.resilience.journal import RunJournal, task_digest
 from repro.resilience.retry import (
@@ -233,34 +233,18 @@ def stream_prewarm_plan(
 # ---------------------------------------------------------------------------
 # Task entry point (module-level: picklable by the process pool)
 # ---------------------------------------------------------------------------
-def _worker_init(
-    cache_dir: Optional[str],
-    fault_plan: Optional[FaultPlan] = None,
-    engine: str = "scalar",
-) -> None:
+def _worker_init(cache_dir: Optional[str], engine: str = "scalar") -> None:
     """Per-worker setup: fresh memo caches, shared persistent cache.
 
     The parent's replay-engine selection is re-applied here (the flag is
     process-wide state), so ``--engine batch --jobs N`` replays batched
-    in every worker.  A fault plan, when active in the parent, is
-    re-installed so injected crashes and hangs land inside real workers.
+    in every worker.  The worker is flagged as one, so an injected
+    ``sigint`` signals the runner.
     """
     common.clear_caches()
     common.configure_stream_cache(cache_dir)
     common.configure_engine(engine)
-    from repro.resilience.faults import (
-        clear_plan,
-        install_plan,
-        mark_worker_process,
-    )
-
     mark_worker_process()
-    if fault_plan is not None:
-        install_plan(fault_plan)
-    else:
-        # A fork-started worker inherits the parent's injector state;
-        # without an explicit plan the worker must run fault-free.
-        clear_plan()
 
 
 @dataclass
@@ -283,13 +267,22 @@ class TaskTelemetry:
 
 
 @contextmanager
-def _task_scope(label: str, stage: str, ring: Optional[int]):
-    """Telemetry scope around one task; yields its :class:`TaskTelemetry`.
+def _task_scope(
+    label: str,
+    stage: str,
+    ring: Optional[int],
+    plan: Optional[FaultPlan],
+    attempt: int,
+):
+    """Telemetry and fault scope around one task attempt; yields its
+    :class:`TaskTelemetry`.
 
-    In the runner's process as in a pool worker, the task counts into a
-    fresh registry and records its spans, under a ``task:<label>``
-    span, into a fresh recorder.  Unless ``ring`` is ``None`` it traces
-    its walks into a fresh tracer too: ``ring`` is the capacity of the
+    In the runner's process as in a pool worker, the attempt counts into
+    a fresh registry and records its spans, under a ``task:<label>``
+    span, into a fresh recorder, and exactly the run's fault ``plan`` is
+    armed for it (nothing without one), counting its visits from this
+    attempt's first.  Unless ``ring`` is ``None`` it traces its walks
+    into a fresh tracer too: ``ring`` is the capacity of the
     ``--trace-out`` ring that takes the tracer's events, or ``0`` when
     only the run's walk profile wants the walks (the tracer then keeps
     a one-event ring, and only its profile leaves the task).
@@ -298,8 +291,9 @@ def _task_scope(label: str, stage: str, ring: Optional[int]):
     registry = MetricsRegistry()
     walks = nullcontext() if ring is None else _trace.trace_walks(ring or 1)
     with use_registry(registry), _spans.record_spans() as recorder:
-        with walks as tracer, record_span(f"task:{label}", category=stage):
-            yield telemetry
+        with inject(plan, label, attempt), walks as tracer:
+            with record_span(f"task:{label}", category=stage):
+                yield telemetry
     telemetry.state = registry.state()
     telemetry.spans = recorder.spans
     if tracer is not None:
@@ -326,6 +320,7 @@ def _run_task(
     workloads: Optional[Tuple[str, ...]],
     attempt: int = 1,
     ring: Optional[int] = None,
+    plan: Optional[FaultPlan] = None,
 ) -> Tuple[object, float, TaskTelemetry]:
     """One task of either stage, in a pool worker or in the runner.
 
@@ -338,10 +333,11 @@ def _run_task(
     same process — keeping the accounting identical across ``--jobs``.
     Without one there is no traffic anyway, and ``--jobs 1``
     experiments keep sharing in-process streams.  ``ring`` says how the
-    task traces its walks (:func:`_task_scope`).
+    task traces its walks, and ``plan`` is the run's fault plan, armed
+    for this ``attempt`` (:func:`_task_scope`).
     """
-    with _task_scope(label, stage, ring) as telemetry:
-        fault_point(f"runner.{stage}", key=label, attempt=attempt)
+    with _task_scope(label, stage, ring, plan, attempt) as telemetry:
+        fault_point(f"runner.{stage}")
         if common.stream_cache() is not None:
             common.clear_stream_memo()
         started = time.perf_counter()
@@ -393,7 +389,7 @@ class FailureRecord:
     error_type: str
     message: str
     attempts: int
-    seed: Optional[int] = None  # active fault-plan seed, if any
+    seed: Optional[int] = None  # the run's fault-plan seed, if any
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -425,7 +421,7 @@ class ResilienceConfig:
     run_dir: Optional[str] = None
     #: Skip experiments already journaled (with matching digests).
     resume: bool = False
-    #: Fault plan to arm in this process and every worker (tests/chaos).
+    #: Fault plan every task attempt arms (tests/chaos).
     fault_plan: Optional[FaultPlan] = None
 
 
@@ -469,8 +465,10 @@ def _record_failure(
     label: str,
     stage: str,
     exc: BaseException,
+    seed: Optional[int],
 ) -> FailureRecord:
-    """Append one permanent failure to the manifest (and the journal)."""
+    """Append one permanent failure to the manifest (and the journal);
+    ``seed`` is the run's fault-plan seed."""
     record = FailureRecord(
         key=str(label),
         stage=stage,
@@ -478,7 +476,7 @@ def _record_failure(
         error_type=type(exc).__name__,
         message=str(exc),
         attempts=max(1, len(getattr(exc, "retry_history", ()))),
-        seed=active_plan_seed(),
+        seed=seed,
     )
     metrics.failures.append(record)
     metrics.registry.inc("runner.task_failures", experiment=str(label))
@@ -739,9 +737,10 @@ def run_all(
     config for retries, timeouts, checkpoint/resume, and keep-going
     degradation (the default is the historical fail-fast behaviour).
 
-    Every task, in this process or a worker, counts into a fresh
-    registry, records its spans into a fresh recorder and, when the run
-    wants them, its walks into a fresh tracer.  The runner folds them
+    Every task attempt, in this process or a worker, counts into a fresh
+    registry, records its spans into a fresh recorder, arms the
+    resilience config's fault plan afresh and, when the run wants them,
+    traces its walks into a fresh tracer.  The runner folds them
     into the run's when the task succeeds and drops them when it fails,
     at every ``jobs``.  ``profile=True`` turns on the run profiler: a
     span recorder covers the whole run (exported via ``--profile-out``),
@@ -833,11 +832,8 @@ def run_all(
             for key in resumed:
                 tracker.skip(key)
 
-        fault_scope = (
-            inject(cfg.fault_plan) if cfg.fault_plan else nullcontext()
-        )
         try:
-            with fault_scope, use_registry(metrics.registry):
+            with use_registry(metrics.registry):
                 if pending:
                     _run_stages(
                         pending, trace_length, cache_dir, workloads,
@@ -973,7 +969,10 @@ def _drain(
             task.history + [AttemptRecord(task.attempts, repr(exc), 0.0)]
         )
         if cfg.keep_going:
-            _record_failure(metrics, journal, task.label, task.stage, exc)
+            _record_failure(
+                metrics, journal, task.label, task.stage, exc,
+                cfg.fault_plan.seed if cfg.fault_plan else None,
+            )
             return None
         return exc
 
@@ -1102,7 +1101,7 @@ def _run_stages(
         return ProcessPoolExecutor(
             max_workers=metrics.jobs,
             initializer=_worker_init,
-            initargs=(cache_dir, cfg.fault_plan, common.active_engine()),
+            initargs=(cache_dir, common.active_engine()),
         )
 
     registry = metrics.registry
@@ -1141,7 +1140,7 @@ def _run_stages(
     def submit(pool: Executor, task: _Task) -> Future:
         return pool.submit(
             _run_task, task.stage, task.key, task.label, trace_length,
-            workloads, task.attempts, ring,
+            workloads, task.attempts, ring, cfg.fault_plan,
         )
 
     def on_success(task: _Task, value) -> None:
@@ -1200,3 +1199,6 @@ def _run_stages(
     # Deterministic merge: paper order, not completion order.
     order = {key: index for index, key in enumerate(EXPERIMENT_ORDER)}
     metrics.timings.sort(key=lambda t: order.get(t.key, len(order)))
+    # The failure manifest too, in task order.
+    labels = [task.label for _, tasks in stages for task in tasks]
+    metrics.failures.sort(key=lambda record: labels.index(record.key))

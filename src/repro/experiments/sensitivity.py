@@ -25,6 +25,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.addr.layout import AddressLayout
+from repro.analysis.metrics import table_sizes
 from repro.core.clustered import ClusteredPageTable
 from repro.experiments.common import (
     ExperimentResult,
@@ -97,24 +98,18 @@ def subblock_factor_sweep(
         layout = AddressLayout(subblock_factor=s)
         workload = load_workload(workload_name, layout=layout, with_trace=False)
         total_pages = workload.total_mapped_pages()
-        clustered_bytes = 0
-        hashed_bytes = 0
-        populations: List[float] = []
-        for space in workload.spaces:
-            tmap = TranslationMap.from_space(space)
-            table = ClusteredPageTable(layout)
-            tmap.populate(table, base_pages_only=True)
-            clustered_bytes += table.size_bytes()
-            hashed = HashedPageTable(layout)
-            tmap.populate(hashed, base_pages_only=True)
-            hashed_bytes += hashed.size_bytes()
-            populations.append(space.mean_block_population())
+        sizes = table_sizes(
+            workload.spaces, ("clustered", "hashed"), layout=layout
+        )
+        populations = [
+            space.mean_block_population() for space in workload.spaces
+        ]
         rows.append(
             [
                 f"s={s}",
                 total_pages,
-                clustered_bytes,
-                round(clustered_bytes / hashed_bytes, 3),
+                sizes["clustered"],
+                round(sizes["clustered"] / sizes["hashed"], 3),
                 round(sum(populations) / len(populations), 2),
             ]
         )

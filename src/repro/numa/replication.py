@@ -153,11 +153,6 @@ class ReplicatedPageTable:
             )
         )
 
-    def populate(self, space) -> None:
-        """Insert an address-space snapshot into every replica."""
-        for vpn, mapping in space.items():
-            self.insert(vpn, mapping.ppn, mapping.attrs)
-
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------

@@ -384,7 +384,7 @@ _RUN_SUMMARY_METRICS = (
     "prewarm_seconds", "task_retries", "task_timeouts", "resumed_skips",
 )
 
-#: ``report.json`` per-table walk-profile scalars worth trending.
+#: ``walk_profile.json`` per-table scalars worth trending.
 _PROFILE_METRICS = ("walks", "faults", "total_lines", "total_probes")
 
 
@@ -395,14 +395,15 @@ def rows_from_run_dir(
 
     Ingests the ``metrics.json`` run summary (family ``run``: wall
     seconds and utilisation at config ``*``, per-experiment task seconds
-    — the history ``repro watch`` derives ETAs from), the ``report.json``
-    sidecar's walk profile (family ``profile``), and every
+    — the history ``repro watch`` derives ETAs from), the walk profile
+    of ``walk_profile.json`` (family ``profile``), and every
     ``BENCH_*.json`` found inside the directory.  Absent artefacts are
     skipped silently — a run dir always yields whatever it can.
     """
+    from repro.obs.profile import WalkProfile
     from repro.resilience.journal import (
         METRICS_NAME,
-        REPORT_SIDECAR_NAME,
+        PROFILE_NAME,
         RunJournal,
     )
 
@@ -452,30 +453,24 @@ def rows_from_run_dir(
                 ):
                     rows.append(run_row(key, metric, float(value)))
 
-    sidecar_path = root / REPORT_SIDECAR_NAME
-    if sidecar_path.exists():
-        doc = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        profile = doc.get("walk_profile")
-        if isinstance(profile, dict):
-            run_id = compute_run_id("profile", profile, stamp)
-            for table_name in sorted(profile):
-                table = profile[table_name]
-                if not isinstance(table, dict):
-                    continue
-                for metric in _PROFILE_METRICS:
-                    value = table.get(metric)
-                    if isinstance(value, (int, float)) and not isinstance(
-                        value, bool
-                    ):
-                        rows.append(LedgerRow(
-                            family="profile", config=str(table_name),
-                            metric=metric, value=float(value),
-                            run_id=run_id, source=REPORT_SIDECAR_NAME,
-                            trace_length=trace_length,
-                            git_sha=stamp.git_sha, engine=stamp.engine,
-                            jobs=stamp.jobs, seed=stamp.seed,
-                            recorded_at=stamp.recorded_at,
-                        ))
+    profile_path = root / PROFILE_NAME
+    if profile_path.exists():
+        # The per-table mapping a report's sidecar holds, so the rows and
+        # their run id are the same before and after ``repro report``.
+        profile = WalkProfile.from_dict(
+            json.loads(profile_path.read_text(encoding="utf-8"))
+        ).as_dict()["tables"]
+        run_id = compute_run_id("profile", profile, stamp)
+        for table_name, table in profile.items():
+            for metric in _PROFILE_METRICS:
+                rows.append(LedgerRow(
+                    family="profile", config=table_name, metric=metric,
+                    value=float(table[metric]), run_id=run_id,
+                    source=PROFILE_NAME, trace_length=trace_length,
+                    git_sha=stamp.git_sha, engine=stamp.engine,
+                    jobs=stamp.jobs, seed=stamp.seed,
+                    recorded_at=stamp.recorded_at,
+                ))
 
     for bench_path in sorted(root.glob("BENCH_*.json")):
         doc = json.loads(bench_path.read_text(encoding="utf-8"))

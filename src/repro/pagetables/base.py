@@ -300,11 +300,6 @@ class PageTable(abc.ABC):
     # ------------------------------------------------------------------
     # Bulk construction helpers
     # ------------------------------------------------------------------
-    def populate(self, space) -> None:
-        """Insert every base-page mapping of an address-space snapshot."""
-        for vpn, mapping in space.items():
-            self.insert(vpn, mapping.ppn, mapping.attrs)
-
     def insert_many(
         self, items: Iterable[Tuple[int, int]], attrs: int = DEFAULT_ATTRS
     ) -> int:

@@ -24,11 +24,8 @@ from repro.resilience.faults import (  # noqa: F401
     FaultInjector,
     FaultPlan,
     FaultRule,
-    active_injector,
-    clear_plan,
     fault_point,
     inject,
-    install_plan,
 )
 from repro.resilience.journal import RunJournal, task_digest  # noqa: F401
 from repro.resilience.retry import (  # noqa: F401

@@ -3,27 +3,32 @@
 A :class:`FaultPlan` is a picklable bundle of :class:`FaultRule` — each
 rule names a **site** (a ``fault_point`` call compiled into production
 code), an **action**, and a deterministic trigger window (the Nth
-matching visit to that site).  Installing a plan (:func:`install_plan`,
-or the :func:`inject` context manager) arms every site in the current
-process; the runner forwards the plan to its worker processes through
-the pool initializer, so injected crashes and hangs land inside real
-workers.
+matching visit to that site).
 
-Sites (see :data:`SITES`):
+The scope of a plan is one **task attempt**.  The experiment runner arms
+the run's plan around every attempt of every task (:func:`inject`, from
+``runner._task_scope``), the same way in its own process and in pool
+workers, with a fresh :class:`FaultInjector` that knows the task's label
+and attempt number.  So a rule's ``at``/``times`` window counts the
+visits of that attempt only, ``match`` reads the task's label and
+``max_attempt`` its attempt number at every site, and one plan fires the
+same faults at every ``--jobs``: a rule fires in every attempt of every
+task it matches, and a rule with ``max_attempt=1`` is a transient fault
+its task's first retry recovers from.  Outside an armed scope every site
+is inert.
+
+Sites (see :data:`SITES`); every one runs inside a runner task:
 
 ``runner.prewarm`` / ``runner.experiment``
-    Entry of a stage-1 / stage-2 task.  Context: ``key`` (the task
-    label), ``attempt`` (1-based try number from the scheduler) — so a
-    rule with ``max_attempt=2`` crashes the first two tries and lets the
-    third succeed, which is exactly what retry tests need.
+    Entry of a stage-1 / stage-2 task.
 ``cache.store_stream`` / ``cache.load_stream``
     Entry of the stream-cache serialisers; exception actions model
     ENOSPC, EIO, and errno-less I/O failures.
 ``cache.artifact_stored``
-    After an artefact lands on disk (context: ``path``); the ``corrupt``
-    action flips one byte of the file — the bit-rot the cache's
-    corruption detection must turn into an evict-and-recompute, never a
-    wrong answer.
+    After an artefact lands on disk (the site passes its ``path``); the
+    ``corrupt`` action flips one byte of the file — the bit rot the
+    cache's corruption detection must turn into an evict-and-recompute,
+    never a wrong answer.
 ``numa.replica_divergence``
     Inside :class:`~repro.numa.replication.ReplicatedPageTable`'s update
     fan-out; the ``skip-replica`` action drops node 0's update, creating
@@ -32,17 +37,13 @@ Sites (see :data:`SITES`):
     Inside :meth:`~repro.obs.trace.WalkTracer.record`; the ``overflow``
     action forces a ring drop so overflow accounting is exercised at any
     capacity.
-``io.save_trace`` / ``io.save_space``
-    Entry of the workload trace/snapshot serialisers
-    (:mod:`repro.workloads.io`); exception actions verify the atomic
-    write path never leaves a torn or half-written artefact behind.
 
 Exception actions are raised out of the site; behavioural actions
 (``skip-replica``, ``overflow``) are *returned* to the site, which
-documents the ones it honours.  Every firing is recorded as a
-:class:`FaultEvent` (exportable as JSON Lines, same shape discipline as
-the walk tracer) and counted in the metrics registry under
-``faults.injected`` labelled by site and action.
+documents the ones it honours.  Every firing is counted in the metrics
+registry under ``faults.injected`` labelled by site and action; a fault
+that fails its attempt goes with that attempt's registry, and shows in
+``runner.task_retries``, the retry history and the failure manifest.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ import os
 import random
 import signal
 import time
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_registry
@@ -69,8 +71,6 @@ SITES = (
     "cache.artifact_stored",
     "numa.replica_divergence",
     "trace.ring_overflow",
-    "io.save_trace",
-    "io.save_space",
 )
 
 #: Actions that raise out of the site.
@@ -91,8 +91,6 @@ SITE_ACTIONS: Dict[str, Tuple[str, ...]] = {
     "cache.artifact_stored": ("corrupt",),
     "numa.replica_divergence": ("skip-replica",),
     "trace.ring_overflow": ("overflow",),
-    "io.save_trace": EXCEPTION_ACTIONS,
-    "io.save_space": EXCEPTION_ACTIONS,
 }
 
 
@@ -100,10 +98,11 @@ SITE_ACTIONS: Dict[str, Tuple[str, ...]] = {
 class FaultRule:
     """One deterministic failure: fire ``action`` at visits N..N+times-1.
 
-    ``match`` restricts the rule to visits whose ``key`` context contains
-    it as a substring ('' matches everything); ``max_attempt`` restricts
-    it to the scheduler's first ``max_attempt`` tries of a task, so a
-    bounded retry budget can out-live the fault.
+    The window counts the rule's visits within one task attempt.
+    ``match`` restricts the rule to tasks whose label contains it as a
+    substring ('' matches every task); ``max_attempt`` restricts it to
+    the scheduler's first ``max_attempt`` tries of a task, at every
+    site, so a bounded retry budget can out-live the fault.
     """
 
     site: str
@@ -190,7 +189,9 @@ class FaultPlan:
         ``exclude_actions`` removes actions (serial chaos runs exclude
         the process-killing ``crash``/``hang``/``sigint``, which only a
         parallel scheduler can survive); ``max_attempt`` caps every
-        generated rule so a retry budget can out-live it.
+        generated rule so a retry budget can out-live it.  Every rule
+        opens its window at an attempt's first visit (``at=1``), so it
+        fires in every attempt that reaches its site.
         """
         rng = random.Random(seed)
         excluded = frozenset(exclude_actions)
@@ -212,7 +213,6 @@ class FaultPlan:
                 FaultRule(
                     site=site,
                     action=action,
-                    at=rng.randint(1, 3),
                     times=rng.randint(1, 2),
                     max_attempt=max_attempt,
                 )
@@ -220,73 +220,45 @@ class FaultPlan:
         return cls(tuple(rules), seed=seed, hang_seconds=hang_seconds)
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One fired fault, as the injector saw it (JSONL-exportable)."""
-
-    seq: int
-    site: str
-    action: str
-    key: str
-    attempt: int
-    visit: int
-    pid: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
 class FaultInjector:
-    """Evaluates an installed :class:`FaultPlan` at every fault point."""
+    """Evaluates a :class:`FaultPlan` at the fault points of one attempt.
 
-    def __init__(self, plan: FaultPlan):
+    ``key`` is the task's label and ``attempt`` its 1-based try number;
+    only the rules they select are armed (``match``, ``max_attempt``),
+    and each armed rule counts its own visits from this attempt's first.
+    """
+
+    def __init__(self, plan: FaultPlan, key: str = "", attempt: int = 1):
         self.plan = plan
-        #: Per-rule count of *matching* visits (this process only).
-        self._visits: Dict[int, int] = {}
-        #: Every fault fired in this process, in order.
-        self.events: List[FaultEvent] = []
+        self.rules = tuple(
+            rule for rule in plan.rules
+            if rule.match in key
+            and (rule.max_attempt is None or attempt <= rule.max_attempt)
+        )
+        self._visits = [0] * len(self.rules)
 
-    # ------------------------------------------------------------------
-    def visit(self, site: str, **context) -> Optional[str]:
+    def visit(
+        self, site: str, path: Optional[os.PathLike] = None
+    ) -> Optional[str]:
         """Evaluate one site visit; raises or returns a behaviour action."""
         behaviour: Optional[str] = None
-        for index, rule in enumerate(self.plan.rules):
+        for index, rule in enumerate(self.rules):
             if rule.site != site:
                 continue
-            if rule.match and rule.match not in str(context.get("key", "")):
+            self._visits[index] += 1
+            if not rule.at <= self._visits[index] < rule.at + rule.times:
                 continue
-            if (
-                rule.max_attempt is not None
-                and int(context.get("attempt", 1)) > rule.max_attempt
-            ):
-                continue
-            count = self._visits.get(index, 0) + 1
-            self._visits[index] = count
-            if not (rule.at <= count < rule.at + rule.times):
-                continue
-            self._record(rule, context, count)
-            result = self._fire(rule, context)
+            get_registry().inc(
+                "faults.injected", site=site, action=rule.action
+            )
+            result = self._fire(rule, path)
             if result is not None:
                 behaviour = result
         return behaviour
 
-    # ------------------------------------------------------------------
-    def _record(self, rule: FaultRule, context: dict, visit: int) -> None:
-        event = FaultEvent(
-            seq=len(self.events),
-            site=rule.site,
-            action=rule.action,
-            key=str(context.get("key", "")),
-            attempt=int(context.get("attempt", 1)),
-            visit=visit,
-            pid=os.getpid(),
-        )
-        self.events.append(event)
-        get_registry().inc(
-            "faults.injected", site=rule.site, action=rule.action
-        )
-
-    def _fire(self, rule: FaultRule, context: dict) -> Optional[str]:
+    def _fire(
+        self, rule: FaultRule, path: Optional[os.PathLike]
+    ) -> Optional[str]:
         action = rule.action
         if action == "raise-enospc":
             raise OSError(
@@ -313,32 +285,11 @@ class FaultInjector:
                 return None
             raise KeyboardInterrupt(f"injected at {rule.site}")
         if action == "corrupt":
-            path = context.get("path")
             if path is not None:
                 _flip_one_byte(Path(path), self.plan.seed)
             return None
         # Behaviour actions the site itself interprets.
         return action
-
-    # ------------------------------------------------------------------
-    def export_jsonl(self, path: os.PathLike) -> Path:
-        """Write the fired-fault log as JSON Lines (header + events)."""
-        from repro.util.atomic_io import atomic_writer
-
-        target = Path(path)
-        header = {
-            "fault_header": {
-                "seed": self.plan.seed,
-                "rules": len(self.plan.rules),
-                "fired": len(self.events),
-                "pid": os.getpid(),
-            }
-        }
-        with atomic_writer(target) as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for event in self.events:
-                handle.write(event.to_json() + "\n")
-        return target
 
 
 def _flip_one_byte(path: Path, seed: int) -> None:
@@ -371,58 +322,37 @@ def mark_worker_process() -> None:
     _IN_WORKER = True
 
 
-def install_plan(plan: FaultPlan) -> FaultInjector:
-    """Arm every fault site in this process with ``plan``."""
-    global _ACTIVE
-    _ACTIVE = FaultInjector(plan)
-    return _ACTIVE
+@contextmanager
+def inject(
+    plan: Optional[FaultPlan], key: str = "", attempt: int = 1
+) -> Iterator[Optional[FaultInjector]]:
+    """``with inject(plan, key, attempt) as injector:`` — one fault scope.
 
-
-def clear_plan() -> None:
-    """Disarm fault injection in this process."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def active_injector() -> Optional[FaultInjector]:
-    """The installed injector, if any."""
-    return _ACTIVE
-
-
-def active_plan_seed() -> Optional[int]:
-    """The installed plan's seed (failure manifests record it)."""
-    return _ACTIVE.plan.seed if _ACTIVE is not None else None
-
-
-class inject:
-    """``with inject(plan) as injector:`` — scoped fault injection.
-
-    A plain class (not ``@contextmanager``) so it is re-entrant-safe and
-    restores whatever injector was active before.
+    Arms exactly ``plan`` (nothing when it is ``None``) for attempt
+    ``attempt`` of the task labelled ``key``, with a fresh injector, and
+    restores whatever was armed before when the block exits.  The runner
+    opens one around every task attempt.
     """
-
-    def __init__(self, plan: FaultPlan):
-        self.plan = plan
-        self._previous: Optional[FaultInjector] = None
-
-    def __enter__(self) -> FaultInjector:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        return install_plan(self.plan)
-
-    def __exit__(self, *exc_info) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
+    global _ACTIVE
+    previous = _ACTIVE
+    _ACTIVE = None if plan is None else FaultInjector(plan, key, attempt)
+    try:
+        yield _ACTIVE
+    finally:
+        _ACTIVE = previous
 
 
-def fault_point(site: str, **context) -> Optional[str]:
+def fault_point(
+    site: str, path: Optional[os.PathLike] = None
+) -> Optional[str]:
     """Hook compiled into production code at every named site.
 
-    With no plan installed this is one global load and a ``None`` check.
+    With no plan armed this is one global load and a ``None`` check.
     Exception actions raise; behaviour actions are returned for the site
-    to honour; otherwise returns None.
+    to honour; otherwise returns None.  ``path`` is the file a
+    ``corrupt`` action damages.
     """
     injector = _ACTIVE
     if injector is None:
         return None
-    return injector.visit(site, **context)
+    return injector.visit(site, path)

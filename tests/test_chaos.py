@@ -50,6 +50,12 @@ SERIAL_SITES = (
 #: Seeded plans for the serial sweep — the acceptance floor is 50.
 SERIAL_SEEDS = tuple(range(50))
 
+#: Seeds the serial sweep also runs with one retry.  Every drawn rule is
+#: armed in a task's first two attempts only, so the sweep's two retries
+#: always outlive it; with one, a rule that fails both attempts fails the
+#: task for good, and the run must record it.
+SHORT_BUDGET_SEEDS = SERIAL_SEEDS[:10]
+
 #: Parallel sweep: worker crashes and hangs included, ``sigint``
 #: excluded (an interrupt *stops* a run by design; the completion
 #: invariant below is about faults a run must survive).
@@ -90,8 +96,8 @@ def _assert_invariant(results, metrics, baseline):
         assert record.error_type and record.attempts >= 1
 
 
-@pytest.mark.parametrize("seed", SERIAL_SEEDS)
-def test_serial_chaos_sweep(seed, chaos_env):
+def _serial_chaos_run(seed, chaos_env, max_retries):
+    """One serial run under seed ``seed``'s plan; returns its metrics."""
     cache_dir, baseline = chaos_env
     plan = FaultPlan.random(
         seed,
@@ -101,7 +107,7 @@ def test_serial_chaos_sweep(seed, chaos_env):
         exclude_actions=PROCESS_ACTIONS,
     )
     cfg = runner.ResilienceConfig(
-        retry=RetryPolicy(max_retries=2, base_delay=0.0),
+        retry=RetryPolicy(max_retries=max_retries, base_delay=0.0),
         keep_going=True,
         fault_plan=plan,
     )
@@ -116,6 +122,22 @@ def test_serial_chaos_sweep(seed, chaos_env):
         metrics=metrics,
     )
     _assert_invariant(results, metrics, baseline)
+    return metrics
+
+
+@pytest.mark.parametrize("seed", SERIAL_SEEDS)
+def test_serial_chaos_sweep(seed, chaos_env):
+    _serial_chaos_run(seed, chaos_env, max_retries=2)
+
+
+def test_serial_chaos_sweep_past_the_retry_budget(chaos_env):
+    """With one retry, some seeds fail a task for good: the failure
+    record half of the invariant is reached, not only the byte match."""
+    failed = [
+        seed for seed in SHORT_BUDGET_SEEDS
+        if _serial_chaos_run(seed, chaos_env, max_retries=1).failures
+    ]
+    assert failed, "no seed's plan outlived a one-retry budget"
 
 
 @pytest.mark.slow

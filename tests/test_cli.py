@@ -355,11 +355,13 @@ class TestOneCommandLine:
         assert json.loads(serial.read_text().splitlines()[0])[
             "trace_header"]["recorded"] > 0
 
-        # On a warm cache the seventh stream load is in fig11a's task,
-        # after mp3d's replays; one retry recovers.
+        # On a warm cache fig11a's third stream load is gcc's first,
+        # after mp3d's replays; it fails the first attempt only, so one
+        # retry recovers.
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"rules": [
-            {"site": "cache.load_stream", "action": "raise-eio", "at": 7},
+            {"site": "cache.load_stream", "action": "raise-eio",
+             "match": "fig11a", "at": 3, "max_attempt": 1},
         ]}))
         fig11a = ["experiment", "fig11a", "--trace-length", "2000",
                   "--workloads", "mp3d,gcc",

@@ -27,7 +27,7 @@ from repro.obs.ledger import (
     rows_from_bench,
     rows_from_run_dir,
 )
-from repro.resilience.journal import METRICS_NAME, REPORT_SIDECAR_NAME
+from repro.resilience.journal import METRICS_NAME, PROFILE_NAME
 from tests.conftest import load_bench_gate
 
 
@@ -295,10 +295,10 @@ class TestRunDirIngestion:
                 ],
             },
         }))
-        (tmp_path / REPORT_SIDECAR_NAME).write_text(json.dumps({
-            "walk_profile": {
+        (tmp_path / PROFILE_NAME).write_text(json.dumps({
+            "tables": {
                 "x86_64": {"walks": 100, "faults": 3,
-                           "total_lines": 400, "total_probes": 100},
+                           "lines": {"4": 100}, "probes": {"1": 100}},
             },
         }))
         rows = rows_from_run_dir(tmp_path)
@@ -308,6 +308,30 @@ class TestRunDirIngestion:
         assert by_key[("run", "*", "wall_seconds")].engine == "batch"
         assert by_key[("run", "*", "wall_seconds")].jobs == 2
         assert by_key[("profile", "x86_64", "total_lines")].value == 400.0
+
+    def test_profile_rows_need_no_report(self, tmp_path):
+        """A run dir yields its ``profile`` rows before ``repro report``
+        writes ``report.json``, and the same rows after it."""
+        from repro import cli
+        from repro.experiments import runner
+
+        runner.run_all(
+            2_000, workloads=("mp3d",), only=("fig11a",), profile=True,
+            resilience=runner.ResilienceConfig(run_dir=str(tmp_path)),
+        )
+
+        def profile_rows():
+            return [
+                row for row in rows_from_run_dir(tmp_path)
+                if row.family == "profile"
+            ]
+
+        before = profile_rows()
+        assert {row.config for row in before} == {
+            "linear-1lvl", "forward-mapped", "hashed", "clustered",
+        }
+        assert cli.main(["report", str(tmp_path)]) == 0
+        assert profile_rows() == before
 
     def test_missing_run_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,7 +1,6 @@
 """The deterministic fault-injection harness (`repro.resilience.faults`)."""
 
 import errno
-import json
 
 import pytest
 
@@ -12,23 +11,11 @@ from repro.resilience.faults import (
     PROCESS_ACTIONS,
     SITE_ACTIONS,
     SITES,
-    FaultInjector,
     FaultPlan,
     FaultRule,
-    active_injector,
-    active_plan_seed,
-    clear_plan,
     fault_point,
     inject,
-    install_plan,
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    clear_plan()
-    yield
-    clear_plan()
 
 
 class TestRuleValidation:
@@ -87,6 +74,10 @@ class TestPlanSerialisation:
                 rule.action not in PROCESS_ACTIONS for rule in plan.rules
             )
 
+    def test_random_rules_open_at_an_attempts_first_visit(self):
+        for seed in range(100):
+            assert all(rule.at == 1 for rule in FaultPlan.random(seed).rules)
+
     def test_random_with_nothing_left_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultPlan.random(
@@ -98,50 +89,52 @@ class TestPlanSerialisation:
 
 class TestInjector:
     def test_inactive_fault_point_is_a_no_op(self):
-        assert active_injector() is None
-        assert fault_point("runner.experiment", key="table1") is None
+        assert fault_point("runner.experiment") is None
+        with inject(None) as injector:
+            assert injector is None
+            assert fault_point("runner.experiment") is None
 
     def test_fires_only_inside_the_visit_window(self):
         plan = FaultPlan(
             (FaultRule("cache.load_stream", "raise-eio", at=2, times=2),)
         )
-        with inject(plan) as injector:
-            assert fault_point("cache.load_stream", key="k") is None
-            for _ in range(2):
-                with pytest.raises(OSError) as excinfo:
-                    fault_point("cache.load_stream", key="k")
-                assert excinfo.value.errno == errno.EIO
-            assert fault_point("cache.load_stream", key="k") is None
-            assert len(injector.events) == 2
+        # Each attempt counts its own visits from the first.
+        for attempt in (1, 2):
+            with inject(plan, "k", attempt):
+                assert fault_point("cache.load_stream") is None
+                for _ in range(2):
+                    with pytest.raises(OSError) as excinfo:
+                        fault_point("cache.load_stream")
+                    assert excinfo.value.errno == errno.EIO
+                assert fault_point("cache.load_stream") is None
 
     def test_match_restricts_by_key_substring(self):
-        plan = FaultPlan(
-            (FaultRule("runner.experiment", "raise-enospc", match="fig11"),)
-        )
-        with inject(plan):
-            assert fault_point("runner.experiment", key="table1") is None
+        plan = FaultPlan((
+            FaultRule("runner.experiment", "raise-enospc", match="fig11"),
+            FaultRule("cache.load_stream", "raise-eio", match="fig11"),
+        ))
+        with inject(plan, "table1"):
+            assert fault_point("runner.experiment") is None
+            assert fault_point("cache.load_stream") is None
+        with inject(plan, "fig11d"):
             with pytest.raises(OSError) as excinfo:
-                fault_point("runner.experiment", key="fig11d")
+                fault_point("runner.experiment")
             assert excinfo.value.errno == errno.ENOSPC
+            with pytest.raises(OSError) as excinfo:
+                fault_point("cache.load_stream")
+            assert excinfo.value.errno == errno.EIO
 
     def test_max_attempt_lets_retries_outlive_the_fault(self):
-        plan = FaultPlan(
-            (
-                FaultRule(
-                    "runner.experiment", "raise-eio",
-                    times=99, max_attempt=2,
-                ),
+        for site in ("runner.experiment", "cache.load_stream"):
+            plan = FaultPlan(
+                (FaultRule(site, "raise-eio", times=99, max_attempt=2),)
             )
-        )
-        with inject(plan):
             for attempt in (1, 2):
-                with pytest.raises(OSError):
-                    fault_point(
-                        "runner.experiment", key="k", attempt=attempt
-                    )
-            assert (
-                fault_point("runner.experiment", key="k", attempt=3) is None
-            )
+                with inject(plan, "k", attempt):
+                    with pytest.raises(OSError):
+                        fault_point(site)
+            with inject(plan, "k", 3):
+                assert fault_point(site) is None
 
     def test_behaviour_actions_are_returned_not_raised(self):
         plan = FaultPlan(
@@ -153,30 +146,17 @@ class TestInjector:
             )
 
     def test_inject_restores_the_previous_injector(self):
-        outer = install_plan(
-            FaultPlan((FaultRule("cache.load_stream", "raise-eio"),))
+        outer = FaultPlan(
+            (FaultRule("cache.load_stream", "raise-eio", times=99),)
         )
-        with inject(FaultPlan((), seed=5)):
-            assert active_plan_seed() == 5
-        assert active_injector() is outer
-        clear_plan()
-        assert active_plan_seed() is None
-
-    def test_events_are_recorded_and_exported(self, tmp_path):
-        plan = FaultPlan(
-            (FaultRule("cache.store_stream", "raise-enospc"),), seed=9
-        )
-        with inject(plan) as injector:
+        with inject(outer):
+            # An inner scope arms exactly its own plan, or nothing.
+            for inner in (None, FaultPlan((), seed=5)):
+                with inject(inner):
+                    assert fault_point("cache.load_stream") is None
             with pytest.raises(OSError):
-                fault_point("cache.store_stream", key="artefact.npz")
-            path = injector.export_jsonl(tmp_path / "faults.jsonl")
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])["fault_header"]
-        assert header["seed"] == 9 and header["fired"] == 1
-        event = json.loads(lines[1])
-        assert event["site"] == "cache.store_stream"
-        assert event["action"] == "raise-enospc"
-        assert event["key"] == "artefact.npz"
+                fault_point("cache.load_stream")
+        assert fault_point("cache.load_stream") is None
 
     def test_counts_into_the_metrics_registry(self):
         from repro.obs.metrics import MetricsRegistry, use_registry
@@ -184,7 +164,7 @@ class TestInjector:
         plan = FaultPlan((FaultRule("runner.experiment", "raise-eio"),))
         with inject(plan), use_registry(MetricsRegistry()) as registry:
             with pytest.raises(OSError):
-                fault_point("runner.experiment", key="k")
+                fault_point("runner.experiment")
         assert registry.counter(
             "faults.injected",
             site="runner.experiment", action="raise-eio",
@@ -200,7 +180,7 @@ class TestCorruption:
             (FaultRule("cache.artifact_stored", "corrupt"),), seed=10
         )
         with inject(plan):
-            fault_point("cache.artifact_stored", key=str(target), path=target)
+            fault_point("cache.artifact_stored", path=target)
         damaged = target.read_bytes()
         assert len(damaged) == len(original)
         diffs = [i for i in range(len(original)) if damaged[i] != original[i]]
@@ -230,7 +210,7 @@ class TestCorruption:
         with use_registry(MetricsRegistry()) as registry:
             assert cache.get(key) is None  # detected and evicted, not trusted
         assert registry.counter("stream_cache.errors") == 1
-        cache.put(key, stream)  # plan expired: clean store
+        cache.put(key, stream)  # no plan armed: clean store
         recovered = cache.get(key)
         assert recovered is not None
         assert recovered.misses == stream.misses

@@ -41,12 +41,24 @@ RETRIED_TABLE1 = FaultPlan((
               max_attempt=1),
 ))
 
-#: fig11a's experiment task fails mid-task, after mp3d's replays: on a
-#: warm cache over mp3d,gcc the seventh stream load in the runner's
-#: process is gcc's first (four prewarm loads, then mp3d's two).
+#: fig11a's first experiment attempt fails mid-task, after mp3d's
+#: replays: on a warm cache over mp3d,gcc the task's third stream load
+#: is gcc's first (mp3d's two come first).
 MID_TASK_FIG11A = FaultPlan((
-    FaultRule("cache.load_stream", "raise-eio", at=7),
+    FaultRule("cache.load_stream", "raise-eio", match="fig11a", at=3,
+              max_attempt=1),
 ))
+
+#: One cache-site rule in three windows, with the retries and permanent
+#: failures it costs fig11a over mp3d,gcc from a warm cache with two
+#: retries: five tasks load streams (four prewarm tasks and fig11a's),
+#: and the rule fires in every attempt of each it is armed for.
+LOAD_FAULTS = (
+    (FaultRule("cache.load_stream", "raise-eio", max_attempt=1), 5, 0),
+    (FaultRule("cache.load_stream", "raise-eio", times=99, max_attempt=1),
+     5, 0),
+    (FaultRule("cache.load_stream", "raise-eio"), 10, 5),
+)
 
 
 def results_fingerprint(results):
@@ -175,9 +187,9 @@ class TestRunnerParity:
         """Regression: a failed attempt's cache traffic is dropped at
         ``--jobs 1`` too, whatever the cache directory held before.
 
-        The first two stores of table1's stream fail with ENOSPC, so its
-        prewarm task computes the stream three times and keeps the
-        third.  The summary used to say ``computed=3`` from an empty
+        The stores of table1's stream in its first two attempts fail with
+        ENOSPC, so its prewarm task computes the stream three times and
+        keeps the third.  The summary used to say ``computed=3`` from an empty
         cache directory but ``computed=1`` from one holding any
         artefact, while the registry said 3 both times.
         """
@@ -193,7 +205,8 @@ class TestRunnerParity:
                 retry=RetryPolicy(max_retries=2, base_delay=0.0),
                 run_dir=str(run_dir),
                 fault_plan=FaultPlan((
-                    FaultRule("cache.store_stream", "raise-enospc", times=2),
+                    FaultRule("cache.store_stream", "raise-enospc",
+                              max_attempt=2),
                 )),
             ),
         )
@@ -244,34 +257,44 @@ class TestRunnerParity:
 
     def test_registry_parity_between_serial_and_parallel(self, tmp_path):
         """``--jobs N`` must not lose telemetry, and ``--jobs 1`` must not
-        keep a failed attempt's, on three inputs.
+        keep a failed attempt's, on four inputs.
 
         - table1 and fig11d, fault-free and when table1's first attempt
           fails at task entry: the registry's counters and walk
           histograms, and the walk profile, equal the serial run's.
-        - fig11a when its attempt fails mid-task, after some of its
-          walks: the walk profile, the ``walk.*`` histograms and the one
-          ``task:fig11a`` span equal the fault-free run's at both job
-          counts.  (Retry counts may differ: a fault window is counted
-          per process.)
+        - fig11a when its first attempt fails mid-task, after some of
+          its walks: one retry, and the walk profile, the ``walk.*``
+          histograms and the one ``task:fig11a`` span equal the
+          fault-free run's at both job counts.
+        - fig11a under each of :data:`LOAD_FAULTS`: a fault window is
+          counted per task attempt, so the retries, the failure
+          manifest (in task order), the results and the counters are
+          the same at both.
         - a 20-tenant sweep on the batch engine: ``metrics.json``
           counters and non-``runner.*`` histograms equal at both.
 
         Time-valued histograms (phase/task seconds) are excluded — their
         totals are wall-clock and legitimately differ between modes.
         """
-        def profiled_run(jobs, name, plan, **kwargs):
-            """One profiled run into ``run-<name>``; returns its metrics
-            and the registry its ``metrics.json`` holds."""
+        def profiled_run(jobs, name, plan, keep_going=False, **kwargs):
+            """One profiled run into ``run-<name>``; returns its metrics,
+            the registry its ``metrics.json`` holds, and its results.
+
+            A run fails fast with one retry, so a task that fails for
+            good fails the test, unless ``keep_going`` allows two
+            retries and records the failures instead."""
             common.clear_caches()
             metrics = runner.RunMetrics()
             run_dir = tmp_path / f"run-{name}"
             kwargs.setdefault("cache_dir", str(tmp_path / f"c-{name}"))
-            runner.run_all(
+            results = runner.run_all(
                 jobs=jobs,
                 resilience=runner.ResilienceConfig(
                     run_dir=str(run_dir),
-                    retry=RetryPolicy(max_retries=1, base_delay=0.0),
+                    retry=RetryPolicy(
+                        max_retries=2 if keep_going else 1, base_delay=0.0
+                    ),
+                    keep_going=keep_going,
                     fault_plan=plan,
                 ),
                 profile=True,
@@ -279,7 +302,7 @@ class TestRunnerParity:
                 **kwargs,
             )
             doc = json.loads((run_dir / METRICS_NAME).read_text())
-            return metrics, doc["registry"]
+            return metrics, doc["registry"], results
 
         def histograms(state, walks=True):
             """The ``walk.*`` histograms, or else all but ``runner.*``,
@@ -296,10 +319,10 @@ class TestRunnerParity:
             only=("table1", "fig11d"),
         )
         for retried, plan in enumerate((None, RETRIED_TABLE1)):
-            serial, serial_state = profiled_run(
+            serial, serial_state, _ = profiled_run(
                 1, f"serial-{retried}", plan, **subset
             )
-            parallel, parallel_state = profiled_run(
+            parallel, parallel_state, _ = profiled_run(
                 2, f"parallel-{retried}", plan, **subset
             )
             assert serial_state["counters"] == parallel_state["counters"]
@@ -320,14 +343,13 @@ class TestRunnerParity:
             cache_dir=str(tmp_path / "c-fig11a"),
         )
         # The fault-free reference also warms the cache.
-        _, clean_state = profiled_run(1, "fig11a-clean", None, **fig11a)
+        _, clean_state, _ = profiled_run(1, "fig11a-clean", None, **fig11a)
         clean_profile = tmp_path / "run-fig11a-clean" / PROFILE_NAME
         for jobs in (1, 2):
-            faulted, faulted_state = profiled_run(
+            faulted, faulted_state, _ = profiled_run(
                 jobs, f"fig11a-{jobs}", MID_TASK_FIG11A, **fig11a
             )
-            if jobs == 1:
-                assert faulted.summary_dict()["task_retries"] == 1
+            assert faulted.summary_dict()["task_retries"] == 1
             assert (
                 tmp_path / f"run-fig11a-{jobs}" / PROFILE_NAME
             ).read_text() == clean_profile.read_text()
@@ -337,12 +359,36 @@ class TestRunnerParity:
                 if span.name == "task:fig11a"
             ] == ["task:fig11a"]
 
+        for index, (rule, retries, failures) in enumerate(LOAD_FAULTS):
+            runs = [
+                profiled_run(
+                    jobs, f"load-{index}-{jobs}", FaultPlan((rule,)),
+                    keep_going=True, **fig11a,
+                )
+                for jobs in (1, 2)
+            ]
+            for metrics, _, _ in runs:
+                assert metrics.summary_dict()["task_retries"] == retries
+                assert len(metrics.failures) == failures
+            (serial, serial_state, serial_results), (
+                parallel, parallel_state, parallel_results
+            ) = runs
+            assert [
+                (record.key, record.attempts) for record in serial.failures
+            ] == [
+                (record.key, record.attempts) for record in parallel.failures
+            ]
+            assert results_fingerprint(serial_results) == results_fingerprint(
+                parallel_results
+            )
+            assert serial_state["counters"] == parallel_state["counters"]
+
         twenty = dict(
             trace_length=2_000, only=("tenancy",), engine="batch",
             cells={"tenancy": tenancy.cells(tenants=(20,))},
         )
-        _, serial_state = profiled_run(1, "tenancy-1", None, **twenty)
-        _, parallel_state = profiled_run(2, "tenancy-2", None, **twenty)
+        _, serial_state, _ = profiled_run(1, "tenancy-1", None, **twenty)
+        _, parallel_state, _ = profiled_run(2, "tenancy-2", None, **twenty)
         assert serial_state["counters"], "the --jobs 1 run counted nothing"
         assert serial_state["counters"] == parallel_state["counters"]
         assert histograms(serial_state, walks=False) == histograms(
