@@ -80,28 +80,35 @@ from typing import List, Optional, Tuple
 
 from repro.analysis.metrics import make_table, normalised_sizes, table_sizes
 from repro.analysis.report import render_table
-from repro.experiments.claims import KEYS as CLAIM_KEYS
+from repro.experiments import claims
+from repro.experiments.runner import CATALOGUE, CELLED, EXPERIMENT_ORDER
 from repro.workloads.suite import PAPER_WORKLOADS, load_workload
 
-#: Experiment ids accepted by the ``experiment`` command, in paper order.
+
+def _id_of(key: str) -> str:
+    """The experiment id that runs a runner key: the ``sens_*`` keys form
+    ``sensitivity``, and any other key is its own id, spelled with
+    ``-`` for ``_``."""
+    return "sensitivity" if key.startswith("sens_") else key.replace("_", "-")
+
+
+#: Experiment ids accepted by the ``experiment`` command, in paper order:
+#: the runner's keys as ids, then ``claims`` and ``all``.
 EXPERIMENT_IDS = (
-    "table1", "fig9", "fig10", "fig11a", "fig11b", "fig11c", "fig11d",
-    "table2", "sensitivity", "softtlb", "multisize", "multiprog",
-    "guarded", "sasos", "cachesim", "pressure", "promotion-scan",
-    "numa", "tenancy", "modern", "claims", "all",
+    *dict.fromkeys(map(_id_of, EXPERIMENT_ORDER)), "claims", "all",
 )
 
-#: The ids that are not exactly one runner key: ``claims`` evaluates the
-#: paper's claims over its keys' results, and ``all`` runs every key (or
-#: the ``--only`` subset).
-_ID_KEYS = {
-    "promotion-scan": ("promotion_scan",),
-    "sensitivity": (
-        "sens_cacheline", "sens_subblock", "sens_buckets",
-        "sens_tlb_geometry", "sens_hash_quality", "sens_shared_private",
-    ),
-    "claims": CLAIM_KEYS,
-}
+
+def runner_keys(exp_id: str) -> Tuple[str, ...]:
+    """The runner keys (``EXPERIMENT_ORDER`` entries) one id regenerates:
+    ``claims`` evaluates the paper's claims over :data:`claims.KEYS
+    <repro.experiments.claims.KEYS>`, and ``all`` runs every key."""
+    if exp_id == "claims":
+        return claims.KEYS
+    return tuple(
+        key for key in EXPERIMENT_ORDER if exp_id in ("all", _id_of(key))
+    )
+
 
 #: ``experiment`` flags that only some ids read: dest → those ids.  Any
 #: other id given one is a usage error rather than silently ignoring it.
@@ -113,11 +120,14 @@ _FLAG_READERS = {
     "churn": ("tenancy",),
     "tables": ("tenancy", "modern"),
     "footprint": ("modern",),
-    # Synthetic-space and analytic studies pick their own workloads, and
-    # the claims name theirs.
-    "workloads": tuple(i for i in EXPERIMENT_IDS if i not in (
-        "sensitivity", "multisize", "sasos", "pressure", "tenancy", "claims",
-    )),
+    # Synthetic-space and analytic studies pick their own workloads (no
+    # catalogue workloads), and the claims name theirs.
+    "workloads": tuple(
+        exp_id for exp_id in EXPERIMENT_IDS if exp_id != "claims" and any(
+            CATALOGUE[key].workloads is not None
+            for key in runner_keys(exp_id)
+        )
+    ),
     "chart": tuple(i for i in EXPERIMENT_IDS if i not in ("claims", "all")),
 }
 
@@ -156,11 +166,6 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     for name, value in sorted(norm.items(), key=lambda kv: kv[1]):
         print(f"    {name:16s} {sizes[name]:9,d} B   {value:6.3f}")
     return 0
-
-
-def runner_keys(exp_id: str) -> Tuple[str, ...]:
-    """The runner keys (``EXPERIMENT_ORDER`` entries) one id regenerates."""
-    return _ID_KEYS.get(exp_id, (exp_id,))
 
 
 def _workloads(args: argparse.Namespace) -> Optional[List[str]]:
@@ -266,8 +271,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     try:
         with runner.sigterm_drains(), _tracing(args.trace_out) as tracer:
             # A run directory implies profiling: every run-dir then
-            # carries the walk profile and percentile histograms that
-            # `repro report` renders.
+            # carries the walk profile that `repro report` renders.
             results = runner.run_all(
                 trace_length,
                 jobs=jobs,
@@ -286,8 +290,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 130
     holds = True
     if args.id == "claims":
-        from repro.experiments import claims
-
         # A failed key leaves the claims unjudged: the manifest says why.
         verdicts = None if metrics.failures else claims.verify(results)
         holds = all(claim.holds for claim in verdicts or ())
@@ -341,8 +343,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _only(args: argparse.Namespace) -> Optional[Tuple[str, ...]]:
     """The runner keys an id runs: its own, or for ``all`` the ``--only``
     subset (every key when absent), each one a known key."""
-    from repro.experiments.runner import EXPERIMENT_ORDER
-
     if args.id != "all":
         return runner_keys(args.id)
     if not args.only:
@@ -366,7 +366,6 @@ def _cells(
     before anything runs."""
     from repro.errors import ConfigurationError
     from repro.experiments import modern, tenancy
-    from repro.experiments.runner import CELLED
 
     if args.id not in CELLED:
         return None
@@ -741,10 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--profile-out", metavar="FILE", default=None,
-        help="profile the run (spans in parent and workers, per-walk "
-        "percentile histograms, walk profile) and write the span "
-        "timeline as Chrome trace-event JSON (open in Perfetto or "
-        "chrome://tracing); works with any --jobs",
+        help="profile the run (spans in parent and workers, and the "
+        "walk profile) and write the span timeline as Chrome trace-event "
+        "JSON (open in Perfetto or chrome://tracing); works with any --jobs",
     )
     run.add_argument(
         "--max-retries", type=int, default=None, metavar="N",

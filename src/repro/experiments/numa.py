@@ -27,10 +27,12 @@ The sweep is ordered :func:`cells`, one per workload over every
 (table, topology, policy); :func:`measure` turns one into a JSON-safe
 record and :func:`merge` turns the records into the table, which
 :func:`document` writes as the run's ``BENCH_numa.json``.  The runner
-runs each cell as its own task; :func:`run` maps serially.  Every
-replay starts from a freshly populated table and a fresh policy, so a
-cell's record depends only on the cell, the stateful ``migrate`` policy
-included.
+runs each cell as its own task; :func:`run` maps serially.  A cell
+populates each table once and replays it under every (topology,
+policy): neither replay engine changes the table, which they read
+through its memory image or its leaf cells.  Every replay starts from a
+fresh policy, so a cell's record depends only on the cell, the stateful
+``migrate`` policy included.
 """
 
 from __future__ import annotations
@@ -67,15 +69,6 @@ DEFAULT_POLICIES = ("none", "mitosis", "migrate")
 #: Replays are capped like the cachesim study: the per-miss averages
 #: stabilise long before this, and it bounds the 36-config sweep.
 DEFAULT_MISS_LIMIT = 20_000
-
-
-def _fresh_table(name: str, workload, num_buckets: int):
-    """One populated table instance (replays mutate policy state)."""
-    table = make_table(name, workload.layout, num_buckets=num_buckets)
-    get_translation_map(workload, "single").populate(
-        table, base_pages_only=True
-    )
-    return table
 
 
 def cells(
@@ -121,8 +114,13 @@ def measure(cell: Dict[str, object], trace_length: int) -> Dict[str, object]:
     and the migration count."""
     workload = get_workload(cell["workload"], trace_length)
     stream = get_miss_stream(workload, "single")
+    tmap = get_translation_map(workload, "single")
     configs = []
     for table_name in cell["tables"]:
+        table = make_table(
+            table_name, workload.layout, num_buckets=cell["num_buckets"]
+        )
+        tmap.populate(table, base_pages_only=True)
         for machine in cell["topologies"]:
             topology = NumaTopology.from_json(machine)
             results: dict = {}
@@ -134,7 +132,7 @@ def measure(cell: Dict[str, object], trace_length: int) -> Dict[str, object]:
                     continue
                 results[policy] = engine_replay(
                     replay_misses_numa_batch, replay_misses_numa, stream,
-                    _fresh_table(table_name, workload, cell["num_buckets"]),
+                    table,
                     topology=topology,
                     policy=policy,
                     access_pattern=cell["access_pattern"],

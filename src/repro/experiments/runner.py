@@ -2,7 +2,10 @@
 
 :func:`run_all` regenerates all reproduced tables and figures; ``python
 -m repro experiment all`` is its command line.  The orchestration is a
-small two-stage dependency graph:
+small two-stage dependency graph over the experiments of
+:data:`CATALOGUE`, the one table that says how each runner key
+produces its result, which miss streams it replays and which workloads
+it covers:
 
 1. **Stream collection** — every (workload, TLB configuration) miss
    stream the selected experiments will replay, fanned out across worker
@@ -55,9 +58,11 @@ from concurrent.futures import (
 )
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 from itertools import count
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cache.stream_cache import CacheStats
@@ -106,76 +111,99 @@ from repro.experiments import common
 from repro.experiments.common import (
     ExperimentResult,
     LINEAR_TLB_ENTRIES,
+    SIZE_WORKLOADS,
     TLB_ENTRIES,
     TRACED_WORKLOADS,
 )
 
-#: Paper order: the merge order of every report, serial or parallel.
-EXPERIMENT_ORDER: Tuple[str, ...] = (
-    "table1", "fig9", "fig10", "fig11a", "fig11b", "fig11c", "fig11d",
-    "table2", "sens_cacheline", "sens_subblock", "sens_buckets",
-    "sens_tlb_geometry", "sens_hash_quality", "sens_shared_private",
-    "softtlb", "multisize", "multiprog", "guarded", "sasos", "cachesim",
-    "pressure", "promotion_scan", "numa", "tenancy", "modern",
-)
 
-#: Experiments replaying a "single" TLB stream per traced workload.
-_SINGLE_STREAM_EXPERIMENTS = (
-    "table1", "softtlb", "guarded", "cachesim", "numa",
-)
+@dataclass(frozen=True)
+class Experiment:
+    """One runner key of :data:`CATALOGUE`.
 
-#: Experiments that run as cells, one task each.  Each module provides
-#: ``cells(workloads)`` (its sweep), ``measure(cell, trace_length)``
-#: (one JSON-safe record), ``merge(records)`` (the result) and
-#: ``document(result, trace_length, cells)`` (the ``BENCH_<key>.json``
-#: a run with a run directory writes).
-CELLED = {"numa": numa, "tenancy": tenancy, "modern": modern}
+    The key produces its result through ``run(workloads,
+    trace_length)``, ``workloads`` being the ``--workloads`` subset or
+    ``None``, or, when it runs as cells, through its ``celled`` module:
+    ``cells(workloads)`` (its sweep), ``measure(cell, trace_length)``
+    (one JSON-safe record), ``merge(records)`` (the result) and
+    ``document(result, trace_length, cells)`` (the ``BENCH_<key>.json``
+    a run with a run directory writes).  ``workloads`` are the ones it
+    covers when no subset is given, or ``None`` when it reads no
+    ``--workloads``; it replays its ``streams``, (TLB kind, entries)
+    pairs, for each of them.
+    """
+
+    run: Optional[Callable[..., ExperimentResult]] = None
+    workloads: Optional[Tuple[str, ...]] = None
+    streams: Tuple[Tuple[str, int], ...] = ()
+    celled: Optional[ModuleType] = None
+
+
+#: The base TLB's stream: 64 entries, fully associative.
+_SINGLE = (("single", TLB_ENTRIES),)
+
+
+def _fig11(figure: str) -> Experiment:
+    """Figure 11a–d: its TLB's reference stream, plus the linear tables'
+    56-entry stream (reserved-entry opportunity cost, §6.1)."""
+    kind = fig11.SUBFIGURES[figure]["tlb"]
+    return Experiment(
+        partial(fig11.run_subfigure, figure), TRACED_WORKLOADS,
+        ((kind, TLB_ENTRIES), (kind, LINEAR_TLB_ENTRIES)),
+    )
+
+
+def _fixed(study: Callable[[], ExperimentResult]) -> Experiment:
+    """A synthetic-space or analytic study: it picks its own workloads
+    and trace length."""
+    return Experiment(lambda w, n: study())
+
+
+#: Every experiment the runner knows, one entry per runner key, in paper
+#: order: the merge order of every report, serial or parallel.  Adding
+#: an experiment is adding its entry here.
+CATALOGUE: Dict[str, Experiment] = {
+    "table1": Experiment(table1.run, TRACED_WORKLOADS, _SINGLE),
+    "fig9": Experiment(lambda w, n: fig9.run(w), SIZE_WORKLOADS),
+    "fig10": Experiment(lambda w, n: fig10.run(w), SIZE_WORKLOADS),
+    "fig11a": _fig11("11a"),
+    "fig11b": _fig11("11b"),
+    "fig11c": _fig11("11c"),
+    "fig11d": _fig11("11d"),
+    "table2": Experiment(lambda w, n: table2.run(w), SIZE_WORKLOADS),
+    "sens_cacheline": _fixed(sensitivity.cache_line_sweep),
+    "sens_subblock": _fixed(sensitivity.subblock_factor_sweep),
+    "sens_buckets": _fixed(sensitivity.bucket_count_sweep),
+    "sens_tlb_geometry": _fixed(sensitivity.tlb_geometry_sweep),
+    "sens_hash_quality": _fixed(sensitivity.hash_quality_sweep),
+    "sens_shared_private": _fixed(sensitivity.shared_vs_private_tables),
+    "softtlb": Experiment(softtlb.run, TRACED_WORKLOADS, _SINGLE),
+    "multisize": _fixed(multisize.run),
+    "multiprog": Experiment(multiprog.run, multiprog.MULTIPROG_WORKLOADS),
+    "guarded": Experiment(guarded.run, guarded.GUARDED_WORKLOADS, _SINGLE),
+    "sasos": _fixed(sasos.run),
+    "cachesim": Experiment(cachesim.run, cachesim.DEFAULT_WORKLOADS, _SINGLE),
+    "pressure": _fixed(pressure.run),
+    "promotion_scan": Experiment(
+        lambda w, n: promotion_scan.run(w), promotion_scan.SCAN_WORKLOADS,
+    ),
+    "numa": Experiment(
+        workloads=numa.DEFAULT_WORKLOADS, streams=_SINGLE, celled=numa,
+    ),
+    "tenancy": Experiment(celled=tenancy),
+    "modern": Experiment(workloads=modern.DEFAULT_WORKLOADS, celled=modern),
+}
+
+#: The runner keys in paper order.
+EXPERIMENT_ORDER: Tuple[str, ...] = tuple(CATALOGUE)
+
+#: The experiments that run as cells, one task each.
+CELLED = {
+    key: entry.celled for key, entry in CATALOGUE.items() if entry.celled
+}
 
 #: One cell of a celled experiment: JSON-safe, with a unique ``id``.
 Cell = Dict[str, object]
-
-
-def producers(
-    trace_length: int,
-    workloads: Optional[Sequence[str]] = None,
-) -> Dict[str, Callable[[], ExperimentResult]]:
-    """Experiment id → zero-argument producer, for one configuration.
-
-    ``workloads`` restricts every experiment that accepts a workload
-    subset; the rest (synthetic-space and analytic studies) ignore it.
-    Every runner task produces through this table, whether the run is
-    ``repro experiment all`` or a single id; the :data:`CELLED`
-    experiments produce cell by cell instead.
-    """
-    w = {"workloads": tuple(workloads)} if workloads else {}
-    return {
-        "table1": lambda: table1.run(trace_length=trace_length, **w),
-        "fig9": lambda: fig9.run(**w),
-        "fig10": lambda: fig10.run(**w),
-        "fig11a": lambda: fig11.run_subfigure(
-            "11a", trace_length=trace_length, **w),
-        "fig11b": lambda: fig11.run_subfigure(
-            "11b", trace_length=trace_length, **w),
-        "fig11c": lambda: fig11.run_subfigure(
-            "11c", trace_length=trace_length, **w),
-        "fig11d": lambda: fig11.run_subfigure(
-            "11d", trace_length=trace_length, **w),
-        "table2": lambda: table2.run(**w),
-        "sens_cacheline": lambda: sensitivity.cache_line_sweep(),
-        "sens_subblock": lambda: sensitivity.subblock_factor_sweep(),
-        "sens_buckets": lambda: sensitivity.bucket_count_sweep(),
-        "sens_tlb_geometry": lambda: sensitivity.tlb_geometry_sweep(),
-        "sens_hash_quality": lambda: sensitivity.hash_quality_sweep(),
-        "sens_shared_private": lambda: sensitivity.shared_vs_private_tables(),
-        "softtlb": lambda: softtlb.run(trace_length=trace_length, **w),
-        "multisize": lambda: multisize.run(),
-        "multiprog": lambda: multiprog.run(trace_length=trace_length, **w),
-        "guarded": lambda: guarded.run(trace_length=trace_length, **w),
-        "sasos": lambda: sasos.run(),
-        "cachesim": lambda: cachesim.run(trace_length=trace_length, **w),
-        "pressure": lambda: pressure.run(),
-        "promotion_scan": lambda: promotion_scan.run(**w),
-    }
 
 
 def select_experiments(only: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
@@ -202,7 +230,9 @@ def stream_prewarm_plan(
     keys: Sequence[str],
     workloads: Optional[Sequence[str]] = None,
 ) -> Tuple[StreamTask, ...]:
-    """Every miss stream the selected experiments replay.
+    """Every miss stream the selected experiments replay: each key's
+    catalogue streams over ``workloads``, or over its own workloads when
+    no subset is given, first occurrence first.
 
     This is the dependency frontier of the run: each task is independent
     of every other, and every experiment in ``keys`` depends only on its
@@ -210,24 +240,12 @@ def stream_prewarm_plan(
     plan (synthetic-space studies, quantum sweeps) compute any remaining
     streams in their own worker, still through the persistent cache.
     """
-    names = tuple(workloads or TRACED_WORKLOADS)
-    tasks: List[StreamTask] = []
-    for key in keys:
-        if key in _SINGLE_STREAM_EXPERIMENTS:
-            configs = [("single", TLB_ENTRIES)]
-        elif key.startswith("fig11"):
-            kind = fig11.SUBFIGURES[key[3:]]["tlb"]
-            # Reference stream plus the linear tables' 56-entry stream
-            # (reserved-entry opportunity cost, §6.1).
-            configs = [(kind, TLB_ENTRIES), (kind, LINEAR_TLB_ENTRIES)]
-        else:
-            continue
-        for name in names:
-            for kind, entries in configs:
-                task = (name, kind, entries)
-                if task not in tasks:
-                    tasks.append(task)
-    return tuple(tasks)
+    return tuple(dict.fromkeys(
+        (name, kind, entries)
+        for key in keys
+        for name in workloads or CATALOGUE[key].workloads or ()
+        for kind, entries in CATALOGUE[key].streams
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +366,10 @@ def _run_task(
             common.get_miss_stream(workload, tlb_kind, entries)
         else:
             name, cell = key
+            entry = CATALOGUE[name]
             result = (
-                producers(trace_length, workloads)[name]() if cell is None
-                else CELLED[name].measure(cell, trace_length)
+                entry.run(workloads, trace_length) if cell is None
+                else entry.celled.measure(cell, trace_length)
             )
         elapsed = time.perf_counter() - started
     return result, elapsed, telemetry
@@ -385,7 +404,6 @@ class FailureRecord:
 
     key: str
     stage: str  # "prewarm" | "experiment"
-    site: str  # the fault-point site the task failed under
     error_type: str
     message: str
     attempts: int
@@ -395,7 +413,6 @@ class FailureRecord:
         return {
             "experiment": self.key,
             "stage": self.stage,
-            "site": self.site,
             "error_type": self.error_type,
             "message": self.message,
             "attempts": self.attempts,
@@ -472,7 +489,6 @@ def _record_failure(
     record = FailureRecord(
         key=str(label),
         stage=stage,
-        site=f"runner.{stage}",
         error_type=type(exc).__name__,
         message=str(exc),
         attempts=max(1, len(getattr(exc, "retry_history", ()))),
@@ -745,12 +761,11 @@ def run_all(
     at every ``jobs``.  ``profile=True`` turns on the run profiler: a
     span recorder covers the whole run (exported via ``--profile-out``),
     and the tasks' walks are merged into the per-table
-    :class:`~repro.obs.profile.WalkProfile` on ``metrics.walk_profile``.
-    When the run ends, even by interruption, the ``walk.cache_lines`` /
-    ``walk.probes`` percentile histograms are derived from that profile
-    into the run's registry, ``metrics.registry``.  A walk tracer
-    installed when the run starts (``--trace-out``'s) takes in each
-    successful task's walks and ring events, in completion order.
+    :class:`~repro.obs.profile.WalkProfile` on ``metrics.walk_profile``,
+    the run's one record of walk costs (a run directory's
+    ``walk_profile.json``).  A walk tracer installed when the run starts
+    (``--trace-out``'s) takes in each successful task's walks and ring
+    events, in completion order.
 
     ``engine`` selects the phase-2 replay engine (``scalar`` or
     ``batch``); the choice is re-applied inside every worker process and
@@ -870,8 +885,6 @@ def run_all(
             _spans.uninstall_recorder(recorder)
         common.set_stream_cache(previous_cache)
         common.configure_engine(previous_engine)
-        if profile:
-            metrics.walk_profile.observe_into(metrics.registry)
     if cfg.run_dir:
         _write_run_artifacts(cfg.run_dir, metrics, {
             key: CELLED[key].document(results[key], trace_length, sweeps[key])

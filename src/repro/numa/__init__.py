@@ -23,7 +23,9 @@ organisation services a TLB miss cheapest? — under that modern condition:
   latency-weighted ``cycles_per_miss`` metric: the one NUMA cost model.
 - :mod:`repro.numa.replay` — phase-2 replay over byte-exact memory
   images, attributing every line read to the node that holds it
-  (:mod:`repro.numa.batch` is its exact batch twin).
+  (:mod:`repro.numa.batch` is its exact batch twin; both resolve their
+  machine, policy and series through one
+  :func:`~repro.numa.replay.setup_replay`).
 - :mod:`repro.numa.replication` — :class:`ReplicatedPageTable` (the
   object-model mitosis substrate) and :class:`NumaSMPSystem`, which fans
   PTE updates through the TLB-shootdown model so stale replicas die.

@@ -29,25 +29,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.mmu.batch_kernels import BatchUnsupportedError
 from repro.mmu.cache_model import distinct_lines
 from repro.mmu.simulate import MissStream
-from repro.numa.costing import WalkCoster
-from repro.numa.placement import FirstTouchPlacement, TablePlacement
-from repro.numa.replay import (
-    NumaReplayResult,
-    access_node_fn,
-    walk_reads_fn,
-)
-from repro.errors import ConfigurationError
+from repro.numa.placement import TablePlacement
 from repro.numa.policy import (
     MitosisPolicy,
     NoReplicationPolicy,
     ReplicationPolicy,
-    make_policy,
 )
-from repro.numa.topology import NumaTopology, get_topology
-from repro.obs.metrics import get_registry
+from repro.numa.replay import NumaReplayResult, setup_replay
+from repro.numa.topology import NumaTopology
 
 __all__ = ["replay_misses_numa_batch"]
 
@@ -63,40 +54,20 @@ def replay_misses_numa_batch(
 ) -> NumaReplayResult:
     """Vectorized, exact equivalent of ``replay_misses_numa``.
 
-    Raises :class:`BatchUnsupportedError` for the stateful ``migrate``
-    policy (whose per-line counters make walk cost order-dependent);
-    every other configuration the scalar replay accepts is supported.
+    Raises :class:`~repro.mmu.batch_kernels.BatchUnsupportedError` for
+    the stateful ``migrate`` policy (whose per-line counters make walk
+    cost order-dependent); every other configuration the scalar replay
+    accepts is supported.
     """
-    resolved = get_topology(topology)
-    if placement is None:
-        placement = FirstTouchPlacement(resolved, node=0)
-    elif placement.topology is not resolved:
-        raise ConfigurationError("placement was built for a different topology")
-    if isinstance(policy, str):
-        policy = make_policy(policy, placement)
-    policy_type = type(policy)
-    if policy_type not in (NoReplicationPolicy, MitosisPolicy):
-        raise BatchUnsupportedError(f"{policy_type.__name__} is stateful")
-    mitosis = policy_type is MitosisPolicy
-    coster = WalkCoster(policy)
-    reads_fn = walk_reads_fn(table, placement.line_size)
-    node_of = access_node_fn(access_pattern, resolved, table.layout)
+    setup = setup_replay(
+        table, topology, policy, placement, access_pattern,
+        policies=(NoReplicationPolicy, MitosisPolicy),
+    )
+    resolved, placement = setup.topology, setup.placement
+    mitosis = type(setup.policy) is MitosisPolicy
     nnodes = resolved.num_nodes
 
-    registry = get_registry()
-    labels = {"topology": resolved.name, "policy": policy.name}
-    lines_handles = [
-        registry.histogram_handle("numa.walk_lines", node=node, **labels)
-        for node in range(nnodes)
-    ]
-    cycles_handles = [
-        registry.histogram_handle("numa.walk_cycles", node=node, **labels)
-        for node in range(nnodes)
-    ]
-
-    vpns = np.asarray(stream.vpns, dtype=np.int64)
-    if miss_limit is not None:
-        vpns = vpns[:miss_limit]
+    vpns = np.asarray(stream.vpns, dtype=np.int64)[:miss_limit]
     misses = int(vpns.shape[0])
     unique_vpns, inverse, counts = np.unique(
         vpns, return_inverse=True, return_counts=True
@@ -113,12 +84,12 @@ def replay_misses_numa_batch(
     else:
         counts_by_node = None  # one accessor per unique VPN
 
-    stats = coster.stats
-    served = policy.stats.served_by_node
+    stats = setup.coster.stats
+    served = setup.policy.stats.served_by_node
     total_lines = 0
     faults = 0
     for at, vpn in enumerate(unique_vpns.tolist()):
-        translation, reads = reads_fn(vpn)
+        translation, reads = setup.reads_fn(vpn)
         count = int(counts[at])
         if translation is None:
             faults += count
@@ -126,7 +97,7 @@ def replay_misses_numa_batch(
         lines = sorted(distinct_lines(reads, placement.line_size))
         nlines = len(lines)
         if counts_by_node is None:
-            accessor_counts = ((node_of(vpn, 0), count),)
+            accessor_counts = ((setup.node_of(vpn, 0), count),)
         else:
             accessor_counts = tuple(
                 (node, int(counts_by_node[at, node]))
@@ -149,16 +120,7 @@ def replay_misses_numa_batch(
                     stats.remote_lines += weight
             stats.lines += nlines * weight
             stats.cycles += cycles * weight
-            lines_handles[accessor].observe_many(nlines, weight)
-            cycles_handles[accessor].observe_many(cycles, weight)
+            setup.lines_handles[accessor].observe_many(nlines, weight)
+            setup.cycles_handles[accessor].observe_many(cycles, weight)
 
-    return NumaReplayResult(
-        table_description=table.describe(),
-        topology_name=resolved.name,
-        policy_name=policy.name,
-        misses=misses,
-        cache_lines=total_lines,
-        faults=faults,
-        numa=coster.stats,
-        policy_stats=policy.stats,
-    )
+    return setup.result(table, misses, total_lines, faults)

@@ -37,9 +37,10 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from repro.core.clustered import ClusteredPageTable
 from repro.errors import ConfigurationError
+from repro.mmu.batch_kernels import BatchUnsupportedError
 from repro.mmu.simulate import MissStream
 from repro.numa.costing import NumaWalkStats, WalkCoster
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import HistogramStats, get_registry
 from repro.numa.placement import (
     DEFAULT_LINE_SIZE,
     FirstTouchPlacement,
@@ -164,6 +165,82 @@ def access_node_fn(
     )
 
 
+@dataclass
+class ReplaySetup:
+    """What both NUMA replay engines resolve before their first walk
+    (:func:`setup_replay`): the machine, placement and policy, the
+    coster, the byte-level walk and accessing-node functions, and one
+    (lines, cycles) histogram pair per accessing node."""
+
+    topology: NumaTopology
+    placement: TablePlacement
+    policy: ReplicationPolicy
+    coster: WalkCoster
+    reads_fn: ReadsFn
+    node_of: Callable[[int, int], int]
+    lines_handles: List[HistogramStats]
+    cycles_handles: List[HistogramStats]
+
+    def result(
+        self, table, misses: int, cache_lines: int, faults: int
+    ) -> NumaReplayResult:
+        """The replay's result, with the coster's and policy's stats."""
+        return NumaReplayResult(
+            table.describe(), self.topology.name, self.policy.name, misses,
+            cache_lines, faults, self.coster.stats, self.policy.stats,
+        )
+
+
+def setup_replay(
+    table,
+    topology: Union[str, NumaTopology, None],
+    policy: Union[str, ReplicationPolicy],
+    placement: Optional[TablePlacement],
+    access_pattern: str,
+    policies: Optional[Tuple[type, ...]] = None,
+) -> ReplaySetup:
+    """Resolve one NUMA replay's machine, policy, walk model and series.
+
+    ``placement`` defaults to first-touch on node 0 — the whole table
+    allocated where the OS booted, the Mitosis paper's motivating worst
+    case.  A policy whose type is not in ``policies`` (when given) raises
+    :class:`~repro.mmu.batch_kernels.BatchUnsupportedError` before any
+    registry series exists.
+    """
+    resolved = get_topology(topology)
+    if placement is None:
+        placement = FirstTouchPlacement(resolved, node=0)
+    elif placement.topology is not resolved:
+        raise ConfigurationError(
+            "placement was built for a different topology"
+        )
+    if isinstance(policy, str):
+        policy = make_policy(policy, placement)
+    if policies is not None and type(policy) not in policies:
+        raise BatchUnsupportedError(f"{type(policy).__name__} is stateful")
+    # Per-node walk histograms, handles resolved once so the hot loops
+    # never pay the label-sort cost: each node's walk-cost distribution,
+    # complementing NumaWalkStats' flat totals.
+    registry = get_registry()
+    labels = {"topology": resolved.name, "policy": policy.name}
+    return ReplaySetup(
+        topology=resolved,
+        placement=placement,
+        policy=policy,
+        coster=WalkCoster(policy),
+        reads_fn=walk_reads_fn(table, placement.line_size),
+        node_of=access_node_fn(access_pattern, resolved, table.layout),
+        lines_handles=[
+            registry.histogram_handle("numa.walk_lines", node=node, **labels)
+            for node in range(resolved.num_nodes)
+        ],
+        cycles_handles=[
+            registry.histogram_handle("numa.walk_cycles", node=node, **labels)
+            for node in range(resolved.num_nodes)
+        ],
+    )
+
+
 def replay_misses_numa(
     stream: MissStream,
     table,
@@ -177,62 +254,23 @@ def replay_misses_numa(
 
     Walks are performed at byte granularity (see module docstring) and
     every touched line is charged at the latency between the accessing
-    node and the node the policy serves it from.  ``placement`` defaults
-    to first-touch on node 0 — the whole table allocated where the OS
-    booted, the Mitosis paper's motivating worst case.  A miss whose
-    walk faults is counted in ``faults`` and charged nothing, matching
+    node and the node the policy serves it from (:func:`setup_replay`
+    resolves both).  A miss whose walk faults is counted in ``faults``
+    and charged nothing, matching
     :func:`~repro.mmu.simulate.replay_misses`.
     """
-    resolved = get_topology(topology)
-    if placement is None:
-        placement = FirstTouchPlacement(resolved, node=0)
-    elif placement.topology is not resolved:
-        raise ConfigurationError(
-            "placement was built for a different topology"
-        )
-    if isinstance(policy, str):
-        policy = make_policy(policy, placement)
-    coster = WalkCoster(policy)
-    reads_fn = walk_reads_fn(table, placement.line_size)
-    node_of = access_node_fn(access_pattern, resolved, table.layout)
-
-    # Per-node walk histograms: one (lines, cycles) series pair per
-    # accessing node, handles resolved once so the hot loop never pays
-    # the label-sort cost.  The registry's log2 buckets give each node's
-    # walk-cost distribution, complementing NumaWalkStats' flat totals.
-    registry = get_registry()
-    labels = {"topology": resolved.name, "policy": policy.name}
-    lines_handles = [
-        registry.histogram_handle("numa.walk_lines", node=node, **labels)
-        for node in range(resolved.num_nodes)
-    ]
-    cycles_handles = [
-        registry.histogram_handle("numa.walk_cycles", node=node, **labels)
-        for node in range(resolved.num_nodes)
-    ]
-
-    vpns = stream.vpns.tolist()
-    if miss_limit is not None:
-        vpns = vpns[:miss_limit]
+    setup = setup_replay(table, topology, policy, placement, access_pattern)
+    vpns = stream.vpns[:miss_limit].tolist()
     total_lines = 0
     faults = 0
     for index, vpn in enumerate(vpns):
-        translation, reads = reads_fn(int(vpn))
+        translation, reads = setup.reads_fn(vpn)
         if translation is None:
             faults += 1
             continue
-        node = node_of(int(vpn), index)
-        lines, cycles = coster.charge_reads(node, reads)
+        node = setup.node_of(vpn, index)
+        lines, cycles = setup.coster.charge_reads(node, reads)
         total_lines += lines
-        lines_handles[node].observe(lines)
-        cycles_handles[node].observe(cycles)
-    return NumaReplayResult(
-        table_description=table.describe(),
-        topology_name=resolved.name,
-        policy_name=policy.name,
-        misses=len(vpns),
-        cache_lines=total_lines,
-        faults=faults,
-        numa=coster.stats,
-        policy_stats=policy.stats,
-    )
+        setup.lines_handles[node].observe(lines)
+        setup.cycles_handles[node].observe(cycles)
+    return setup.result(table, len(vpns), total_lines, faults)

@@ -19,8 +19,9 @@ itself* instead of only reporting aggregate averages:
   task → stage) recorded in parent and worker processes and exported as
   Chrome trace-event JSON (``--profile-out``, loadable in Perfetto).
 - :mod:`repro.obs.profile` — per-table walk profiles (exact cache-line
-  and probe distributions, PTE-kind mix, hash heat rows): the one store
-  each traced walk is counted in, rendered by ``repro.cli report``.
+  and probe distributions, PTE-kind mix, hash heat rows): the one
+  record of walk costs, each traced walk counted once, persisted as a
+  run's ``walk_profile.json`` and rendered by ``repro.cli report``.
 - :mod:`repro.obs.ledger` — the cross-*run* layer: an append-only
   benchmark ledger ingesting every ``BENCH_*.json`` and run-dir artefact
   into ``(family, config, metric)`` rows, with noise bands (median ±
@@ -33,10 +34,8 @@ itself* instead of only reporting aggregate averages:
 The tracing invariant the differential tests enforce: over a traced
 :func:`repro.mmu.simulate.replay_misses` run, the tracer's
 ``replay_lines`` total equals the replay's ``cache_lines`` exactly.
-The tracer's other totals and the registry's ``walk.cache_lines`` /
-``walk.probes`` histograms are views of the tracer's walk profile
-(:meth:`~repro.obs.profile.WalkProfile.observe_into`), so they agree
-with it by construction.
+The tracer's other totals are views of its walk profile, so they agree
+with it by construction; the registry keeps no copy of walk costs.
 """
 
 from repro.obs.ledger import (

@@ -20,9 +20,9 @@ every labelled series of one name.
 Histograms are **bucketed**: alongside count/total/min/max, every
 observation lands in a log₂ bucket (bucket *e* covers ``(2^(e-1),
 2^e]``), which is what lets :meth:`HistogramStats.percentile` estimate
-p50/p95/p99 without retaining raw samples.  The bucket-count invariant
-``sum(buckets) + zeros == count`` is what the profiler's tests pin
-against the walk profile the ``walk.*`` histograms are derived from.
+p50/p95/p99 without retaining raw samples; the bucket-count invariant
+is ``sum(buckets) + zeros == count``.  Exact walk-cost distributions
+live in the walk profile (:mod:`repro.obs.profile`), not here.
 
 Cross-process aggregation goes through :meth:`MetricsRegistry.state`
 (a JSON-safe dump keyed by *structured* name+label pairs) and
@@ -116,9 +116,8 @@ class HistogramStats:
         """Record ``count`` identical observations in O(1).
 
         Exactly equivalent to calling :meth:`observe` ``count`` times —
-        a walk profile derives its ``walk.*`` histograms with one call
-        per distinct cost
-        (:meth:`~repro.obs.profile.WalkProfile.observe_into`).
+        the batch NUMA replay and the tenancy scheduler record a
+        repeated cost with one call.
         """
         if count <= 0:
             return

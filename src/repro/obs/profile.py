@@ -5,8 +5,8 @@ A :class:`WalkProfile` condenses the per-walk events that
 table:
 
 - **exact** cache-line and probe-count distributions (small-integer
-  ``value → count`` maps, so p50/p95/p99 here are exact, unlike the
-  log₂-bucketed registry histograms derived from them);
+  ``value → count`` maps, so p50/p95/p99 here are exact, where a
+  log₂-bucketed registry histogram would only estimate them);
 - the PTE-kind mix (``base`` / ``superpage`` / ``partial_subblock`` /
   ``fault`` / ...);
 - per-NUMA-node cache-line totals;
@@ -19,10 +19,9 @@ pool, mergeable in the parent (:meth:`WalkProfile.merge`), and JSON
 round-trippable for the ``walk_profile.json`` run artefact that
 ``repro.cli report`` renders.
 
-The profile is the one place a walk is counted.  The tracer's totals
-are read from it, and the registry's ``walk.cache_lines`` /
-``walk.probes`` histograms are derived from it once per run
-(:meth:`WalkProfile.observe_into`).
+The profile is the one place a walk is counted and the one record of
+walk costs: the tracer's totals are read from it, and the registry
+keeps no walk histograms.
 
 The heat hash is deliberately a *local* copy of the multiplicative hash
 used by ``repro.pagetables.hashed`` — importing that module here would
@@ -231,22 +230,6 @@ class WalkProfile:
     def merge(self, other: "WalkProfile") -> None:
         for name, profile in other.tables.items():
             self.table(name).merge(profile)
-
-    def observe_into(self, registry) -> None:
-        """Feed each table's cost distributions into registry histograms.
-
-        ``walk.cache_lines{table=...}`` and ``walk.probes{table=...}``
-        receive one observation per walk, exactly as if every walk had
-        been observed as it happened.
-        """
-        for name, profile in sorted(self.tables.items()):
-            for metric, values in (
-                ("walk.cache_lines", profile.lines),
-                ("walk.probes", profile.probes),
-            ):
-                handle = registry.histogram_handle(metric, table=name)
-                for value, count in sorted(values.items()):
-                    handle.observe_many(value, count)
 
     def merge_dict(self, doc: Mapping[str, object]) -> None:
         """Fold a serialised profile (e.g. from a worker) in."""

@@ -83,11 +83,9 @@ class WalkTracer:
 
     Every recorded walk is counted once, in :attr:`profile` (created
     when none is given).  The totals :attr:`total_lines`,
-    :attr:`total_probes` and :attr:`faults` are read from it, and the
-    registry's walk histograms are derived from it
-    (:meth:`~repro.obs.profile.WalkProfile.observe_into`), so the trace
-    header, the histograms and the profile cannot disagree about what
-    was walked.  The tracer itself keeps only the ring's accounting and
+    :attr:`total_probes` and :attr:`faults` are read from it, so the
+    trace header and the profile cannot disagree about what was walked.
+    The tracer itself keeps only the ring's accounting and
     :attr:`replay_lines`.
     """
 

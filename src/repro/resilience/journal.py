@@ -26,8 +26,8 @@ Record shapes::
     {"entry": {"experiment": "fig11d", "digest": "...", "elapsed": 1.2,
                "attempts": 1, "result": {"experiment": ..., "headers":
                [...], "rows": [...], "notes": ...}}}
-    {"failure": {"experiment": "numa", "stage": "experiment", "site":
-                 ..., "error_type": ..., "message": ..., "attempts": 3,
+    {"failure": {"experiment": "numa", "stage": "experiment",
+                 "error_type": ..., "message": ..., "attempts": 3,
                  "seed": ...}}
 """
 

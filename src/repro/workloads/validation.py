@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.common import ExperimentResult
+from repro.experiments.table1 import CYCLES_PER_REFERENCE, MISS_PENALTY_CYCLES
 from repro.workloads.suite import PAPER_WORKLOADS, Workload, load_workload
 
 #: Tolerated relative footprint error vs the Table 1 target.
@@ -48,10 +49,6 @@ SPARSE_REGION_DENSITY = 0.25
 #: Bursty spaces sit between scatter and full: above the sparse line,
 #: but with enough holes that they never look fully dense.
 BURSTY_REGION_DENSITY_BAND = (SPARSE_REGION_DENSITY, 0.90)
-
-#: Mirrors repro.experiments.table1's time model.
-MISS_PENALTY_CYCLES = 40
-CYCLES_PER_REFERENCE = 30
 
 
 @dataclass

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import make_table
-from repro.experiments import common, fig11, modern
+from repro.experiments import common, fig11, modern, numa
 from repro.experiments.common import (
     get_miss_stream,
     get_translation_map,
@@ -324,6 +324,19 @@ def test_modern_cell_under_batch_populates_only_for_its_size_column(
     assert engine_fallbacks() == {}
     assert populate_calls
     assert all(name.startswith("sizes:") for name in populate_calls)
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batch"])
+def test_numa_cell_populates_each_table_once(
+    engine, monkeypatch, populate_calls
+):
+    """A numa cell replays one populated table per organisation under
+    every (topology, policy): 3 populates for its 30 replays."""
+    monkeypatch.setattr(common, "_ENGINE", engine)
+    reset_registry()
+    (cell,) = numa.cells(("mp3d",), miss_limit=2_000)
+    numa.measure(cell, trace_length=5_000)
+    assert populate_calls == list(numa.DEFAULT_TABLES)
 
 
 @pytest.fixture

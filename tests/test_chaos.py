@@ -8,7 +8,9 @@ silently wrong, never hung.
 Three layers:
 
 - a ≥50-seed serial sweep over every injectable-in-process fault
-  (I/O errors at the runner and cache sites, artefact bit rot);
+  (I/O errors at the runner and cache sites, artefact bit rot), each
+  seed on a cold cache of its own so that stores happen and the store
+  and bit-rot sites fire;
 - a parallel sweep adding the process-level faults only a multi-process
   scheduler can survive (worker crashes, hung workers);
 - a kill-and-resume smoke: SIGKILL the runner mid-run, ``--resume``,
@@ -28,7 +30,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.resilience import FaultPlan, RetryPolicy, RunJournal
-from repro.resilience.faults import PROCESS_ACTIONS
+from repro.resilience.faults import PROCESS_ACTIONS, FaultInjector
 
 TRACE_LENGTH = 2_000
 WORKLOADS = ("mp3d",)
@@ -65,7 +67,8 @@ PARALLEL_SEEDS = (0, 1, 2)
 
 @pytest.fixture(scope="module")
 def chaos_env(tmp_path_factory):
-    """A shared cache directory plus the fault-free baseline renders."""
+    """A warm cache directory (for the parallel sweep) plus the
+    fault-free baseline renders."""
     cache_dir = str(tmp_path_factory.mktemp("chaos-cache"))
     results = runner.run_all(
         TRACE_LENGTH,
@@ -96,9 +99,16 @@ def _assert_invariant(results, metrics, baseline):
         assert record.error_type and record.attempts >= 1
 
 
-def _serial_chaos_run(seed, chaos_env, max_retries):
-    """One serial run under seed ``seed``'s plan; returns its metrics."""
-    cache_dir, baseline = chaos_env
+@pytest.fixture(scope="module")
+def fired_sites():
+    """Serial sweep seed → the sites whose rules fired in its run."""
+    return {}
+
+
+def _serial_chaos_run(seed, chaos_env, max_retries, cache_dir):
+    """One serial run under seed ``seed``'s plan on a cold cache in
+    ``cache_dir``; returns its metrics and the sites that fired."""
+    _, baseline = chaos_env
     plan = FaultPlan.random(
         seed,
         sites=SERIAL_SITES,
@@ -112,30 +122,58 @@ def _serial_chaos_run(seed, chaos_env, max_retries):
         fault_plan=plan,
     )
     metrics = runner.RunMetrics()
-    results = runner.run_all(
-        TRACE_LENGTH,
-        jobs=1,
-        cache_dir=cache_dir,
-        workloads=WORKLOADS,
-        only=list(EXPERIMENTS),
-        resilience=cfg,
-        metrics=metrics,
-    )
+    fired = set()
+    fire = FaultInjector._fire
+
+    def counted_fire(injector, rule, path):
+        fired.add(rule.site)
+        return fire(injector, rule, path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FaultInjector, "_fire", counted_fire)
+        results = runner.run_all(
+            TRACE_LENGTH,
+            jobs=1,
+            cache_dir=str(cache_dir),
+            workloads=WORKLOADS,
+            only=list(EXPERIMENTS),
+            resilience=cfg,
+            metrics=metrics,
+        )
     _assert_invariant(results, metrics, baseline)
-    return metrics
+    return metrics, fired
 
 
 @pytest.mark.parametrize("seed", SERIAL_SEEDS)
-def test_serial_chaos_sweep(seed, chaos_env):
-    _serial_chaos_run(seed, chaos_env, max_retries=2)
+def test_serial_chaos_sweep(seed, chaos_env, fired_sites, tmp_path):
+    _, fired_sites[seed] = _serial_chaos_run(
+        seed, chaos_env, max_retries=2, cache_dir=tmp_path
+    )
 
 
-def test_serial_chaos_sweep_past_the_retry_budget(chaos_env):
+def test_serial_chaos_sweep_fires_every_site(
+    chaos_env, fired_sites, tmp_path
+):
+    """Over the sweep, a rule fires at every serial site, the store and
+    bit-rot sites included.  Seeds the sweep did not run in this
+    session (a ``-k`` selection) are run here."""
+    for seed in SERIAL_SEEDS:
+        if seed not in fired_sites:
+            _, fired_sites[seed] = _serial_chaos_run(
+                seed, chaos_env, max_retries=2, cache_dir=tmp_path / str(seed)
+            )
+    fired = set().union(*fired_sites.values())
+    assert fired == set(SERIAL_SITES), sorted(set(SERIAL_SITES) - fired)
+
+
+def test_serial_chaos_sweep_past_the_retry_budget(chaos_env, tmp_path):
     """With one retry, some seeds fail a task for good: the failure
     record half of the invariant is reached, not only the byte match."""
     failed = [
         seed for seed in SHORT_BUDGET_SEEDS
-        if _serial_chaos_run(seed, chaos_env, max_retries=1).failures
+        if _serial_chaos_run(
+            seed, chaos_env, max_retries=1, cache_dir=tmp_path / str(seed)
+        )[0].failures
     ]
     assert failed, "no seed's plan outlived a one-retry budget"
 

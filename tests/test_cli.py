@@ -218,12 +218,11 @@ class TestExperimentFlags:
         )
 
     def test_claims_writes_its_trace(self, tmp_path, monkeypatch, capsys):
-        from repro import cli
         from repro.experiments import claims
 
         # One cheap key stands in for the eight: the trace plumbing is
         # what is under test, not the claims.
-        monkeypatch.setitem(cli._ID_KEYS, "claims", ("fig11a",))
+        monkeypatch.setattr(claims, "KEYS", ("fig11a",))
         monkeypatch.setattr(claims, "verify", lambda *args, **kwargs: [])
         trace = tmp_path / "claims.jsonl"
         assert main(["experiment", "claims", "--trace-length", "1000",
@@ -243,7 +242,8 @@ class TestOneCommandLine:
     """Single ids and ``all`` produce through one table and print alike."""
 
     def test_id_table_covers_the_runner_keys_exactly(self):
-        from repro.cli import EXPERIMENT_IDS, runner_keys
+        from repro.cli import _FLAG_READERS, EXPERIMENT_IDS, runner_keys
+        from repro.experiments import claims
         from repro.experiments.runner import EXPERIMENT_ORDER
 
         keys = [
@@ -253,6 +253,27 @@ class TestOneCommandLine:
             for key in runner_keys(exp_id)
         ]
         assert keys == list(EXPERIMENT_ORDER)
+        # The ids, their keys and the --workloads readers are derived
+        # from the runner's catalogue; these are the tables they replace.
+        assert EXPERIMENT_IDS == (
+            "table1", "fig9", "fig10", "fig11a", "fig11b", "fig11c",
+            "fig11d", "table2", "sensitivity", "softtlb", "multisize",
+            "multiprog", "guarded", "sasos", "cachesim", "pressure",
+            "promotion-scan", "numa", "tenancy", "modern", "claims", "all",
+        )
+        assert runner_keys("sensitivity") == (
+            "sens_cacheline", "sens_subblock", "sens_buckets",
+            "sens_tlb_geometry", "sens_hash_quality", "sens_shared_private",
+        )
+        assert runner_keys("promotion-scan") == ("promotion_scan",)
+        assert runner_keys("claims") == claims.KEYS
+        assert runner_keys("all") == EXPERIMENT_ORDER
+        assert _FLAG_READERS["workloads"] == tuple(
+            exp_id for exp_id in EXPERIMENT_IDS if exp_id not in (
+                "sensitivity", "multisize", "sasos", "pressure", "tenancy",
+                "claims",
+            )
+        )
 
     @pytest.mark.parametrize("exp_id, key", [
         ("fig9", "fig9"),
@@ -272,6 +293,8 @@ class TestOneCommandLine:
     def test_a_single_id_runs_its_keys_through_run_all(
         self, exp_id, monkeypatch
     ):
+        from dataclasses import replace
+
         from repro.cli import runner_keys
         from repro.experiments import runner
 
@@ -288,7 +311,10 @@ class TestOneCommandLine:
             raise AssertionError(f"{exp_id} produced outside run_all")
 
         monkeypatch.setattr(runner, "run_all", run_all)
-        monkeypatch.setattr(runner, "producers", bypassed)
+        for key, entry in list(runner.CATALOGUE.items()):
+            monkeypatch.setitem(
+                runner.CATALOGUE, key, replace(entry, run=bypassed)
+            )
         with pytest.raises(Reached):
             main(["experiment", exp_id, "--trace-length", "1000"])
         assert seen["only"] == runner_keys(exp_id)
@@ -380,10 +406,9 @@ class TestOneCommandLine:
     def test_a_failed_task_prints_the_failure_manifest(
         self, exp_id, tmp_path, monkeypatch, capsys
     ):
-        from repro import cli
         from repro.experiments import claims
 
-        monkeypatch.setitem(cli._ID_KEYS, "claims", ("table1",))
+        monkeypatch.setattr(claims, "KEYS", ("table1",))
 
         def verify(*args, **kwargs):
             raise AssertionError("claims judged without their results")

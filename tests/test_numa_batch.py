@@ -25,7 +25,12 @@ from repro.mmu.batch_kernels import BatchUnsupportedError
 from repro.numa.batch import replay_misses_numa_batch
 from repro.numa.replay import replay_misses_numa
 from repro.numa.topology import LOCAL_CYCLES, PRESETS, SINGLE_NODE
-from repro.obs.metrics import get_registry, reset_registry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    get_registry,
+    reset_registry,
+    use_registry,
+)
 
 TRACE_LENGTH = 20_000
 TABLES = ("linear-1lvl", "hashed", "clustered")
@@ -135,12 +140,20 @@ def test_miss_limit_parity(workload, stream):
 # ---------------------------------------------------------------------------
 def test_migrate_policy_is_refused(workload, stream):
     table = fresh_table("hashed", workload)
-    with pytest.raises(BatchUnsupportedError):
+    registry = MetricsRegistry()
+    with use_registry(registry), pytest.raises(BatchUnsupportedError):
         replay_misses_numa_batch(
             stream, table, topology=PRESETS["4-node"], policy="migrate"
         )
-    # Refusal happens before any stats are touched.
+    # Refusal happens before any stats are touched, and before any
+    # registry series exists.
     assert table.stats.lookups == 0 and table.stats.cache_lines == 0
+    assert not [
+        name
+        for series in registry.state().values()
+        for name, _, _ in series
+        if name.startswith("numa.")
+    ]
 
 
 def test_experiment_dispatch_falls_back_for_migrate(workload, stream):

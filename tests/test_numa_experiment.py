@@ -4,9 +4,9 @@ import pytest
 
 from repro.experiments import numa
 from repro.experiments.runner import (
+    CATALOGUE,
     CELLED,
     EXPERIMENT_ORDER,
-    _SINGLE_STREAM_EXPERIMENTS,
     select_experiments,
     stream_prewarm_plan,
 )
@@ -88,7 +88,7 @@ def test_remote_penalty_grows_with_machine_size(result):
 # ---------------------------------------------------------------------------
 def test_runner_knows_the_numa_experiment():
     assert "numa" in EXPERIMENT_ORDER
-    assert "numa" in _SINGLE_STREAM_EXPERIMENTS
+    assert CATALOGUE["numa"].streams == (("single", 64),)
     assert CELLED["numa"] is numa
     assert select_experiments(["numa"]) == ("numa",)
     plan = stream_prewarm_plan(("numa",), workloads=("mp3d",))

@@ -260,12 +260,13 @@ class TestRunnerParity:
         keep a failed attempt's, on four inputs.
 
         - table1 and fig11d, fault-free and when table1's first attempt
-          fails at task entry: the registry's counters and walk
-          histograms, and the walk profile, equal the serial run's.
+          fails at task entry: the registry's counters and
+          non-``runner.*`` histograms, and the walk profile, equal the
+          serial run's.
         - fig11a when its first attempt fails mid-task, after some of
-          its walks: one retry, and the walk profile, the ``walk.*``
-          histograms and the one ``task:fig11a`` span equal the
-          fault-free run's at both job counts.
+          its walks: one retry, and the walk profile, the
+          non-``runner.*`` histograms and the one ``task:fig11a`` span
+          equal the fault-free run's at both job counts.
         - fig11a under each of :data:`LOAD_FAULTS`: a fault window is
           counted per task attempt, so the retries, the failure
           manifest (in task order), the results and the counters are
@@ -304,14 +305,13 @@ class TestRunnerParity:
             doc = json.loads((run_dir / METRICS_NAME).read_text())
             return metrics, doc["registry"], results
 
-        def histograms(state, walks=True):
-            """The ``walk.*`` histograms, or else all but ``runner.*``,
-            as JSON text: 1 and 1.0 compare equal, but print differently
-            in metrics.json and --metrics."""
+        def histograms(state):
+            """All but the ``runner.*`` histograms, as JSON text: 1 and
+            1.0 compare equal, but print differently in metrics.json and
+            --metrics."""
             return json.dumps([
                 entry for entry in state["histograms"]
-                if (entry[0].startswith("walk.") if walks
-                    else not entry[0].startswith("runner."))
+                if not entry[0].startswith("runner.")
             ], sort_keys=True)
 
         subset = dict(
@@ -331,8 +331,13 @@ class TestRunnerParity:
             ) == retried
             # A failed attempt's injected fault goes with its registry.
             assert not serial.registry.values("faults.injected")
-            assert histograms(serial_state) != "[]", (
-                "profiled run recorded no walk histograms"
+            # Walk costs are recorded once, in the walk profile.
+            assert serial.walk_profile.total_walks > 0, (
+                "profiled run recorded no walks"
+            )
+            assert not any(
+                entry[0].startswith("walk.")
+                for entry in serial_state["histograms"]
             )
             assert histograms(serial_state) == histograms(parallel_state)
             assert (serial.walk_profile.as_dict()
@@ -391,9 +396,7 @@ class TestRunnerParity:
         _, parallel_state, _ = profiled_run(2, "tenancy-2", None, **twenty)
         assert serial_state["counters"], "the --jobs 1 run counted nothing"
         assert serial_state["counters"] == parallel_state["counters"]
-        assert histograms(serial_state, walks=False) == histograms(
-            parallel_state, walks=False
-        )
+        assert histograms(serial_state) == histograms(parallel_state)
 
     def test_phase_wall_seconds_are_recorded(self, tmp_path):
         metrics = runner.RunMetrics()
@@ -445,6 +448,15 @@ class TestRunnerParity:
         assert len(plan) == len(set(plan))  # deduplicated
         # Experiments with no replayed streams contribute nothing.
         assert runner.stream_prewarm_plan(("fig9", "pressure")) == ()
+        # With no subset, a key plans its own workloads' streams only.
+        for key, workloads in (
+            ("numa", ("coral", "mp3d", "gcc")),
+            ("guarded", ("coral", "mp3d", "compress", "gcc")),
+            ("cachesim", ("coral", "mp3d", "ML", "gcc")),
+        ):
+            assert runner.stream_prewarm_plan((key,)) == tuple(
+                (name, "single", 64) for name in workloads
+            ), key
 
 
 # ---------------------------------------------------------------------------

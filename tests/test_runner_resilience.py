@@ -378,9 +378,9 @@ class TestGracefulInterrupt:
         assert metrics.interrupted is True
 
     def test_interrupted_profiled_run_keeps_its_walks(self, tmp_path):
-        # The walk histograms are derived from the run's profile when the
-        # run ends, so an interrupted run must still report the walks of
-        # the experiments it completed.
+        # An interrupted run's walk profile holds exactly the walks of
+        # the experiments it completed: fig11a's, as a run of fig11a
+        # alone records them, and none of the interrupted fig11b's.
         plan = FaultPlan(
             (FaultRule("runner.experiment", "sigint", match="fig11b"),)
         )
@@ -392,14 +392,14 @@ class TestGracefulInterrupt:
                 workloads=WORKLOADS, only=["fig11a", "fig11b"],
                 metrics=metrics, resilience=cfg, profile=True,
             )
-        tables = metrics.walk_profile.tables
-        assert sum(table.walks for table in tables.values()) > 0
-        counts = {
-            labels["table"]: payload["count"]
-            for name, labels, payload in metrics.registry.state()["histograms"]
-            if name == "walk.cache_lines"
-        }
-        assert counts == {name: t.walks for name, t in tables.items()}
+        assert metrics.walk_profile.total_walks > 0
+        alone = runner.RunMetrics()
+        runner.run_all(
+            TRACE_LENGTH, jobs=1, cache_dir=str(tmp_path / "cache"),
+            workloads=WORKLOADS, only=["fig11a"], metrics=alone,
+            profile=True,
+        )
+        assert metrics.walk_profile.as_dict() == alone.walk_profile.as_dict()
 
     def test_interrupted_phase_is_still_observed(self, tmp_path):
         plan = FaultPlan(
